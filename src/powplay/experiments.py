@@ -487,10 +487,7 @@ def read_artifact(path) -> Artifact:
     """Read a CSV written by render_csv back into an Artifact."""
     meta = {}
     body = []
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+    text = Path(path).read_text()
     for line in text.splitlines():
         if line.startswith("#"):
             key, sep, value = line[1:].partition(":")

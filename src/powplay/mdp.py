@@ -9,12 +9,16 @@ at most i mines on the attacker's fork; a pool that extends the attacker's
 fork collects i plus the sweetener, otherwise the attacker recollects the
 deposit.
 
-States follow the fork race: per-pool block counts on the public fork, the
-attacker's secret length, whether a match (and at which bribe level) is
-live, and the identity of the latest block's miner.  The latest-miner field
-never influences optimal play here (fork choice is fully decided by the
-at-most-i rule), so the solver collapses it; it is kept on the state type
-for rollout traces.
+A state is the key (fork, lbar, a, match_active, level): fork[j] is pool
+j's block count on the public fork, lbar the public fork's length, a the
+attacker's secret length, and match_active/level whether a match is live
+and at which bribe level.  The chain is lumped exactly (Kemeny & Snell,
+*Finite Markov Chains*; Givan, Dean & Greig 2003): a petty pool's count is
+only compared with a bribe level, so it is clipped at max_bribe + 1, and the
+honest pool's count, never read, stays 0; within each group of pools with
+the same share and behaviour the counts are sorted, since swapping such
+pools changes nothing.  Edges stay one per winner, with winners named by
+pool position.
 
 The objective is the long-run reward share net of bribes:
 (expected attacker blocks settled - expected bribes paid) divided by
@@ -36,16 +40,16 @@ from powplay.model import AttackParams, PoolSet
 __all__ = [
     "ADVERSARY",
     "MdpAction",
-    "MdpState",
     "MdpModel",
     "SolveResult",
     "build_mdp",
     "solve_reward_share",
     "honest_policy",
     "policy_rollout",
+    "policy_tables",
 ]
 
-ADVERSARY = -1  # latest-miner code for the attacker
+ADVERSARY = -1  # winner code for the attacker
 
 
 @dataclass(frozen=True)
@@ -60,34 +64,6 @@ class MdpAction:
             raise ValidationError(f"unknown action kind {self.kind!r}")
         if self.kind == "match" and self.level < 0:
             raise ValidationError("match actions carry a bribe level >= 0")
-
-
-@dataclass(frozen=True)
-class MdpState:
-    """A fork-race position.
-
-    fork_blocks[j] counts pool j's blocks on the public fork (pool order =
-    PoolSet.others()).  latest is ADVERSARY, a pool position, or None when
-    the identity is unknown or irrelevant; it is not part of the solver key.
-    """
-
-    fork_blocks: tuple[int, ...]
-    adversary_len: int
-    match_active: bool = False
-    bribe_level: int = -1
-    latest: int | None = None
-
-    def key(self):
-        return (
-            self.fork_blocks,
-            self.adversary_len,
-            self.match_active,
-            self.bribe_level,
-        )
-
-    @property
-    def fork_len(self) -> int:
-        return sum(self.fork_blocks)
 
 
 @dataclass
@@ -125,54 +101,59 @@ class MdpModel:
     def state_count(self) -> int:
         return len(self.states)
 
-    def state_of(self, key) -> MdpState:
-        fork, a, m, lvl = key
-        return MdpState(fork, a, m, lvl)
+
+def _grow(fork, j, clip, groups):
+    """fork with pool j's count raised by one, clipped, in canonical order."""
+    grown = list(fork)
+    if grown[j] < clip[j]:
+        grown[j] += 1
+    for group in groups:
+        for k, v in zip(group, sorted((grown[k] for k in group), reverse=True)):
+            grown[k] = v
+    return tuple(grown)
 
 
-def _successors(key, action, shares, alpha_a, petty, epsilon):
+def _successors(key, action, shares, alpha_a, petty, epsilon, clip, groups):
     """Yield (winner, prob, settled, reward, bribe, orphans, next_key)."""
-    fork, a, m_active, level = key
-    lbar = sum(fork)
+    fork, lbar, a, m_active, level = key
     zeros = (0,) * len(fork)
 
-    def draws(base_fork, base_a, settled, reward, bribe, orphans):
+    def draws(base_fork, base_lbar, base_a, settled, reward, bribe, orphans):
         # race flags are clear in every state this helper produces
         out = []
         if alpha_a > 0:
             out.append(
                 (ADVERSARY, alpha_a, settled, reward, bribe, orphans,
-                 (base_fork, base_a + 1, False, -1))
+                 (base_fork, base_lbar, base_a + 1, False, -1))
             )
         for j, sj in enumerate(shares):
             if sj <= 0:
                 continue
-            grown = list(base_fork)
-            grown[j] += 1
+            grown = _grow(base_fork, j, clip, groups)
             out.append(
                 (j, sj, settled, reward, bribe, orphans,
-                 (tuple(grown), base_a, False, -1))
+                 (grown, base_lbar + 1, base_a, False, -1))
             )
         return out
 
     if action.kind == "adopt":
         # concede: the public fork settles, the secret fork is thrown away
-        return draws(zeros, 0, lbar, 0, 0.0, a)
+        return draws(zeros, 0, 0, lbar, 0, 0.0, a)
     if action.kind == "override":
         # publish lbar+1 attacker blocks; they settle and orphan the fork
         rest = a - lbar - 1
-        return draws(zeros, rest, lbar + 1, lbar + 1, 0.0, lbar)
+        return draws(zeros, 0, rest, lbar + 1, lbar + 1, 0.0, lbar)
 
     # wait or match: set the race flags, then let the next block decide
     if action.kind == "match":
         m_active, level = True, action.level
     if not m_active:
-        return draws(fork, a, 0, 0, 0.0, 0)
+        return draws(fork, lbar, a, 0, 0, 0.0, 0)
 
     out = []
     if alpha_a > 0:
         out.append(
-            (ADVERSARY, alpha_a, 0, 0, 0.0, 0, (fork, a + 1, True, level))
+            (ADVERSARY, alpha_a, 0, 0, 0.0, 0, (fork, lbar, a + 1, True, level))
         )
     for j, sj in enumerate(shares):
         if sj <= 0:
@@ -182,23 +163,21 @@ def _successors(key, action, shares, alpha_a, petty, epsilon):
             # resolves, the public fork is orphaned, the bribe is collected
             cost = level + epsilon
             if a == lbar:
-                nxt = (zeros, 0, False, -1)
+                nxt = (zeros, 0, 0, False, -1)
                 out.append((j, sj, lbar + 1, lbar, cost, lbar, nxt))
             else:
-                one = tuple(1 if k == j else 0 for k in range(len(fork)))
-                nxt = (one, a - lbar, False, -1)
+                one = _grow(zeros, j, clip, groups)
+                nxt = (one, 1, a - lbar, False, -1)
                 out.append((j, sj, lbar, lbar, cost, lbar, nxt))
         else:
             # the public fork outgrows the published match; deposit returns
-            grown = list(fork)
-            grown[j] += 1
-            out.append((j, sj, 0, 0, 0.0, 0, (tuple(grown), a, False, -1)))
+            grown = _grow(fork, j, clip, groups)
+            out.append((j, sj, 0, 0, 0.0, 0, (grown, lbar + 1, a, False, -1)))
     return out
 
 
 def _feasible_actions(key, fork_cap, max_bribe):
-    fork, a, m_active, level = key
-    lbar = sum(fork)
+    _, lbar, a, m_active, level = key
     if a >= fork_cap or lbar >= fork_cap:
         # truncation boundary: cash in if ahead, concede otherwise
         return [MdpAction("override") if a > lbar else MdpAction("adopt")]
@@ -222,7 +201,7 @@ def build_mdp(
     honest: int | str | None = None,
     state_ceiling: int = 10_000_000,
 ) -> MdpModel:
-    """Enumerate every reachable fork-race state and its action edges.
+    """Enumerate every reachable lumped fork-race state and its action edges.
 
     All non-adversarial pools respond to bribes by default, matching the
     result tables (their captions label every non-adversarial pool as
@@ -252,50 +231,51 @@ def build_mdp(
         petty[others.index(hid)] = False
     petty = tuple(petty)
     eps = params.epsilon
+    # a petty pool's count is only compared with a bribe level <= max_bribe,
+    # and the honest pool's is never read; interchangeable pools are sorted
+    clip = tuple(max_bribe + 1 if p else 0 for p in petty)
+    alike = {}
+    for j, kind in enumerate(zip(shares.tolist(), petty)):
+        alike.setdefault(kind, []).append(j)
+    groups = [g for g in alike.values() if len(g) > 1]
 
-    root = ((0,) * len(others), 0, False, -1)
+    # breadth-first: a state is numbered when first reached and expanded in
+    # that order, so its actions and their edges are flattened as it goes
+    root = ((0,) * len(others), 0, 0, False, -1)
     index = {root: 0}
     states = [root]
-    queue = [root]
     actions = []
-    per_state_edges = []  # aligned with states after the loop
+    state_ptr = [0]
+    action_ptr = []
+    prob, dst, winner, settled, reward, bribe, orphans = [], [], [], [], [], [], []
     head = 0
-    while head < len(queue):
-        key = queue[head]
+    while head < len(states):
+        key = states[head]
         head += 1
         acts = _feasible_actions(key, fork_cap, max_bribe)
-        rows = []
         for act in acts:
-            edges = _successors(key, act, shares, alpha_a, petty, eps)
-            for *_, nxt in edges:
-                if nxt not in index:
+            action_ptr.append(len(prob))
+            edges = _successors(
+                key, act, shares, alpha_a, petty, eps, clip, groups
+            )
+            for w, p, st, rw, br, orp, nxt in edges:
+                to = index.get(nxt)
+                if to is None:
                     if len(states) >= state_ceiling:
                         raise CapacityError(
                             f"state count exceeded the ceiling {state_ceiling}"
                         )
-                    index[nxt] = len(states)
+                    to = index[nxt] = len(states)
                     states.append(nxt)
-                    queue.append(nxt)
-            rows.append((act, edges))
-        actions.append([a for a, _ in rows])
-        per_state_edges.append(rows)
-
-    # flatten: actions grouped per state, edges grouped per action
-    state_ptr = [0]
-    action_ptr = []
-    prob, dst, winner, settled, reward, bribe, orphans = [], [], [], [], [], [], []
-    for rows in per_state_edges:
-        for _, edges in rows:
-            action_ptr.append(len(prob))
-            for w, p, st, rw, br, orp, nxt in edges:
                 prob.append(p)
-                dst.append(index[nxt])
+                dst.append(to)
                 winner.append(w)
                 settled.append(st)
                 reward.append(rw)
                 bribe.append(br)
                 orphans.append(orp)
-        state_ptr.append(state_ptr[-1] + len(rows))
+        actions.append(acts)
+        state_ptr.append(state_ptr[-1] + len(acts))
 
     return MdpModel(
         pools=pools,
@@ -406,8 +386,7 @@ def honest_policy(model: MdpModel) -> dict:
     """Publish immediately, concede otherwise: reproduces honest mining."""
     policy = {}
     for key in model.states:
-        fork, a, _, _ = key
-        lbar = sum(fork)
+        _, lbar, a, _, _ = key
         if a > lbar:
             policy[key] = MdpAction("override")
         elif lbar >= 1:
@@ -415,6 +394,41 @@ def honest_policy(model: MdpModel) -> dict:
         else:
             policy[key] = MdpAction("wait")
     return policy
+
+
+def policy_tables(model: MdpModel, policy: Mapping):
+    """Freeze a policy into per-winner tables of its chosen action's edges.
+
+    Returns (next_state, settled, reward, bribe, orphans), each with one row
+    per state and one column per winner: pools in PoolSet.others() order,
+    the attacker last.  next_state is -1 and the rest 0 for a winner with no
+    edge (a pool of share 0).
+    """
+    n = model.state_count
+    n_win = len(model.shares) + 1
+    bounds = np.append(model.action_ptr, len(model.edge_prob))
+    rows, edges = [], []
+    for s, key in enumerate(model.states):
+        act = policy.get(key)
+        if act is None:
+            raise ValidationError(f"policy does not cover state {key}")
+        try:
+            slot = int(model.state_ptr[s]) + model.actions[s].index(act)
+        except ValueError:
+            raise ValidationError(f"action {act} infeasible in state {key}")
+        chosen = range(int(bounds[slot]), int(bounds[slot + 1]))
+        edges.extend(chosen)
+        rows.extend([s] * len(chosen))
+    w = model.edge_winner[edges]
+    col = np.where(w == ADVERSARY, n_win - 1, w)
+    next_state = np.full((n, n_win), -1, dtype=np.int64)
+    next_state[rows, col] = model.edge_dst[edges]
+    tables = [next_state]
+    for values in (model.edge_settled, model.edge_reward, model.edge_bribe, model.edge_orphans):
+        table = np.zeros((n, n_win))
+        table[rows, col] = values[edges]
+        tables.append(table)
+    return tuple(tables)
 
 
 def policy_rollout(
@@ -433,35 +447,9 @@ def policy_rollout(
     """
     from powplay.sim import SimStats
 
-    n = model.state_count
-    n_win = len(model.shares) + 1  # winner n-1 slots pools, last = attacker
-    next_tab = np.full((n, n_win), -1, dtype=np.int64)
-    settled_tab = np.zeros((n, n_win))
-    reward_tab = np.zeros((n, n_win))
-    orphan_tab = np.zeros((n, n_win))
-    for s, key in enumerate(model.states):
-        act = policy.get(key)
-        if act is None:
-            raise ValidationError(f"policy does not cover state {key}")
-        row = model.actions[s]
-        try:
-            a_slot = int(model.state_ptr[s]) + row.index(act)
-        except ValueError:
-            raise ValidationError(f"action {act} infeasible in state {key}")
-        e0 = int(model.action_ptr[a_slot])
-        e1 = (
-            int(model.action_ptr[a_slot + 1])
-            if a_slot + 1 < len(model.action_ptr)
-            else len(model.edge_prob)
-        )
-        for e in range(e0, e1):
-            w = int(model.edge_winner[e])
-            col = n_win - 1 if w == ADVERSARY else w
-            next_tab[s, col] = model.edge_dst[e]
-            settled_tab[s, col] = model.edge_settled[e]
-            reward_tab[s, col] = model.edge_reward[e] - model.edge_bribe[e]
-            orphan_tab[s, col] = model.edge_orphans[e]
-
+    next_tab, settled_tab, reward_tab, bribe_tab, orphan_tab = policy_tables(model, policy)
+    reward_tab -= bribe_tab
+    n_win = next_tab.shape[1]
     p = np.append(model.shares, model.alpha_a)
     p = p / p.sum()
     steps = max(1, horizon // replicas)

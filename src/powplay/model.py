@@ -310,10 +310,9 @@ def load_pool_file(path: str | Path, adversary: int | str | None = None) -> Pool
     rounding keeps it from summing to one.  An ``adversary`` argument
     overrides whatever the file designates.
     """
+    text = Path(path).read_text()
     try:
-        raw = json.loads(Path(path).read_text())
-    except OSError:
-        raise
+        raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(raw, dict) or "pools" not in raw:

@@ -479,39 +479,14 @@ def _mdp_automaton(config: SimConfig) -> _Automaton:
     chosen action's edges into per-winner tables.  Solving happens here when
     no policy is supplied, which is the expensive path.
     """
-    from powplay.mdp import ADVERSARY, build_mdp, solve_reward_share
+    from powplay.mdp import build_mdp, policy_tables, solve_reward_share
 
     model = build_mdp(config.pools, config.params, fork_cap=config.fork_cap)
     policy = config.policy
     if policy is None:
         policy = solve_reward_share(model).policy
     n = model.state_count
-    W = len(model.shares) + 1
-    nxt = np.full((n, W), -1, dtype=np.int64)
-    _, settled, attacker, bribe, orphans = _empty_tables(n, W)
-    for s, key in enumerate(model.states):
-        act = policy.get(key)
-        if act is None:
-            raise ValidationError(f"policy does not cover state {key}")
-        row = model.actions[s]
-        try:
-            a_slot = int(model.state_ptr[s]) + row.index(act)
-        except ValueError:
-            raise ValidationError(f"action {act} infeasible in state {key}")
-        e0 = int(model.action_ptr[a_slot])
-        e1 = (
-            int(model.action_ptr[a_slot + 1])
-            if a_slot + 1 < len(model.action_ptr)
-            else len(model.edge_prob)
-        )
-        for e in range(e0, e1):
-            w = int(model.edge_winner[e])
-            c = W - 1 if w == ADVERSARY else w
-            nxt[s, c] = model.edge_dst[e]
-            settled[s, c] = model.edge_settled[e]
-            attacker[s, c] = model.edge_reward[e]
-            bribe[s, c] = model.edge_bribe[e]
-            orphans[s, c] = model.edge_orphans[e]
+    nxt, settled, attacker, bribe, orphans = policy_tables(model, policy)
     assert np.all(nxt >= 0), "every state needs an edge for every winner"
     p = np.append(model.shares, model.alpha_a)
     p = p / p.sum()

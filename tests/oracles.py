@@ -3,12 +3,18 @@
 Everything here recomputes quantities the package derives in closed form,
 by a different route: exact lattice-path enumeration with integer DP, exact
 Taylor expansion of the closed forms over Fractions, and small Monte Carlo
-models written directly from the process definitions.
+models written directly from the process definitions.  The fork-race MDP
+builder is kept here in its unlumped form, as the reference for the lumped
+one.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+from powplay.errors import CapacityError, ValidationError
+from powplay.mdp import ADVERSARY, MdpAction, MdpModel
+from powplay.model import AttackParams, PoolSet
 
 # -- exact lattice-path enumeration ------------------------------------------------
 #
@@ -370,3 +376,199 @@ def distraction_share_exact(alpha_a, alpha_i, alpha_c, alpha_nc, d, br2):
     attacker_blocks = p1  # every live-state event publishes an attacker block
     canonical = p0 * (1 - aa) + p1
     return (attacker_blocks - br2 * solutions) / canonical
+
+
+# -- the fork-race MDP before lumping ---------------------------------------------
+#
+# The builder as it was before the state space was lumped: every state keeps
+# the full per-pool fork counts and pools are never merged, so its solved
+# share is the reference the lumped `powplay.mdp.build_mdp` must reproduce.
+
+def _successors_unlumped(key, action, shares, alpha_a, petty, epsilon):
+    """Yield (winner, prob, settled, reward, bribe, orphans, next_key)."""
+    fork, a, m_active, level = key
+    lbar = sum(fork)
+    zeros = (0,) * len(fork)
+
+    def draws(base_fork, base_a, settled, reward, bribe, orphans):
+        # race flags are clear in every state this helper produces
+        out = []
+        if alpha_a > 0:
+            out.append(
+                (ADVERSARY, alpha_a, settled, reward, bribe, orphans,
+                 (base_fork, base_a + 1, False, -1))
+            )
+        for j, sj in enumerate(shares):
+            if sj <= 0:
+                continue
+            grown = list(base_fork)
+            grown[j] += 1
+            out.append(
+                (j, sj, settled, reward, bribe, orphans,
+                 (tuple(grown), base_a, False, -1))
+            )
+        return out
+
+    if action.kind == "adopt":
+        # concede: the public fork settles, the secret fork is thrown away
+        return draws(zeros, 0, lbar, 0, 0.0, a)
+    if action.kind == "override":
+        # publish lbar+1 attacker blocks; they settle and orphan the fork
+        rest = a - lbar - 1
+        return draws(zeros, rest, lbar + 1, lbar + 1, 0.0, lbar)
+
+    # wait or match: set the race flags, then let the next block decide
+    if action.kind == "match":
+        m_active, level = True, action.level
+    if not m_active:
+        return draws(fork, a, 0, 0, 0.0, 0)
+
+    out = []
+    if alpha_a > 0:
+        out.append(
+            (ADVERSARY, alpha_a, 0, 0, 0.0, 0, (fork, a + 1, True, level))
+        )
+    for j, sj in enumerate(shares):
+        if sj <= 0:
+            continue
+        if petty[j] and fork[j] <= level:
+            # bribed pool extends the attacker's published fork: the race
+            # resolves, the public fork is orphaned, the bribe is collected
+            cost = level + epsilon
+            if a == lbar:
+                nxt = (zeros, 0, False, -1)
+                out.append((j, sj, lbar + 1, lbar, cost, lbar, nxt))
+            else:
+                one = tuple(1 if k == j else 0 for k in range(len(fork)))
+                nxt = (one, a - lbar, False, -1)
+                out.append((j, sj, lbar, lbar, cost, lbar, nxt))
+        else:
+            # the public fork outgrows the published match; deposit returns
+            grown = list(fork)
+            grown[j] += 1
+            out.append((j, sj, 0, 0, 0.0, 0, (tuple(grown), a, False, -1)))
+    return out
+
+
+def _feasible_actions_unlumped(key, fork_cap, max_bribe):
+    fork, a, m_active, level = key
+    lbar = sum(fork)
+    if a >= fork_cap or lbar >= fork_cap:
+        # truncation boundary: cash in if ahead, concede otherwise
+        return [MdpAction("override") if a > lbar else MdpAction("adopt")]
+    acts = [MdpAction("wait")]
+    if lbar >= 1:
+        acts.append(MdpAction("adopt"))
+    if a > lbar:
+        acts.append(MdpAction("override"))
+    if a >= lbar >= 1:
+        lowest = level + 1 if m_active else 0
+        acts.extend(
+            MdpAction("match", i) for i in range(lowest, max_bribe + 1)
+        )
+    return acts
+
+
+def build_mdp_unlumped(
+    pools: PoolSet,
+    params: AttackParams,
+    fork_cap: int = 8,
+    honest: int | str | None = None,
+    state_ceiling: int = 10_000_000,
+) -> MdpModel:
+    """Enumerate every reachable fork-race state and its action edges.
+
+    All non-adversarial pools respond to bribes by default, matching the
+    result tables (their captions label every non-adversarial pool as
+    profit-tracking); pass `honest` to pin one pool that never switches.
+
+    The default fork_cap of 8 is a calibration point, not a convergence
+    point: the solved share still grows slowly with the cap (roughly +0.018
+    from 6 to 8 and +0.009 from 8 to 10 at alpha 0.4), and 8 is the depth
+    at which the solver reproduces the published reference shares to about
+    three decimals across every configuration checked.
+    """
+    if pools.adversary is None:
+        raise ValidationError("the pool set must designate an adversary")
+    others = pools.others()
+    if not 2 <= len(pools) <= 10:
+        raise ValidationError("pool count must be between 2 and 10")
+    if fork_cap < 2:
+        raise ValidationError("fork_cap must be >= 2")
+    max_bribe = int(params.max_bribe)
+    shares = np.array([pools.pools[j].share for j in others], dtype=float)
+    alpha_a = pools.adversary_share
+    petty = [True] * len(others)
+    if honest is not None:
+        hid = pools.index_of(honest)
+        if hid == pools.adversary:
+            raise ValidationError("the adversary cannot be the honest pool")
+        petty[others.index(hid)] = False
+    petty = tuple(petty)
+    eps = params.epsilon
+
+    root = ((0,) * len(others), 0, False, -1)
+    index = {root: 0}
+    states = [root]
+    queue = [root]
+    actions = []
+    per_state_edges = []  # aligned with states after the loop
+    head = 0
+    while head < len(queue):
+        key = queue[head]
+        head += 1
+        acts = _feasible_actions_unlumped(key, fork_cap, max_bribe)
+        rows = []
+        for act in acts:
+            edges = _successors_unlumped(key, act, shares, alpha_a, petty, eps)
+            for *_, nxt in edges:
+                if nxt not in index:
+                    if len(states) >= state_ceiling:
+                        raise CapacityError(
+                            f"state count exceeded the ceiling {state_ceiling}"
+                        )
+                    index[nxt] = len(states)
+                    states.append(nxt)
+                    queue.append(nxt)
+            rows.append((act, edges))
+        actions.append([a for a, _ in rows])
+        per_state_edges.append(rows)
+
+    # flatten: actions grouped per state, edges grouped per action
+    state_ptr = [0]
+    action_ptr = []
+    prob, dst, winner, settled, reward, bribe, orphans = [], [], [], [], [], [], []
+    for rows in per_state_edges:
+        for _, edges in rows:
+            action_ptr.append(len(prob))
+            for w, p, st, rw, br, orp, nxt in edges:
+                prob.append(p)
+                dst.append(index[nxt])
+                winner.append(w)
+                settled.append(st)
+                reward.append(rw)
+                bribe.append(br)
+                orphans.append(orp)
+        state_ptr.append(state_ptr[-1] + len(rows))
+
+    return MdpModel(
+        pools=pools,
+        params=params,
+        fork_cap=fork_cap,
+        max_bribe=max_bribe,
+        shares=shares,
+        alpha_a=alpha_a,
+        petty=petty,
+        states=states,
+        index=index,
+        actions=actions,
+        state_ptr=np.array(state_ptr, dtype=np.int64),
+        action_ptr=np.array(action_ptr, dtype=np.int64),
+        edge_prob=np.array(prob, dtype=float),
+        edge_dst=np.array(dst, dtype=np.int64),
+        edge_winner=np.array(winner, dtype=np.int32),
+        edge_settled=np.array(settled, dtype=float),
+        edge_reward=np.array(reward, dtype=float),
+        edge_bribe=np.array(bribe, dtype=float),
+        edge_orphans=np.array(orphans, dtype=np.int32),
+    )

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import build_mdp_unlumped
 from powplay.errors import CapacityError, ValidationError
 from powplay.mdp import (
     ADVERSARY,
@@ -61,11 +63,11 @@ def test_cap_states_force_resolution(two_pool_model):
     cap = two_pool_model.fork_cap
     boundary_seen = 0
     for s, key in enumerate(two_pool_model.states):
-        fork, a, _, _ = key
-        if a == cap or sum(fork) == cap:
+        _, lbar, a, _, _ = key
+        if a == cap or lbar == cap:
             boundary_seen += 1
             kinds = {act.kind for act in two_pool_model.actions[s]}
-            assert kinds == ({"override"} if a > sum(fork) else {"adopt"})
+            assert kinds == ({"override"} if a > lbar else {"adopt"})
     assert boundary_seen > 0
 
 
@@ -73,6 +75,57 @@ def test_probabilities_sum_per_action(two_pool_model):
     m = two_pool_model
     sums = np.add.reduceat(m.edge_prob, m.action_ptr)
     assert np.allclose(sums, 1.0, atol=1e-9)
+
+
+# -- exact lumping ------------------------------------------------------------------
+
+
+@st.composite
+def _lumping_cases(draw):
+    alpha = draw(st.floats(0.1, 0.45))
+    n = draw(st.integers(2, 4))
+    weights = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        weights[1] = weights[0]  # an equal-share pair for the sort to merge
+    rivals = [(1.0 - alpha) * w / sum(weights) for w in weights]
+    honest = draw(st.one_of(st.none(), st.integers(1, n)))
+    params = AttackParams(
+        epsilon=draw(st.floats(0.0, 0.15)), max_bribe=draw(st.integers(0, 2))
+    )
+    return PoolSet.from_shares(alpha, rivals), params, draw(st.integers(3, 5)), honest
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lumping_cases())
+def test_lumped_share_matches_unlumped_oracle(case):
+    pools, params, cap, honest = case
+    lumped = build_mdp(pools, params, fork_cap=cap, honest=honest)
+    full = build_mdp_unlumped(pools, params, fork_cap=cap, honest=honest)
+    assert lumped.state_count <= full.state_count
+    assert solve_reward_share(lumped).reward_share == pytest.approx(
+        solve_reward_share(full).reward_share, abs=1e-9
+    )
+
+
+def test_model_without_lumping_is_the_oracle_edge_for_edge():
+    """Distinct shares and a bribe cap above the fork cap leave nothing to lump."""
+    pools = PoolSet.from_shares(0.35, [0.3, 0.2, 0.15])
+    params = AttackParams(epsilon=0.05, max_bribe=6)
+    lumped = build_mdp(pools, params, fork_cap=5)
+    full = build_mdp_unlumped(pools, params, fork_cap=5)
+    assert [(f, sum(f), *rest) for f, *rest in full.states] == lumped.states
+    assert lumped.actions == full.actions
+    for name in ("state_ptr", "action_ptr", "edge_prob", "edge_dst", "edge_winner",
+                 "edge_settled", "edge_reward", "edge_bribe", "edge_orphans"):
+        assert np.array_equal(getattr(lumped, name), getattr(full, name)), name
+
+
+def test_symmetric_table_row_lumps_to_730_states():
+    """Table 2's 8 x 0.075 row: 132,259 unlumped states, one share."""
+    model = build_mdp(PoolSet.from_shares(0.4, [0.075] * 8), EPS01)
+    assert model.state_count == 730
+    res = solve_reward_share(model)
+    assert res.reward_share == pytest.approx(0.5967594146728517, abs=1e-9)
 
 
 # -- published reward shares (small rows; the full tables run in acceptance) ---------
@@ -103,7 +156,10 @@ def test_real_world_weakest_adversary():
     pools = load_pool_file(
         bundled_pool_file("bitcoin_pools_2024_merged.json"), adversary="Unknown"
     )
-    res = solve_reward_share(build_mdp(pools, EPS0, fork_cap=6))
+    model = build_mdp(pools, EPS0, fork_cap=6)
+    # distinct shares: only the clipping of fork counts lumps (23,297 unlumped)
+    assert model.state_count == 21_701
+    res = solve_reward_share(model)
     assert res.reward_share == pytest.approx(0.0794, abs=0.005)
 
 

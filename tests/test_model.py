@@ -189,6 +189,18 @@ def test_loader_rejects_bad_documents(tmp_path):
         load_pool_file(tmp_path / "missing.json")
 
 
+def test_loader_normalizes_any_positive_sum(tmp_path):
+    """File shares are weights: percentages load as fractions, a zero sum is refused."""
+    p = tmp_path / "percent.json"
+    p.write_text('{"pools": [{"name": "a", "share": 60}, {"name": "b", "share": 40}]}')
+    ps = load_pool_file(p)
+    assert math.fsum(ps.shares) == pytest.approx(1.0, abs=1e-12)
+    assert ps.shares == pytest.approx((0.6, 0.4), abs=1e-12)
+    p.write_text('{"pools": [{"name": "a", "share": 0}, {"name": "b", "share": 0}]}')
+    with pytest.raises(ValidationError):
+        load_pool_file(p)
+
+
 def test_loader_adversary_override(btc_pools_merged):
     ps = load_pool_file(bundled_pool_file(), adversary="AntPool")
     assert ps.pools[ps.adversary].name == "AntPool"
