@@ -20,6 +20,13 @@ the same share and behaviour the counts are sorted, since swapping such
 pools changes nothing.  Edges stay one per winner, with winners named by
 pool position.
 
+The graph does not depend on the share values or on epsilon, only on which
+pools mine, which take bribes, which are interchangeable and on the
+truncation.  It is enumerated once per such signature and cached (one at a
+time), so every pool of a snapshot turned adversary in turn reuses one
+enumeration.  Models of one signature share those structures, read-only;
+only the edge probabilities and bribe amounts are filled per model.
+
 The objective is the long-run reward share net of bribes:
 (expected attacker blocks settled - expected bribes paid) divided by
 (expected blocks settled).  It is solved as a ratio objective: bisection on
@@ -30,6 +37,7 @@ reward problem; the value table is reused across bisection steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -50,6 +58,7 @@ __all__ = [
 ]
 
 ADVERSARY = -1  # winner code for the attacker
+_ROLLOUT_BLOCK = 1 << 16  # winner draws per block in policy_rollout
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,11 @@ class MdpModel:
     Edge arrays are grouped by action and actions by state, so one value
     sweep is a gather + segmented sum + segmented max.  Rewards are stored
     gross; bribes separately; blocks settled separately, so the
-    share-transformed reward is assembled per bisection step.
+    share-transformed reward is assembled per bisection step.  The graph
+    fields (states, index, actions, the pointers and every edge array but
+    edge_prob and edge_bribe) are shared with every model of the same
+    topology signature (see build_mdp): the arrays are read-only, and the
+    lists and the index must not be mutated.
     """
 
     pools: PoolSet
@@ -113,66 +126,67 @@ def _grow(fork, j, clip, groups):
     return tuple(grown)
 
 
-def _successors(key, action, shares, alpha_a, petty, epsilon, clip, groups):
-    """Yield (winner, prob, settled, reward, bribe, orphans, next_key)."""
+def _successors(key, action, live, adversary_live, petty, clip, groups):
+    """Yield (winner, level, settled, reward, orphans, next_key) per edge.
+
+    level is the bribe level a bribed pool collects on the edge, -1 on edges
+    that pay no bribe; probabilities and bribe amounts are filled per model.
+    """
     fork, lbar, a, m_active, level = key
     zeros = (0,) * len(fork)
 
-    def draws(base_fork, base_lbar, base_a, settled, reward, bribe, orphans):
+    def draws(base_fork, base_lbar, base_a, settled, reward, orphans):
         # race flags are clear in every state this helper produces
         out = []
-        if alpha_a > 0:
+        if adversary_live:
             out.append(
-                (ADVERSARY, alpha_a, settled, reward, bribe, orphans,
+                (ADVERSARY, -1, settled, reward, orphans,
                  (base_fork, base_lbar, base_a + 1, False, -1))
             )
-        for j, sj in enumerate(shares):
-            if sj <= 0:
+        for j, alive in enumerate(live):
+            if not alive:
                 continue
             grown = _grow(base_fork, j, clip, groups)
             out.append(
-                (j, sj, settled, reward, bribe, orphans,
+                (j, -1, settled, reward, orphans,
                  (grown, base_lbar + 1, base_a, False, -1))
             )
         return out
 
     if action.kind == "adopt":
         # concede: the public fork settles, the secret fork is thrown away
-        return draws(zeros, 0, 0, lbar, 0, 0.0, a)
+        return draws(zeros, 0, 0, lbar, 0, a)
     if action.kind == "override":
         # publish lbar+1 attacker blocks; they settle and orphan the fork
         rest = a - lbar - 1
-        return draws(zeros, 0, rest, lbar + 1, lbar + 1, 0.0, lbar)
+        return draws(zeros, 0, rest, lbar + 1, lbar + 1, lbar)
 
     # wait or match: set the race flags, then let the next block decide
     if action.kind == "match":
         m_active, level = True, action.level
     if not m_active:
-        return draws(fork, lbar, a, 0, 0, 0.0, 0)
+        return draws(fork, lbar, a, 0, 0, 0)
 
     out = []
-    if alpha_a > 0:
-        out.append(
-            (ADVERSARY, alpha_a, 0, 0, 0.0, 0, (fork, lbar, a + 1, True, level))
-        )
-    for j, sj in enumerate(shares):
-        if sj <= 0:
+    if adversary_live:
+        out.append((ADVERSARY, -1, 0, 0, 0, (fork, lbar, a + 1, True, level)))
+    for j, alive in enumerate(live):
+        if not alive:
             continue
         if petty[j] and fork[j] <= level:
             # bribed pool extends the attacker's published fork: the race
             # resolves, the public fork is orphaned, the bribe is collected
-            cost = level + epsilon
             if a == lbar:
                 nxt = (zeros, 0, 0, False, -1)
-                out.append((j, sj, lbar + 1, lbar, cost, lbar, nxt))
+                out.append((j, level, lbar + 1, lbar, lbar, nxt))
             else:
                 one = _grow(zeros, j, clip, groups)
                 nxt = (one, 1, a - lbar, False, -1)
-                out.append((j, sj, lbar, lbar, cost, lbar, nxt))
+                out.append((j, level, lbar, lbar, lbar, nxt))
         else:
             # the public fork outgrows the published match; deposit returns
             grown = _grow(fork, j, clip, groups)
-            out.append((j, sj, 0, 0, 0.0, 0, (grown, lbar + 1, a, False, -1)))
+            out.append((j, -1, 0, 0, 0, (grown, lbar + 1, a, False, -1)))
     return out
 
 
@@ -194,6 +208,69 @@ def _feasible_actions(key, fork_cap, max_bribe):
     return acts
 
 
+@lru_cache(maxsize=1)
+def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ceiling):
+    """Enumerate every reachable lumped state with its actions and edges.
+
+    The arguments are build_mdp's topology signature.  Returns (states,
+    index, actions, edge_level, arrays): arrays maps the MdpModel graph
+    fields to read-only arrays, and edge_level is the bribe level collected
+    on each edge, -1 where none is.
+    """
+    # a petty pool's count is only compared with a bribe level <= max_bribe,
+    # and the honest pool's is never read
+    clip = tuple(max_bribe + 1 if p else 0 for p in petty)
+
+    # breadth-first: a state is numbered when first reached and expanded in
+    # that order, so its actions and their edges are flattened as it goes
+    root = ((0,) * len(live), 0, 0, False, -1)
+    index = {root: 0}
+    states = [root]
+    actions = []
+    state_ptr = [0]
+    action_ptr = []
+    dst, winner, level, settled, reward, orphans = [], [], [], [], [], []
+    head = 0
+    while head < len(states):
+        key = states[head]
+        head += 1
+        acts = _feasible_actions(key, fork_cap, max_bribe)
+        for act in acts:
+            action_ptr.append(len(dst))
+            edges = _successors(key, act, live, adversary_live, petty, clip, groups)
+            for w, lv, st, rw, orp, nxt in edges:
+                to = index.get(nxt)
+                if to is None:
+                    if len(states) >= state_ceiling:
+                        raise CapacityError(
+                            f"state count exceeded the ceiling {state_ceiling}"
+                        )
+                    to = index[nxt] = len(states)
+                    states.append(nxt)
+                dst.append(to)
+                winner.append(w)
+                level.append(lv)
+                settled.append(st)
+                reward.append(rw)
+                orphans.append(orp)
+        actions.append(acts)
+        state_ptr.append(state_ptr[-1] + len(acts))
+
+    arrays = {
+        "state_ptr": np.array(state_ptr, dtype=np.int64),
+        "action_ptr": np.array(action_ptr, dtype=np.int64),
+        "edge_dst": np.array(dst, dtype=np.int64),
+        "edge_winner": np.array(winner, dtype=np.int32),
+        "edge_settled": np.array(settled, dtype=float),
+        "edge_reward": np.array(reward, dtype=float),
+        "edge_orphans": np.array(orphans, dtype=np.int32),
+    }
+    edge_level = np.array(level, dtype=np.int32)
+    for arr in (*arrays.values(), edge_level):
+        arr.flags.writeable = False
+    return states, index, actions, edge_level, arrays
+
+
 def build_mdp(
     pools: PoolSet,
     params: AttackParams,
@@ -206,6 +283,15 @@ def build_mdp(
     All non-adversarial pools respond to bribes by default, matching the
     result tables (their captions label every non-adversarial pool as
     profit-tracking); pass `honest` to pin one pool that never switches.
+
+    The graph (states, actions, destinations, winners, settled, reward and
+    orphan counts) does not depend on the share values, so it is enumerated
+    once per signature and cached: the number of rival pools, which of them
+    have a positive share, whether the adversary does, which are petty, the
+    groups of pools with equal (share, petty), fork_cap, max_bribe and
+    state_ceiling.  Models with one signature share those structures; their
+    arrays are read-only and the lists and index must not be mutated.  Only
+    edge_prob and edge_bribe are computed per call.
 
     The default fork_cap of 8 is a calibration point, not a convergence
     point: the solved share still grows slowly with the cap (roughly +0.018
@@ -230,53 +316,22 @@ def build_mdp(
             raise ValidationError("the adversary cannot be the honest pool")
         petty[others.index(hid)] = False
     petty = tuple(petty)
-    eps = params.epsilon
-    # a petty pool's count is only compared with a bribe level <= max_bribe,
-    # and the honest pool's is never read; interchangeable pools are sorted
-    clip = tuple(max_bribe + 1 if p else 0 for p in petty)
+    # pools with the same share and behaviour are interchangeable: their
+    # counts are kept sorted
     alike = {}
     for j, kind in enumerate(zip(shares.tolist(), petty)):
         alike.setdefault(kind, []).append(j)
-    groups = [g for g in alike.values() if len(g) > 1]
-
-    # breadth-first: a state is numbered when first reached and expanded in
-    # that order, so its actions and their edges are flattened as it goes
-    root = ((0,) * len(others), 0, 0, False, -1)
-    index = {root: 0}
-    states = [root]
-    actions = []
-    state_ptr = [0]
-    action_ptr = []
-    prob, dst, winner, settled, reward, bribe, orphans = [], [], [], [], [], [], []
-    head = 0
-    while head < len(states):
-        key = states[head]
-        head += 1
-        acts = _feasible_actions(key, fork_cap, max_bribe)
-        for act in acts:
-            action_ptr.append(len(prob))
-            edges = _successors(
-                key, act, shares, alpha_a, petty, eps, clip, groups
-            )
-            for w, p, st, rw, br, orp, nxt in edges:
-                to = index.get(nxt)
-                if to is None:
-                    if len(states) >= state_ceiling:
-                        raise CapacityError(
-                            f"state count exceeded the ceiling {state_ceiling}"
-                        )
-                    to = index[nxt] = len(states)
-                    states.append(nxt)
-                prob.append(p)
-                dst.append(to)
-                winner.append(w)
-                settled.append(st)
-                reward.append(rw)
-                bribe.append(br)
-                orphans.append(orp)
-        actions.append(acts)
-        state_ptr.append(state_ptr[-1] + len(acts))
-
+    groups = tuple(tuple(g) for g in alike.values() if len(g) > 1)
+    states, index, actions, edge_level, arrays = _topology(
+        tuple(bool(s > 0) for s in shares),
+        alpha_a > 0,
+        petty,
+        groups,
+        fork_cap,
+        max_bribe,
+        state_ceiling,
+    )
+    winner = arrays["edge_winner"]
     return MdpModel(
         pools=pools,
         params=params,
@@ -288,15 +343,9 @@ def build_mdp(
         states=states,
         index=index,
         actions=actions,
-        state_ptr=np.array(state_ptr, dtype=np.int64),
-        action_ptr=np.array(action_ptr, dtype=np.int64),
-        edge_prob=np.array(prob, dtype=float),
-        edge_dst=np.array(dst, dtype=np.int64),
-        edge_winner=np.array(winner, dtype=np.int32),
-        edge_settled=np.array(settled, dtype=float),
-        edge_reward=np.array(reward, dtype=float),
-        edge_bribe=np.array(bribe, dtype=float),
-        edge_orphans=np.array(orphans, dtype=np.int32),
+        edge_prob=np.where(winner == ADVERSARY, alpha_a, shares[winner]),
+        edge_bribe=np.where(edge_level >= 0, edge_level + params.epsilon, 0.0),
+        **arrays,
     )
 
 
@@ -332,6 +381,18 @@ def _sweeps(model, rho, V, span_tol, max_sweeps):
     return None, V, max_sweeps, hi - lo
 
 
+def _greedy_policy(model: MdpModel, q_act: np.ndarray) -> dict:
+    """Each state's best action; ties go to the first, as with np.argmax."""
+    s_ptr = model.state_ptr[:-1]
+    best = np.maximum.reduceat(q_act, s_ptr)
+    slots = np.arange(q_act.size)
+    at_best = q_act == np.repeat(best, np.diff(model.state_ptr))
+    first = np.minimum.reduceat(np.where(at_best, slots, q_act.size), s_ptr) - s_ptr
+    return {
+        key: acts[i] for key, acts, i in zip(model.states, model.actions, first.tolist())
+    }
+
+
 def solve_reward_share(
     model: MdpModel, tol: float = 1e-6, max_sweeps: int = 500_000
 ) -> SolveResult:
@@ -340,7 +401,7 @@ def solve_reward_share(
     Bisection on the share: at a candidate rho the transformed edge reward
     is reward - bribe - rho*settled, and the sign of the optimal average
     reward says whether rho under- or overshoots.  The value table carries
-    over between steps, so late bisection steps converge in a few sweeps.
+    over between steps.
     """
     n = model.state_count
     V = np.zeros(n)
@@ -371,12 +432,7 @@ def solve_reward_share(
         model.edge_reward - model.edge_bribe - rho_star * model.edge_settled
     )
     q_edge = base + model.edge_prob * V[model.edge_dst]
-    q_act = np.add.reduceat(q_edge, model.action_ptr)
-    policy = {}
-    for s in range(n):
-        a0, a1 = model.state_ptr[s], model.state_ptr[s + 1]
-        best = int(np.argmax(q_act[a0:a1]))
-        policy[model.states[s]] = model.actions[s][best]
+    policy = _greedy_policy(model, np.add.reduceat(q_edge, model.action_ptr))
     if not 0.0 <= rho_star <= 1.0:
         raise ConvergenceError(f"share {rho_star} escaped [0,1]", residual=residual)
     return SolveResult(rho_star, policy, spent, residual)
@@ -453,20 +509,23 @@ def policy_rollout(
     p = np.append(model.shares, model.alpha_a)
     p = p / p.sum()
     steps = max(1, horizon // replicas)
+    rows = burn_in + steps
     rng = np.random.default_rng(seed)
-    winners = rng.choice(n_win, size=(burn_in + steps, replicas), p=p)
+    # winners are drawn a block of rows at a time, which consumes the
+    # generator exactly as one (rows, replicas) draw would
+    block = max(1, _ROLLOUT_BLOCK // replicas)
     state = np.zeros(replicas, dtype=np.int64)
-    for t in range(burn_in):
-        state = next_tab[state, winners[t]]
     settled = 0.0
     reward = 0.0
     orphans = 0.0
-    for t in range(burn_in, burn_in + steps):
-        w = winners[t]
-        settled += float(settled_tab[state, w].sum())
-        reward += float(reward_tab[state, w].sum())
-        orphans += float(orphan_tab[state, w].sum())
-        state = next_tab[state, w]
+    for start in range(0, rows, block):
+        winners = rng.choice(n_win, size=(min(block, rows - start), replicas), p=p)
+        for t, w in enumerate(winners, start):
+            if t >= burn_in:
+                settled += float(settled_tab[state, w].sum())
+                reward += float(reward_tab[state, w].sum())
+                orphans += float(orphan_tab[state, w].sum())
+            state = next_tab[state, w]
     if settled <= 0:
         raise ValidationError("rollout settled no blocks; horizon too short")
     return SimStats(
@@ -474,5 +533,5 @@ def policy_rollout(
         orphan_count=int(orphans),
         epoch_durations=np.array([]),
         revenue_advantage=np.empty((0, 2)),
-        rng_draws=int(winners.size),
+        rng_draws=rows * replicas,
     )

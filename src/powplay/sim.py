@@ -475,9 +475,11 @@ def _undercut_automaton(pools: PoolSet, partition: TargetPartition, params: Atta
 def _mdp_automaton(config: SimConfig) -> _Automaton:
     """Fixed-policy execution of a solved fork-race MDP.
 
-    Builds the model for the configured pools and fork cap, then freezes the
-    chosen action's edges into per-winner tables.  Solving happens here when
-    no policy is supplied, which is the expensive path.
+    Asks build_mdp for the model of the configured pools and fork cap, which
+    reuses the cached topology when the caller has just built the same
+    model, then freezes the chosen action's edges into per-winner tables.
+    Solving happens here when no policy is supplied, which is the expensive
+    path.
     """
     from powplay.mdp import build_mdp, policy_tables, solve_reward_share
 

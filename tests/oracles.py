@@ -5,7 +5,7 @@ by a different route: exact lattice-path enumeration with integer DP, exact
 Taylor expansion of the closed forms over Fractions, and small Monte Carlo
 models written directly from the process definitions.  The fork-race MDP
 builder is kept here in its unlumped form, as the reference for the lumped
-one.
+one, and greedy-policy extraction as the per-state loop it replaced.
 """
 
 from fractions import Fraction
@@ -572,3 +572,16 @@ def build_mdp_unlumped(
         edge_bribe=np.array(bribe, dtype=float),
         edge_orphans=np.array(orphans, dtype=np.int32),
     )
+
+
+# -- greedy policy extraction ------------------------------------------------------
+
+
+def greedy_policy_loop(model, q_act):
+    """Each state's best action by one np.argmax per state (first on ties)."""
+    policy = {}
+    for s in range(model.state_count):
+        a0, a1 = model.state_ptr[s], model.state_ptr[s + 1]
+        best = int(np.argmax(q_act[a0:a1]))
+        policy[model.states[s]] = model.actions[s][best]
+    return policy

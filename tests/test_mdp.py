@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import build_mdp_unlumped
+from oracles import build_mdp_unlumped, greedy_policy_loop
 from powplay.errors import CapacityError, ValidationError
 from powplay.mdp import (
     ADVERSARY,
     MdpAction,
+    _greedy_policy,
+    _sweeps,
+    _topology,
     build_mdp,
     honest_policy,
     policy_rollout,
@@ -24,6 +27,9 @@ from powplay.model import (
 
 EPS01 = AttackParams(epsilon=0.1)
 EPS0 = AttackParams()
+#: the model arrays that belong to the shared topology, not to one model
+TOPOLOGY_ARRAYS = ("state_ptr", "action_ptr", "edge_dst", "edge_winner",
+                   "edge_settled", "edge_reward", "edge_orphans")
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +41,15 @@ def two_pool_model():
 @pytest.fixture(scope="module")
 def two_pool_solved(two_pool_model):
     return solve_reward_share(two_pool_model)
+
+
+@pytest.fixture(scope="module")
+def fig3_row_model():
+    """A fig3 row: the merged 2024 snapshot with Unknown as adversary, cap 6."""
+    pools = load_pool_file(
+        bundled_pool_file("bitcoin_pools_2024_merged.json"), adversary="Unknown"
+    )
+    return build_mdp(pools, EPS0, fork_cap=6)
 
 
 # -- model construction --------------------------------------------------------------
@@ -54,8 +69,10 @@ def test_fork_cap_bounds():
 
 
 def test_state_ceiling_trips():
+    pools = PoolSet.from_shares(0.4, [0.3, 0.3])
+    build_mdp(pools, EPS01)  # leaves this topology cached at the default ceiling
     with pytest.raises(CapacityError):
-        build_mdp(PoolSet.from_shares(0.4, [0.3, 0.3]), EPS01, state_ceiling=50)
+        build_mdp(pools, EPS01, state_ceiling=50)
 
 
 def test_cap_states_force_resolution(two_pool_model):
@@ -108,16 +125,46 @@ def test_lumped_share_matches_unlumped_oracle(case):
 
 
 def test_model_without_lumping_is_the_oracle_edge_for_edge():
-    """Distinct shares and a bribe cap above the fork cap leave nothing to lump."""
-    pools = PoolSet.from_shares(0.35, [0.3, 0.2, 0.15])
+    """Distinct shares and a bribe cap above the fork cap leave nothing to lump.
+
+    The second pool set has other shares and another epsilon but the same
+    topology signature, so its model reuses the first one's enumeration and
+    must still be its own oracle build; the first must be left unchanged.
+    """
+    cases = [
+        (PoolSet.from_shares(0.35, [0.3, 0.2, 0.15]), AttackParams(epsilon=0.05, max_bribe=6)),
+        (PoolSet.from_shares(0.25, [0.15, 0.4, 0.2]), AttackParams(epsilon=0.12, max_bribe=6)),
+    ]
+    models = [build_mdp(pools, params, fork_cap=5) for pools, params in cases]
+    assert models[1].edge_dst is models[0].edge_dst
+    for lumped, (pools, params) in zip(models, cases):
+        full = build_mdp_unlumped(pools, params, fork_cap=5)
+        assert [(f, sum(f), *rest) for f, *rest in full.states] == lumped.states
+        assert lumped.actions == full.actions
+        for name in ("edge_prob", "edge_bribe") + TOPOLOGY_ARRAYS:
+            assert np.array_equal(getattr(lumped, name), getattr(full, name)), name
+
+
+@pytest.mark.parametrize("rivals", [(0.3, 0.175, 0.175), (0.3, 0.35, 0.0)])
+def test_equal_or_zero_shares_get_their_own_topology(rivals):
+    """An equal-share pair lumps, a zero-share pool has no edges: no reuse."""
     params = AttackParams(epsilon=0.05, max_bribe=6)
-    lumped = build_mdp(pools, params, fork_cap=5)
-    full = build_mdp_unlumped(pools, params, fork_cap=5)
-    assert [(f, sum(f), *rest) for f, *rest in full.states] == lumped.states
-    assert lumped.actions == full.actions
-    for name in ("state_ptr", "action_ptr", "edge_prob", "edge_dst", "edge_winner",
-                 "edge_settled", "edge_reward", "edge_bribe", "edge_orphans"):
-        assert np.array_equal(getattr(lumped, name), getattr(full, name)), name
+    distinct = build_mdp(PoolSet.from_shares(0.35, [0.3, 0.2, 0.15]), params, fork_cap=5)
+    pools = PoolSet.from_shares(0.35, list(rivals))
+    model = build_mdp(pools, params, fork_cap=5)
+    assert model.edge_dst is not distinct.edge_dst
+    _topology.cache_clear()
+    fresh = build_mdp(pools, params, fork_cap=5)
+    assert model.states == fresh.states
+    assert model.actions == fresh.actions
+    for name in ("edge_prob", "edge_bribe") + TOPOLOGY_ARRAYS:
+        assert np.array_equal(getattr(model, name), getattr(fresh, name)), name
+
+
+def test_shared_topology_arrays_are_read_only(two_pool_model):
+    for name in TOPOLOGY_ARRAYS:
+        with pytest.raises(ValueError):
+            getattr(two_pool_model, name)[0] = 0
 
 
 def test_symmetric_table_row_lumps_to_730_states():
@@ -152,11 +199,8 @@ def test_withholding_smaller_adversary_rows():
     assert r1.reward_share < r2.reward_share
 
 
-def test_real_world_weakest_adversary():
-    pools = load_pool_file(
-        bundled_pool_file("bitcoin_pools_2024_merged.json"), adversary="Unknown"
-    )
-    model = build_mdp(pools, EPS0, fork_cap=6)
+def test_real_world_weakest_adversary(fig3_row_model):
+    model = fig3_row_model
     # distinct shares: only the clipping of fork counts lumps (23,297 unlumped)
     assert model.state_count == 21_701
     res = solve_reward_share(model)
@@ -241,6 +285,34 @@ def test_rollout_deterministic(two_pool_model, two_pool_solved):
     b = policy_rollout(two_pool_model, two_pool_solved.policy, seed=42, horizon=100_000)
     assert a.adversary_reward_share == b.adversary_reward_share
     assert a.orphan_count == b.orphan_count
+    # pinned across the change to drawing winners in blocks of rows
+    assert a.adversary_reward_share == 0.5388415342890354
+    assert a.orphan_count == 37_284
+
+
+# -- greedy policy extraction -------------------------------------------------------
+
+
+def test_greedy_policy_matches_argmax_loop_on_fig3_row(fig3_row_model):
+    model = fig3_row_model
+    rho = 0.08
+    _, V, _, _ = _sweeps(model, rho, np.zeros(model.state_count), 0.0, 50)
+    q_edge = model.edge_prob * (
+        model.edge_reward - model.edge_bribe - rho * model.edge_settled + V[model.edge_dst]
+    )
+    q_act = np.add.reduceat(q_edge, model.action_ptr)
+    tied = np.round(q_act, 2)  # ties between actions, settled by the first
+    for q in (q_act, tied):
+        assert _greedy_policy(model, q) == greedy_policy_loop(model, q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lumping_cases(), st.integers(0, 2**32 - 1))
+def test_greedy_policy_matches_argmax_loop_on_drawn_models(case, seed):
+    pools, params, cap, honest = case
+    model = build_mdp(pools, params, fork_cap=cap, honest=honest)
+    q_act = np.random.default_rng(seed).integers(0, 3, model.action_ptr.size).astype(float)
+    assert _greedy_policy(model, q_act) == greedy_policy_loop(model, q_act)
 
 
 # -- action plumbing -----------------------------------------------------------------

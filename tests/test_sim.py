@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from powplay.bribery import TargetPartition, bribery_reward_share, undercut_reward_share
 from powplay.distraction import DistractionParams, PowerSplit, distraction_reward_share, scenario_rates
 from powplay.errors import ValidationError
-from powplay.mdp import build_mdp, solve_reward_share
+from powplay.mdp import _topology, build_mdp, solve_reward_share
 from powplay.model import (
     AttackParams,
     EpochModel,
@@ -182,11 +182,14 @@ def test_lockstep_mdp_policy_matches_solver():
     pools = PoolSet.from_shares(0.35, [0.35, 0.3])
     model = build_mdp(pools, AttackParams(), fork_cap=6)
     res = solve_reward_share(model)
+    misses = _topology.cache_info().misses
     stats = reward_share_mc(
         SimConfig(pools, strategy="mdp_policy", fork_cap=6, policy=res.policy),
         transitions=2_000_000,
     )
     assert stats.adversary_reward_share == pytest.approx(res.reward_share, abs=0.005)
+    # the automaton's build_mdp call reuses the topology just enumerated
+    assert _topology.cache_info().misses == misses
 
 
 def test_lockstep_distraction_matches_closed_form():
