@@ -53,7 +53,7 @@ __all__ = [
     "undercut_reward_share",
 ]
 
-_VARIANTS = ("known_miner", "whale", "unknown_miner", "match", "distraction")
+_VARIANTS = ("known_miner", "whale", "unknown_miner")
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,11 @@ class BribeSchedule:
     variant: str
     br1: float = 0.0
     br2: float = 0.0
-    br3: float = 0.0
-    br4: float = 0.0
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValidationError(f"unknown bribe variant {self.variant!r}")
-        for name in ("br1", "br2", "br3", "br4"):
+        for name in ("br1", "br2"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0")
 

@@ -274,7 +274,6 @@ _SIM_KEYS = {
     "strategy",
     "epsilon",
     "max_bribe",
-    "lag_bound",
     "targets",
     "horizon",
     "horizon_unit",
@@ -328,7 +327,7 @@ def _sim_config_from_file(path: Path, default_seed: int) -> SimConfig:
             kwargs[name] = raw[name]
     kwargs["seed"] = raw.get("seed", default_seed)
     params = {}
-    for name in ("epsilon", "max_bribe", "lag_bound"):
+    for name in ("epsilon", "max_bribe"):
         if name in raw:
             params[name] = raw[name]
     if params:
@@ -525,7 +524,7 @@ def build_parser() -> _Parser:
     )
     rep.add_argument("kind", choices=[k for k in EXPERIMENT_KINDS if k != "custom"])
     rep.add_argument("--fork-cap", dest="fork_cap", type=int, help="fork-race state cap for solver kinds")
-    rep.add_argument("--tol", type=float, help="solver bisection tolerance")
+    rep.add_argument("--tol", type=float, help="solver stopping tolerance on the share")
     rep.add_argument("--rows", type=_int_list, help="run only these row indices, e.g. 0,2")
     rep.add_argument("--epochs", type=int, help="difficulty epochs for curve kinds")
     rep.add_argument("--replicas", type=int, help="averaged runs per curve")
@@ -575,7 +574,7 @@ def build_parser() -> _Parser:
     mds.add_argument("--epsilon", type=float, default=0.0)
     mds.add_argument("--max-bribe", dest="max_bribe", type=int, default=1)
     mds.add_argument("--fork-cap", dest="fork_cap", type=int, default=8)
-    mds.add_argument("--tol", type=float, default=1e-6)
+    mds.add_argument("--tol", type=float, default=1e-6, help="solver stopping tolerance on the share")
     mds.add_argument("--policy-csv", dest="policy_csv", type=Path, help="dump the optimal state->action map")
     mds.set_defaults(func=_cmd_mdp_solve)
 

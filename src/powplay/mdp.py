@@ -29,9 +29,11 @@ only the edge probabilities and bribe amounts are filled per model.
 
 The objective is the long-run reward share net of bribes:
 (expected attacker blocks settled - expected bribes paid) divided by
-(expected blocks settled).  It is solved as a ratio objective: bisection on
-the share, with a relative value iteration solving each fixed-share average
-reward problem; the value table is reused across bisection steps.
+(expected blocks settled).  It is solved as a ratio objective by Dinkelbach
+steps on the share: a relative value iteration solves the fixed-share
+average reward problem, and the exact ratio of its greedy policy, read off
+that policy's stationary distribution, is the next share.  The value table
+and the distribution carry over between steps.
 """
 
 from __future__ import annotations
@@ -59,6 +61,12 @@ __all__ = [
 
 ADVERSARY = -1  # winner code for the attacker
 _ROLLOUT_BLOCK = 1 << 16  # winner draws per block in policy_rollout
+_SPAN_START = 1e-3  # value-iteration span tolerance of the first outer step
+_SPAN_SHRINK = 1e-2  # later spans: this times the step times the settled rate
+_SPAN_FLOOR = 1e-10  # no span tolerance below this
+_STATIONARY_TOL = 1e-13  # L1 move that ends the stationary power iteration
+_STATIONARY_MAX = 100_000  # power iterations before ConvergenceError
+_STAY = 0.1  # laziness of the power-iterated chain
 
 
 @dataclass(frozen=True)
@@ -82,7 +90,7 @@ class MdpModel:
     Edge arrays are grouped by action and actions by state, so one value
     sweep is a gather + segmented sum + segmented max.  Rewards are stored
     gross; bribes separately; blocks settled separately, so the
-    share-transformed reward is assembled per bisection step.  The graph
+    share-transformed reward is assembled per solver step.  The graph
     fields (states, index, actions, the pointers and every edge array but
     edge_prob and edge_bribe) are shared with every model of the same
     topology signature (see build_mdp): the arrays are read-only, and the
@@ -351,12 +359,19 @@ def build_mdp(
 
 @dataclass
 class SolveResult:
-    """Solved reward share with the greedy policy that attains it."""
+    """Solved reward share with the greedy policy that attains it.
+
+    iterations counts value sweeps over all outer steps, sweeps_per_step
+    splits them by step, and residual is |g|, the average transformed reward
+    of the last step's value iteration.
+    """
 
     reward_share: float
     policy: Mapping
     iterations: int
     residual: float
+    outer_steps: int
+    sweeps_per_step: tuple[int, ...]
 
 
 def _sweeps(model, rho, V, span_tol, max_sweeps):
@@ -381,16 +396,63 @@ def _sweeps(model, rho, V, span_tol, max_sweeps):
     return None, V, max_sweeps, hi - lo
 
 
-def _greedy_policy(model: MdpModel, q_act: np.ndarray) -> dict:
-    """Each state's best action; ties go to the first, as with np.argmax."""
+def _greedy_slots(model: MdpModel, q_act: np.ndarray) -> np.ndarray:
+    """Each state's best action slot; ties go to the first, as with np.argmax."""
     s_ptr = model.state_ptr[:-1]
     best = np.maximum.reduceat(q_act, s_ptr)
     slots = np.arange(q_act.size)
     at_best = q_act == np.repeat(best, np.diff(model.state_ptr))
-    first = np.minimum.reduceat(np.where(at_best, slots, q_act.size), s_ptr) - s_ptr
+    return np.minimum.reduceat(np.where(at_best, slots, q_act.size), s_ptr)
+
+
+def _greedy_policy(model: MdpModel, q_act: np.ndarray) -> dict:
+    """Each state's best action as a policy dict (first on ties)."""
+    first = _greedy_slots(model, q_act) - model.state_ptr[:-1]
     return {
         key: acts[i] for key, acts, i in zip(model.states, model.actions, first.tolist())
     }
+
+
+def _stationary(count, dst, prob, pi, max_iterations=_STATIONARY_MAX):
+    """Stationary distribution of a chain, by power iteration from pi.
+
+    State s has count[s] consecutive edges, to dst with probability prob.
+    Iterates the lazy chain _STAY*pi + (1 - _STAY)*pi P, which has the same
+    stationary distribution and is aperiodic, until an iteration moves pi
+    by less than _STATIONARY_TOL in L1.
+    """
+    n = pi.size
+    for _ in range(max_iterations):
+        moved = np.bincount(dst, weights=np.repeat(pi, count) * prob, minlength=n)
+        nxt = _STAY * pi + (1.0 - _STAY) * moved
+        change = float(np.abs(nxt - pi).sum())
+        pi = nxt
+        if change < _STATIONARY_TOL:
+            return pi / pi.sum()
+    raise ConvergenceError(
+        f"stationary distribution moved {change:.3g} after {max_iterations} iterations",
+        residual=change,
+    )
+
+
+def _policy_ratio(model: MdpModel, slots: np.ndarray, pi: np.ndarray):
+    """Exact long-run (reward - bribes) / settled of the policy taking slots.
+
+    Returns the ratio, the settled blocks per transition and the policy's
+    stationary distribution, found from pi.
+    """
+    start = model.action_ptr[slots]
+    count = np.append(model.action_ptr[1:], model.edge_prob.size)[slots] - start
+    first = np.cumsum(count) - count
+    edges = np.repeat(start - first, count) + np.arange(first[-1] + count[-1])
+    prob = model.edge_prob[edges]
+    settled = np.add.reduceat(prob * model.edge_settled[edges], first)
+    gain = np.add.reduceat(prob * (model.edge_reward[edges] - model.edge_bribe[edges]), first)
+    dst = model.edge_dst[edges]
+    del edges  # the power iteration needs only count, dst and prob
+    pi = _stationary(count, dst, prob, pi)
+    rate = float(pi @ settled)
+    return float(pi @ gain) / rate, rate, pi
 
 
 def solve_reward_share(
@@ -398,44 +460,53 @@ def solve_reward_share(
 ) -> SolveResult:
     """Maximize (attacker blocks settled - bribes) / (blocks settled).
 
-    Bisection on the share: at a candidate rho the transformed edge reward
-    is reward - bribe - rho*settled, and the sign of the optimal average
-    reward says whether rho under- or overshoots.  The value table carries
-    over between steps.
+    Dinkelbach iteration on the share.  At a candidate rho the transformed
+    edge reward is reward - bribe - rho*settled; relative value iteration
+    finds its greedy policy, whose exact ratio (from the policy's stationary
+    distribution) is the next rho.  Every iterate is a share a policy
+    attains, starting from the honest share, and the iterates rise to the
+    optimum superlinearly.  The value iteration's span tolerance shrinks
+    with the step, so the greedy policy of the last steps is optimal to well
+    within tol.  Stops when a step moves the share by less than tol at a
+    span tight for tol, and returns that step's policy and its ratio.  The
+    value table and the stationary distribution carry over between steps.
     """
     n = model.state_count
     V = np.zeros(n)
-    lo, hi = model.alpha_a * 0.5, 1.0
-    spent = 0
-    while hi - lo > tol:
-        rho = 0.5 * (lo + hi)
-        span_tol = max(1e-12, (hi - lo) * 1e-3)
-        g, V, used, span = _sweeps(model, rho, V, span_tol, max_sweeps - spent)
-        spent += used
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    rho = model.alpha_a  # the honest policy's share
+    span_tol = _SPAN_START
+    end_span = 0.0  # a span tight enough to stop at, set after the first step
+    per_step = []
+    while True:
+        g, V, used, span = _sweeps(model, rho, V, span_tol, max_sweeps - sum(per_step))
+        per_step.append(used)
         if g is None:
             raise ConvergenceError(
                 f"value iteration exhausted {max_sweeps} sweeps", residual=span
             )
-        if g > 0:
-            lo = rho
-        else:
-            hi = rho
-    rho_star = 0.5 * (lo + hi)
-    g, V, used, span = _sweeps(
-        model, rho_star, V, 1e-12, max(1, max_sweeps - spent)
+        q_act = np.add.reduceat(
+            model.edge_prob * (
+                model.edge_reward - model.edge_bribe - rho * model.edge_settled
+                + V[model.edge_dst]
+            ),
+            model.action_ptr,
+        )
+        ratio, settled, pi = _policy_ratio(model, _greedy_slots(model, q_act), pi)
+        step = ratio - rho
+        rho = ratio
+        if abs(step) < tol and span_tol <= end_span:
+            break
+        # a greedy policy is optimal to within the span in average reward,
+        # hence to within span / settled in share
+        end_span = max(_SPAN_FLOOR, tol * settled * _SPAN_SHRINK)
+        span_tol = min(span_tol, max(end_span, abs(step) * settled * _SPAN_SHRINK))
+    if not 0.0 <= rho <= 1.0:
+        raise ConvergenceError(f"share {rho} escaped [0,1]", residual=abs(g))
+    return SolveResult(
+        rho, _greedy_policy(model, q_act), sum(per_step), abs(g), len(per_step), tuple(per_step)
     )
-    spent += used
-    residual = abs(g) if g is not None else span
-
-    # greedy policy at the solved share
-    base = model.edge_prob * (
-        model.edge_reward - model.edge_bribe - rho_star * model.edge_settled
-    )
-    q_edge = base + model.edge_prob * V[model.edge_dst]
-    policy = _greedy_policy(model, np.add.reduceat(q_edge, model.action_ptr))
-    if not 0.0 <= rho_star <= 1.0:
-        raise ConvergenceError(f"share {rho_star} escaped [0,1]", residual=residual)
-    return SolveResult(rho_star, policy, spent, residual)
 
 
 def honest_policy(model: MdpModel) -> dict:

@@ -197,10 +197,6 @@ class AttackParams:
     epsilon    minimal reward margin (normalised to the block reward) that
                makes a profit-tracking pool deviate; also the sweetener added
                on top of every bribe.
-    lag_bound  how many blocks back a profit-tracking pool is willing to
-               reorganise.  All quantitative results here use 0 ("switch to
-               the best tip right now"); larger values are accepted so the
-               type can describe environments but are not solved for.
     max_bribe  largest whole-block bribe the attacker may attach when
                publishing a matching fork (the sweetener comes on top).
     gamma      fraction of a bribe the briber recovers when it goes
@@ -209,15 +205,12 @@ class AttackParams:
     """
 
     epsilon: float = 0.0
-    lag_bound: int = 0
     max_bribe: int = 1
     gamma: float = 1.0
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValidationError("epsilon must be >= 0")
-        if self.lag_bound < 0:
-            raise ValidationError("lag_bound must be >= 0")
         if self.max_bribe < 0:
             raise ValidationError("max_bribe must be >= 0")
         if self.gamma != 1.0:

@@ -5,15 +5,16 @@ by a different route: exact lattice-path enumeration with integer DP, exact
 Taylor expansion of the closed forms over Fractions, and small Monte Carlo
 models written directly from the process definitions.  The fork-race MDP
 builder is kept here in its unlumped form, as the reference for the lumped
-one, and greedy-policy extraction as the per-state loop it replaced.
+one, greedy-policy extraction as the per-state loop it replaced, and the
+share solver as the bisection that the Dinkelbach iteration replaced.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from powplay.errors import CapacityError, ValidationError
-from powplay.mdp import ADVERSARY, MdpAction, MdpModel
+from powplay.errors import CapacityError, ConvergenceError, ValidationError
+from powplay.mdp import ADVERSARY, MdpAction, MdpModel, SolveResult, _greedy_policy, _sweeps
 from powplay.model import AttackParams, PoolSet
 
 # -- exact lattice-path enumeration ------------------------------------------------
@@ -585,3 +586,52 @@ def greedy_policy_loop(model, q_act):
         best = int(np.argmax(q_act[a0:a1]))
         policy[model.states[s]] = model.actions[s][best]
     return policy
+
+
+# -- the share solver by bisection -------------------------------------------------
+
+
+def solve_reward_share_bisection(model, tol=1e-6, max_sweeps=500_000):
+    """Maximize (attacker blocks settled - bribes) / (blocks settled).
+
+    Bisection on the share: at a candidate rho the transformed edge reward
+    is reward - bribe - rho*settled, and the sign of the optimal average
+    reward says whether rho under- or overshoots.  The value table carries
+    over between steps.
+    """
+    n = model.state_count
+    V = np.zeros(n)
+    lo, hi = model.alpha_a * 0.5, 1.0
+    spent = 0
+    per_step = []
+    while hi - lo > tol:
+        rho = 0.5 * (lo + hi)
+        span_tol = max(1e-12, (hi - lo) * 1e-3)
+        g, V, used, span = _sweeps(model, rho, V, span_tol, max_sweeps - spent)
+        spent += used
+        per_step.append(used)
+        if g is None:
+            raise ConvergenceError(
+                f"value iteration exhausted {max_sweeps} sweeps", residual=span
+            )
+        if g > 0:
+            lo = rho
+        else:
+            hi = rho
+    rho_star = 0.5 * (lo + hi)
+    g, V, used, span = _sweeps(
+        model, rho_star, V, 1e-12, max(1, max_sweeps - spent)
+    )
+    spent += used
+    per_step.append(used)
+    residual = abs(g) if g is not None else span
+
+    # greedy policy at the solved share
+    base = model.edge_prob * (
+        model.edge_reward - model.edge_bribe - rho_star * model.edge_settled
+    )
+    q_edge = base + model.edge_prob * V[model.edge_dst]
+    policy = _greedy_policy(model, np.add.reduceat(q_edge, model.action_ptr))
+    if not 0.0 <= rho_star <= 1.0:
+        raise ConvergenceError(f"share {rho_star} escaped [0,1]", residual=residual)
+    return SolveResult(rho_star, policy, spent, residual, len(per_step), tuple(per_step))

@@ -19,6 +19,7 @@ from powplay.experiments import (
     validate_artifact,
     write_svg,
 )
+from powplay.mdp import solve_reward_share
 from powplay.model import BITCOIN_POOLS_MERGED, bundled_pool_file
 from powplay.randomwalk import abandon_threshold
 from powplay.selfish import selfish_dominance_threshold
@@ -192,6 +193,16 @@ def test_mdp_solve_json_contract(tiny_pool_file, tmp_path, capsys):
     assert len(art.rows) == doc["state_count"]
     kinds = {str(a).split(":")[0] for a in art.column("action")}
     assert kinds <= {"wait", "adopt", "override", "match"}
+
+
+def test_mdp_solve_out_of_sweeps_exits_2(tiny_pool_file, monkeypatch, capsys):
+    monkeypatch.setattr(
+        "powplay.cli.solve_reward_share",
+        lambda model, tol: solve_reward_share(model, tol, max_sweeps=3),
+    )
+    rc = main(["mdp", "solve", "--pools", tiny_pool_file, "--adversary", "B", "--fork-cap", "3"])
+    assert rc == 2
+    assert "exhausted 3 sweeps" in capsys.readouterr().err
 
 
 def test_mdp_solve_stdout_is_json(tiny_pool_file, capsys):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import build_mdp_unlumped, greedy_policy_loop
-from powplay.errors import CapacityError, ValidationError
+from oracles import build_mdp_unlumped, greedy_policy_loop, solve_reward_share_bisection
+from powplay.errors import CapacityError, ConvergenceError, ValidationError
 from powplay.mdp import (
     ADVERSARY,
     MdpAction,
     _greedy_policy,
+    _stationary,
     _sweeps,
     _topology,
     build_mdp,
@@ -168,11 +169,68 @@ def test_shared_topology_arrays_are_read_only(two_pool_model):
 
 
 def test_symmetric_table_row_lumps_to_730_states():
-    """Table 2's 8 x 0.075 row: 132,259 unlumped states, one share."""
+    """Table 2's 8 x 0.075 row: 132,259 unlumped states, one share.
+
+    The pin is the optimum as the bisection oracle finds it at tol 1e-11;
+    the bisection at its old default of 1e-6 overshot it by 3.5e-7.
+    """
     model = build_mdp(PoolSet.from_shares(0.4, [0.075] * 8), EPS01)
     assert model.state_count == 730
     res = solve_reward_share(model)
-    assert res.reward_share == pytest.approx(0.5967594146728517, abs=1e-9)
+    assert res.reward_share == pytest.approx(0.5967590648244, abs=1e-9)
+
+
+# -- the ratio solver against the bisection it replaced ---------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lumping_cases())
+def test_share_matches_tight_bisection_oracle_on_drawn_models(case):
+    pools, params, cap, honest = case
+    model = build_mdp(pools, params, fork_cap=cap, honest=honest)
+    res = solve_reward_share(model)
+    oracle = solve_reward_share_bisection(model, tol=1e-11)
+    assert res.reward_share == pytest.approx(oracle.reward_share, abs=1e-9)
+
+
+def test_share_matches_tight_bisection_oracle_on_fig3_row_and_at_cap_40():
+    foundry = load_pool_file(
+        bundled_pool_file("bitcoin_pools_2024_merged.json"), adversary="Foundry USA"
+    )
+    altruistic = PoolSet((Pool("adversary", 0.4), Pool("honest", 0.6)), adversary=0)
+    for model in (
+        build_mdp(foundry, EPS0, fork_cap=6),
+        build_mdp(altruistic, AttackParams(max_bribe=0), fork_cap=40, honest="honest"),
+    ):
+        res = solve_reward_share(model)
+        oracle = solve_reward_share_bisection(model, tol=1e-11)
+        assert res.reward_share == pytest.approx(oracle.reward_share, abs=1e-9)
+        # a handful of outer steps, not one per halving of the bracket
+        assert res.outer_steps <= 6 < oracle.outer_steps
+
+
+def test_solve_result_counts_steps_and_sweeps(two_pool_solved):
+    res = two_pool_solved
+    assert res.outer_steps == len(res.sweeps_per_step) >= 2
+    assert sum(res.sweeps_per_step) == res.iterations
+    assert min(res.sweeps_per_step) >= 1
+    assert 0.0 <= res.residual < 1e-6
+
+
+def test_solver_out_of_sweeps_raises_with_residual(two_pool_model):
+    with pytest.raises(ConvergenceError) as err:
+        solve_reward_share(two_pool_model, max_sweeps=3)
+    assert np.isfinite(err.value.residual) and err.value.residual > 0
+
+
+def test_stationary_iteration_is_bounded():
+    """A two-state flip-flop: the lazy chain converges, but not in 5 steps."""
+    count, dst, prob = np.array([1, 1]), np.array([1, 0]), np.ones(2)
+    start = np.array([1.0, 0.0])
+    assert _stationary(count, dst, prob, start) == pytest.approx([0.5, 0.5], abs=1e-13)
+    with pytest.raises(ConvergenceError) as err:
+        _stationary(count, dst, prob, start, max_iterations=5)
+    assert err.value.residual > 0
 
 
 # -- published reward shares (small rows; the full tables run in acceptance) ---------
