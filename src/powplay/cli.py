@@ -41,7 +41,7 @@ from .experiments import (
     run_experiment,
 )
 from .mdp import build_mdp, solve_reward_share
-from .model import AttackParams, EpochModel, Pool, PoolSet, load_pool_file
+from .model import AttackParams, EpochModel, PoolSet, load_pool_file, parse_pool_entries
 from .randomwalk import abandon_threshold
 from .selfish import is_selfish_dominant, selfish_dominance_threshold
 from .sim import DEFAULT_SEED, SimConfig, revenue_advantage_trajectory, simulate
@@ -297,17 +297,7 @@ def _pools_from_config(raw: dict, base_dir: Path) -> PoolSet | None:
             path = base_dir / path
         return load_pool_file(path, adversary=raw.get("adversary"))
     if isinstance(spec, list):
-        pools = []
-        for entry in spec:
-            if not isinstance(entry, dict) or "name" not in entry or "share" not in entry:
-                raise ValidationError("inline pools need 'name' and 'share'")
-            pools.append(Pool(str(entry["name"]), float(entry["share"])))
-        total = sum(p.share for p in pools)
-        if total <= 0:
-            raise ValidationError("inline pool shares must have a positive sum")
-        ps = PoolSet(tuple(Pool(p.name, p.share / total) for p in pools))
-        who = raw.get("adversary")
-        return ps.with_adversary(who) if who is not None else ps
+        return parse_pool_entries(spec, "inline pools", raw.get("adversary"))
     raise ValidationError("'pools' must be a file path or an inline pool list")
 
 

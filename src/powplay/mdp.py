@@ -60,7 +60,6 @@ __all__ = [
 ]
 
 ADVERSARY = -1  # winner code for the attacker
-_ROLLOUT_BLOCK = 1 << 16  # winner draws per block in policy_rollout
 _SPAN_START = 1e-3  # value-iteration span tolerance of the first outer step
 _SPAN_SHRINK = 1e-2  # later spans: this times the step times the settled rate
 _SPAN_FLOOR = 1e-10  # no span tolerance below this
@@ -568,41 +567,20 @@ def policy_rollout(
 ):
     """Monte Carlo execution of a fixed policy over winner draws.
 
-    Runs `replicas` independent chains for horizon//replicas steps each
-    (plus burn_in discarded steps), accumulating settled blocks, attacker
-    rewards net of bribes, and orphans.  Deterministic for a fixed seed.
+    Runs `replicas` chains for horizon//replicas steps each (at least one,
+    plus burn_in discarded ones) on powplay.sim's lockstep kernel and reads
+    settled blocks, rewards net of bribes and orphans off its visit counts.
+    Winners are drawn as rng.choice(p=shares) draws them; deterministic for
+    a fixed seed.
     """
-    from powplay.sim import SimStats
+    from powplay.sim import _check_lockstep, _lockstep_stats, _lockstep_visits
 
+    _check_lockstep(horizon, "horizon", replicas, burn_in)
     next_tab, settled_tab, reward_tab, bribe_tab, orphan_tab = policy_tables(model, policy)
-    reward_tab -= bribe_tab
-    n_win = next_tab.shape[1]
     p = np.append(model.shares, model.alpha_a)
-    p = p / p.sum()
+    cdf = np.cumsum(p / p.sum())
+    cdf /= cdf[-1]
     steps = max(1, horizon // replicas)
-    rows = burn_in + steps
     rng = np.random.default_rng(seed)
-    # winners are drawn a block of rows at a time, which consumes the
-    # generator exactly as one (rows, replicas) draw would
-    block = max(1, _ROLLOUT_BLOCK // replicas)
-    state = np.zeros(replicas, dtype=np.int64)
-    settled = 0.0
-    reward = 0.0
-    orphans = 0.0
-    for start in range(0, rows, block):
-        winners = rng.choice(n_win, size=(min(block, rows - start), replicas), p=p)
-        for t, w in enumerate(winners, start):
-            if t >= burn_in:
-                settled += float(settled_tab[state, w].sum())
-                reward += float(reward_tab[state, w].sum())
-                orphans += float(orphan_tab[state, w].sum())
-            state = next_tab[state, w]
-    if settled <= 0:
-        raise ValidationError("rollout settled no blocks; horizon too short")
-    return SimStats(
-        adversary_reward_share=reward / settled,
-        orphan_count=int(orphans),
-        epoch_durations=np.array([]),
-        revenue_advantage=np.empty((0, 2)),
-        rng_draws=rows * replicas,
-    )
+    visits = _lockstep_visits(next_tab, cdf[None, :], rng, replicas, burn_in, steps, side="right")
+    return _lockstep_stats(visits, settled_tab, reward_tab - bribe_tab, orphan_tab, (burn_in + steps) * replicas)

@@ -36,6 +36,7 @@ __all__ = [
     "residual_centralization_factor",
     "pool_advantage",
     "load_pool_file",
+    "parse_pool_entries",
     "bundled_pool_file",
     "BITCOIN_POOLS",
     "BITCOIN_POOLS_MERGED",
@@ -295,6 +296,31 @@ def bundled_pool_file(name: str = BITCOIN_POOLS) -> Path:
         return Path(p)
 
 
+def parse_pool_entries(entries, source: str, adversary: int | str | None = None) -> PoolSet:
+    """Pool set from a list of ``{"name", "share", "cost"?}`` objects (files, inline lists).
+
+    Shares are weights, divided by their sum, which must be positive; shares
+    and costs must be numbers, not booleans or strings.  ``source`` prefixes
+    error messages.
+    """
+    if not isinstance(entries, list):
+        raise ValidationError(f"{source}: 'pools' must be a list of pool objects")
+    pools = []
+    for entry in entries:
+        if not isinstance(entry, dict) or "name" not in entry or "share" not in entry:
+            raise ValidationError(f"{source}: each pool needs 'name' and 'share'")
+        values = [entry["share"], entry.get("cost", 0.0)]
+        for key, value in zip(("share", "cost"), values):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValidationError(f"{source}: {key} of {entry['name']!r} is not numeric")
+        pools.append(Pool(str(entry["name"]), float(values[0]), float(values[1])))
+    total = sum(p.share for p in pools)
+    if total <= 0:
+        raise ValidationError(f"{source}: shares must have a positive sum")
+    ps = PoolSet(tuple(Pool(p.name, p.share / total, p.cost) for p in pools))
+    return ps if adversary is None else ps.with_adversary(adversary)
+
+
 def load_pool_file(path: str | Path, adversary: int | str | None = None) -> PoolSet:
     """Load ``{"pools": [{"name", "share"}...], "adversary": name-or-index}``.
 
@@ -310,20 +336,4 @@ def load_pool_file(path: str | Path, adversary: int | str | None = None) -> Pool
         raise ValidationError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(raw, dict) or "pools" not in raw:
         raise ValidationError(f"{path}: expected an object with a 'pools' list")
-    pools = []
-    for entry in raw["pools"]:
-        if not isinstance(entry, dict) or "name" not in entry or "share" not in entry:
-            raise ValidationError(f"{path}: each pool needs 'name' and 'share'")
-        share = entry["share"]
-        if not isinstance(share, (int, float)) or isinstance(share, bool):
-            raise ValidationError(f"{path}: share of {entry['name']!r} is not numeric")
-        pools.append(Pool(str(entry["name"]), float(share), float(entry.get("cost", 0.0))))
-    total = sum(p.share for p in pools)
-    if total <= 0:
-        raise ValidationError(f"{path}: shares must have a positive sum")
-    pools = [Pool(p.name, p.share / total, p.cost) for p in pools]
-    ps = PoolSet(tuple(pools))
-    who = adversary if adversary is not None else raw.get("adversary")
-    if who is None:
-        return ps
-    return ps.with_adversary(who)
+    return parse_pool_entries(raw["pools"], str(path), raw.get("adversary") if adversary is None else adversary)

@@ -23,10 +23,12 @@ Two engines share the automata:
   expected honest counterfactual alpha_a * block_rate * t (expected value
   rather than a coupled honest run; this removes counterfactual noise from
   the advantage curve).
-* reward_share_mc() runs many replicas in lockstep with vectorised draws.
-  It ignores time entirely, which is legitimate because the reward share is
-  a per-canonical-block ratio; it exists to pile up transition counts
-  cheaply for tight cross-validation tolerances.
+* one lockstep kernel, _lockstep_visits(), runs many replicas side by side
+  and ignores time, legitimate because the reward share is a ratio per
+  canonical block.  It counts (state, winner) visits; reward_share_mc(),
+  distraction_occupancy_mc() and mdp.policy_rollout() multiply the counts
+  by automaton tables.  Where all states share one winner row (every
+  automaton but distraction's), a block of steps draws its winners at once.
 
 Determinism: every run is a pure function of its seed.  Replicated runs
 spawn child seeds from numpy's SeedSequence and reduce results in list
@@ -63,6 +65,7 @@ STRATEGIES = (
 # sequential engine draws uniforms and exponentials in fixed-size blocks;
 # the size is a constant so chunking can never change a seeded run
 _CHUNK = 4096
+_LOCKSTEP_BLOCK = 1 << 16  # lockstep uniforms per block of steps: ~1 MB buffers at any horizon
 
 
 class HorizonWarning(UserWarning):
@@ -238,6 +241,12 @@ class _Automaton:
     @property
     def n_states(self) -> int:
         return self.winner_p.shape[0]
+
+
+def _winner_cdf(winner_p: np.ndarray) -> np.ndarray:
+    cdf = np.cumsum(winner_p, axis=1)
+    cdf[:, -1] = 1.0  # above every uniform, whatever the rounding of the sum
+    return cdf
 
 
 def _empty_tables(n_states: int, n_win: int):
@@ -617,8 +626,7 @@ def simulate(config: SimConfig) -> SimStats:
     # the inner loop runs once per event; plain lists plus bisect beat numpy
     # row indexing at this granularity, so visited-state rows are converted
     # lazily (MDP automata have too many states to convert up front)
-    cdf = np.cumsum(auto.winner_p, axis=1)
-    cdf[:, -1] = 1.0
+    cdf = _winner_cdf(auto.winner_p)
     rows: dict[int, tuple] = {}
 
     def row(s: int) -> tuple:
@@ -731,6 +739,57 @@ def simulate_many(
 # -- lockstep engine -----------------------------------------------------------------
 
 
+def _check_lockstep(count, name: str, replicas, burn_in) -> None:
+    """Reject lockstep sizes that would divide by zero, walk nothing or count nothing."""
+    for value, label, least in ((count, name, 1), (replicas, "replicas", 1), (burn_in, "burn_in", 0)):
+        if not value >= least:
+            raise ValidationError(f"{label} must be at least {least}, got {value!r}")
+
+
+def _lockstep_visits(next_state, cdf, rng, replicas, burn_in, steps, side="left"):
+    """(state, winner) visit counts of replicas chains walked in lockstep from state 0.
+
+    Each step draws rng.random(replicas), gives every chain the winner that
+    np.searchsorted(cdf[state], u, side) picks (every cdf row ends in 1.0)
+    and moves it to next_state[state, winner]; steps from burn_in on are
+    counted.  Uniforms come a block of steps at a time, which consumes the
+    generator exactly as one draw per step.  When all cdf rows are equal (all
+    automata but the distraction one), a block's winners are counted at once.
+    """
+    n_states, n_win = next_state.shape
+    next_offset = (next_state * n_win).ravel()  # successor's row start in the flat tables
+    shared = bool((cdf == cdf[0]).all())
+    # searchsorted's index is the count of entries below u (side="left") or
+    # at most u ("right"); the last entry, 1.0, is above every uniform
+    below = np.less if side == "left" else np.less_equal
+    rows = burn_in + steps
+    block = max(1, _LOCKSTEP_BLOCK // replicas)
+    offset = np.zeros(replicas, dtype=np.int64)  # state * n_win per chain
+    idx = np.empty((block, replicas), dtype=np.int64)
+    visits = np.zeros(n_states * n_win, dtype=np.int64)
+    for start in range(0, rows, block):
+        n = min(block, rows - start)
+        u = rng.random((n, replicas))
+        if shared:
+            wins = np.zeros(u.shape, dtype=np.min_scalar_type(n_win))
+            for c in cdf[0, :-1]:
+                wins += below(c, u)
+        for t in range(n):
+            w = wins[t] if shared else below(cdf[offset // n_win], u[t][:, None]).sum(axis=1)
+            np.add(offset, w, out=idx[t])
+            next_offset.take(idx[t], out=offset)
+        visits += np.bincount(idx[max(0, burn_in - start):n].ravel(), minlength=visits.size)
+    return visits.reshape(n_states, n_win)
+
+
+def _lockstep_stats(visits, settled, reward, orphans, rng_draws: int) -> SimStats:
+    """Share of reward (net of bribes) per settled block, from visit counts times tables."""
+    settled, reward, orphans = (float((visits * t).sum()) for t in (settled, reward, orphans))
+    if settled <= 0:
+        raise ValidationError("no blocks settled; the run is too short")
+    return SimStats(reward / settled, int(orphans), np.array([]), np.empty((0, 2)), rng_draws)
+
+
 def reward_share_mc(
     config: SimConfig,
     transitions: int = 10_000_000,
@@ -742,40 +801,16 @@ def reward_share_mc(
     The share is a ratio per canonical block, so event times cancel out of
     it; skipping the clock lets ten million transitions run as a few
     thousand vectorised steps.  burn_in steps are walked but not counted,
-    which removes the bias of always starting in the idle state.
+    which removes the bias of always starting in the idle state.  The
+    statistics are the kernel's visit counts times the automaton's tables.
     """
-    if transitions < 1:
-        raise ValidationError("transitions must be positive")
-    if replicas < 1 or burn_in < 0:
-        raise ValidationError("need replicas >= 1 and burn_in >= 0")
+    _check_lockstep(transitions, "transitions", replicas, burn_in)
     auto = build_automaton(config)
-    cdf = np.cumsum(auto.winner_p, axis=1)
-    cdf[:, -1] = 1.0
-    steps = max(1, math.ceil(transitions / replicas))
+    steps = math.ceil(transitions / replicas)
     rng = np.random.default_rng(config.seed)
-    state = np.zeros(replicas, dtype=np.int64)
-    settled = 0.0
-    attacker = 0.0
-    bribes = 0.0
-    orphans = 0.0
-    for step in range(burn_in + steps):
-        u = rng.random(replicas)
-        w = (cdf[state] < u[:, None]).sum(axis=1)
-        if step >= burn_in:
-            settled += float(auto.settled[state, w].sum())
-            attacker += float(auto.attacker[state, w].sum())
-            bribes += float(auto.bribe[state, w].sum())
-            orphans += float(auto.orphans[state, w].sum())
-        state = auto.next_state[state, w]
-    if settled <= 0:
-        raise ValidationError("no blocks settled; transitions too low")
-    return SimStats(
-        adversary_reward_share=(attacker - bribes) / settled,
-        orphan_count=int(orphans),
-        epoch_durations=np.array([]),
-        revenue_advantage=np.empty((0, 2)),
-        rng_draws=replicas * (burn_in + steps),
-    )
+    visits = _lockstep_visits(auto.next_state, _winner_cdf(auto.winner_p), rng, replicas, burn_in, steps)
+    net = auto.attacker - auto.bribe
+    return _lockstep_stats(visits, auto.settled, net, auto.orphans, replicas * (burn_in + steps))
 
 
 def distraction_occupancy_mc(
@@ -792,26 +827,13 @@ def distraction_occupancy_mc(
     the result lines up with the three-state occupancy the closed forms
     report.
     """
-    if events < 1:
-        raise ValidationError("events must be positive")
+    _check_lockstep(events, "events", replicas, burn_in)
     auto = _distraction_automaton(dparams, choice)
-    cdf = np.cumsum(auto.winner_p, axis=1)
-    cdf[:, -1] = 1.0
-    S = auto.n_states
-    steps = max(1, math.ceil(events / replicas))
+    steps = math.ceil(events / replicas)
     rng = np.random.default_rng(seed)
-    state = np.zeros(replicas, dtype=np.int64)
-    counts = np.zeros(S, dtype=np.int64)
-    for step in range(burn_in + steps):
-        if step >= burn_in:
-            counts += np.bincount(state, minlength=S)
-        u = rng.random(replicas)
-        w = (cdf[state] < u[:, None]).sum(axis=1)
-        state = auto.next_state[state, w]
-    total = counts.sum()
-    return np.array(
-        [counts[0] / total, counts[1] / total, counts[2:].sum() / total]
-    )
+    visits = _lockstep_visits(auto.next_state, _winner_cdf(auto.winner_p), rng, replicas, burn_in, steps)
+    counts = visits.sum(axis=1)
+    return np.array([counts[0], counts[1], counts[2:].sum()]) / counts.sum()
 
 
 # -- profit-lag trajectories ---------------------------------------------------------

@@ -5,17 +5,28 @@ by a different route: exact lattice-path enumeration with integer DP, exact
 Taylor expansion of the closed forms over Fractions, and small Monte Carlo
 models written directly from the process definitions.  The fork-race MDP
 builder is kept here in its unlumped form, as the reference for the lumped
-one, greedy-policy extraction as the per-state loop it replaced, and the
-share solver as the bisection that the Dinkelbach iteration replaced.
+one, greedy-policy extraction as the per-state loop it replaced, the
+share solver as the bisection that the Dinkelbach iteration replaced, and
+the three lockstep Monte Carlo loops that the visit-count kernel replaced.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from powplay.errors import CapacityError, ConvergenceError, ValidationError
-from powplay.mdp import ADVERSARY, MdpAction, MdpModel, SolveResult, _greedy_policy, _sweeps
+from powplay.mdp import (
+    ADVERSARY,
+    MdpAction,
+    MdpModel,
+    SolveResult,
+    _greedy_policy,
+    _sweeps,
+    policy_tables,
+)
 from powplay.model import AttackParams, PoolSet
+from powplay.sim import DEFAULT_SEED, SimStats, _distraction_automaton, build_automaton
 
 # -- exact lattice-path enumeration ------------------------------------------------
 #
@@ -635,3 +646,116 @@ def solve_reward_share_bisection(model, tol=1e-6, max_sweeps=500_000):
     if not 0.0 <= rho_star <= 1.0:
         raise ConvergenceError(f"share {rho_star} escaped [0,1]", residual=residual)
     return SolveResult(rho_star, policy, spent, residual, len(per_step), tuple(per_step))
+
+
+# -- the lockstep Monte Carlo loops ------------------------------------------------
+#
+# One gather of every table per step, as the three engines ran before they
+# shared the visit-count kernel in powplay.sim.
+
+
+def reward_share_mc_loop(config, transitions=10_000_000, replicas=1024, burn_in=300):
+    """Reward share over lockstep replicas, summed one step at a time."""
+    auto = build_automaton(config)
+    cdf = np.cumsum(auto.winner_p, axis=1)
+    cdf[:, -1] = 1.0
+    steps = max(1, math.ceil(transitions / replicas))
+    rng = np.random.default_rng(config.seed)
+    state = np.zeros(replicas, dtype=np.int64)
+    settled = 0.0
+    attacker = 0.0
+    bribes = 0.0
+    orphans = 0.0
+    for step in range(burn_in + steps):
+        u = rng.random(replicas)
+        w = (cdf[state] < u[:, None]).sum(axis=1)
+        if step >= burn_in:
+            settled += float(auto.settled[state, w].sum())
+            attacker += float(auto.attacker[state, w].sum())
+            bribes += float(auto.bribe[state, w].sum())
+            orphans += float(auto.orphans[state, w].sum())
+        state = auto.next_state[state, w]
+    if settled <= 0:
+        raise ValidationError("no blocks settled; transitions too low")
+    return SimStats(
+        adversary_reward_share=(attacker - bribes) / settled,
+        orphan_count=int(orphans),
+        epoch_durations=np.array([]),
+        revenue_advantage=np.empty((0, 2)),
+        rng_draws=replicas * (burn_in + steps),
+    )
+
+
+def distraction_occupancy_loop(
+    dparams, choice="mini_pow", events=1_000_000, replicas=1024, burn_in=300, seed=DEFAULT_SEED
+):
+    """Per-event (quiet, live, racing) occupancy, counted one step at a time."""
+    auto = _distraction_automaton(dparams, choice)
+    cdf = np.cumsum(auto.winner_p, axis=1)
+    cdf[:, -1] = 1.0
+    S = auto.n_states
+    steps = max(1, math.ceil(events / replicas))
+    rng = np.random.default_rng(seed)
+    state = np.zeros(replicas, dtype=np.int64)
+    counts = np.zeros(S, dtype=np.int64)
+    for step in range(burn_in + steps):
+        if step >= burn_in:
+            counts += np.bincount(state, minlength=S)
+        u = rng.random(replicas)
+        w = (cdf[state] < u[:, None]).sum(axis=1)
+        state = auto.next_state[state, w]
+    total = counts.sum()
+    return np.array(
+        [counts[0] / total, counts[1] / total, counts[2:].sum() / total]
+    )
+
+
+def policy_rollout_loop(model, policy, seed=0, horizon=1_000_000, replicas=1_024, burn_in=300):
+    """Fixed-policy rollout with rng.choice winners, summed one step at a time."""
+    next_tab, settled_tab, reward_tab, bribe_tab, orphan_tab = policy_tables(model, policy)
+    reward_tab -= bribe_tab
+    n_win = next_tab.shape[1]
+    p = np.append(model.shares, model.alpha_a)
+    p = p / p.sum()
+    steps = max(1, horizon // replicas)
+    rows = burn_in + steps
+    rng = np.random.default_rng(seed)
+    block = max(1, (1 << 16) // replicas)
+    state = np.zeros(replicas, dtype=np.int64)
+    settled = 0.0
+    reward = 0.0
+    orphans = 0.0
+    for start in range(0, rows, block):
+        winners = rng.choice(n_win, size=(min(block, rows - start), replicas), p=p)
+        for t, w in enumerate(winners, start):
+            if t >= burn_in:
+                settled += float(settled_tab[state, w].sum())
+                reward += float(reward_tab[state, w].sum())
+                orphans += float(orphan_tab[state, w].sum())
+            state = next_tab[state, w]
+    if settled <= 0:
+        raise ValidationError("rollout settled no blocks; horizon too short")
+    return SimStats(
+        adversary_reward_share=reward / settled,
+        orphan_count=int(orphans),
+        epoch_durations=np.array([]),
+        revenue_advantage=np.empty((0, 2)),
+        rng_draws=rows * replicas,
+    )
+
+
+def lockstep_visits_loop(next_state, cdf, rng, replicas, burn_in, steps, side="left"):
+    """(state, winner) visit counts with one searchsorted per visited state per step."""
+    n_states, n_win = next_state.shape
+    state = np.zeros(replicas, dtype=np.int64)
+    visits = np.zeros((n_states, n_win), dtype=np.int64)
+    for step in range(burn_in + steps):
+        u = rng.random(replicas)
+        w = np.empty(replicas, dtype=np.int64)
+        for s in np.unique(state):
+            at = state == s
+            w[at] = np.searchsorted(cdf[s], u[at], side=side)
+        if step >= burn_in:
+            np.add.at(visits, (state, w), 1)
+        state = next_state[state, w]
+    return visits

@@ -261,6 +261,18 @@ def test_sim_run_inline_pools_and_distraction(tmp_path, capsys):
     assert share == pytest.approx(expected, abs=0.05)
 
 
+@pytest.mark.parametrize("share", [True, "0.5"], ids=["bool", "string"])
+def test_sim_run_inline_pools_reject_non_numeric_share(tmp_path, capsys, share):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "pools": [{"name": "A", "share": share}, {"name": "B", "share": 0.5}],
+        "adversary": "A",
+        "strategy": "honest",
+    }))
+    assert main(["sim", "run", "--config", str(cfg)]) == 1
+    assert "not numeric" in capsys.readouterr().err
+
+
 def test_profit_lag_schema_and_svg(merged_file, tmp_path, capsys):
     out = tmp_path / "lag.csv"
     svg = tmp_path / "lag.svg"

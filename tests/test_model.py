@@ -13,6 +13,7 @@ from powplay.model import (
     bundled_pool_file,
     centralization_factor,
     load_pool_file,
+    parse_pool_entries,
     pool_advantage,
     residual_centralization_factor,
 )
@@ -199,6 +200,20 @@ def test_loader_normalizes_any_positive_sum(tmp_path):
     p.write_text('{"pools": [{"name": "a", "share": 0}, {"name": "b", "share": 0}]}')
     with pytest.raises(ValidationError):
         load_pool_file(p)
+
+
+def test_pool_entries_keep_cost_and_refuse_non_numbers():
+    ps = parse_pool_entries(
+        [{"name": "a", "share": 3, "cost": 0.5}, {"name": "b", "share": 1}], "inline", "b"
+    )
+    assert ps.shares == pytest.approx((0.75, 0.25), abs=1e-12)
+    assert [p.cost for p in ps.pools] == [0.5, 0.0]
+    assert ps.adversary == 1
+    for bad in ({"share": True}, {"share": "0.5"}, {"share": 1, "cost": "free"}):
+        with pytest.raises(ValidationError, match="not numeric"):
+            parse_pool_entries([{"name": "a", **bad}, {"name": "b", "share": 1}], "inline")
+    with pytest.raises(ValidationError, match="list"):
+        parse_pool_entries({"name": "a", "share": 1}, "inline")
 
 
 def test_loader_adversary_override(btc_pools_merged):

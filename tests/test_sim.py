@@ -5,6 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import (
+    distraction_occupancy_loop,
+    lockstep_visits_loop,
+    reward_share_mc_loop,
+)
 from powplay.bribery import TargetPartition, bribery_reward_share, undercut_reward_share
 from powplay.distraction import DistractionParams, PowerSplit, distraction_reward_share, scenario_rates
 from powplay.errors import ValidationError
@@ -23,6 +28,8 @@ from powplay.sim import (
     HorizonWarning,
     SimConfig,
     SimStats,
+    _lockstep_visits,
+    _winner_cdf,
     build_automaton,
     dam_update,
     distraction_occupancy_mc,
@@ -218,6 +225,100 @@ def test_lockstep_deterministic(three_targets):
     b = reward_share_mc(cfg, transitions=200_000)
     assert a.adversary_reward_share == b.adversary_reward_share
     assert a.orphan_count == b.orphan_count
+
+
+_DISTRACTION = DistractionParams(PowerSplit(0.4, 0.1, 0.3, 0.2), 5.0, 0.04, 0.02)
+
+
+@pytest.mark.parametrize(
+    "sizes", [{"replicas": 0}, {"burn_in": -3}, {"events": 0}],
+    ids=["replicas=0", "burn_in=-3", "events=0"],
+)
+def test_occupancy_rejects_sizes_that_walk_or_count_nothing(sizes):
+    with pytest.raises(ValidationError, match=next(iter(sizes))):
+        distraction_occupancy_mc(_DISTRACTION, **{"events": 1000, **sizes})
+
+
+# -- lockstep kernel against the per-step loops it replaced --------------------------
+
+_FIVE_POOLS = PoolSet.from_shares(0.3, [0.25, 0.2, 0.15, 0.1])
+_EPS = AttackParams(epsilon=0.05)
+#: one configuration per strategy, distraction under both puzzle choices
+KERNEL_CONFIGS = [
+    *(SimConfig(_FIVE_POOLS, strategy=s, params=_EPS, seed=5)
+      for s in ("honest", "pi_selfish", "bribery", "undercut")),
+    SimConfig(PoolSet.from_shares(0.35, [0.35, 0.3]), strategy="mdp_policy",
+              params=_EPS, fork_cap=4, seed=6),
+    *(SimConfig(None, strategy="distraction", distraction=_DISTRACTION, puzzle_choice=c, seed=7)
+      for c in ("mini_pow", "bitcoin")),
+]
+_KERNEL_IDS = [f"{c.strategy}-{c.puzzle_choice}" if c.distraction else c.strategy
+               for c in KERNEL_CONFIGS]
+
+
+@pytest.fixture(scope="module", params=KERNEL_CONFIGS, ids=_KERNEL_IDS)
+def kernel_case(request):
+    return request.param, build_automaton(request.param)
+
+
+def test_only_the_distraction_automaton_has_more_than_one_winner_row(kernel_case):
+    cfg, auto = kernel_case
+    one_row = bool((auto.winner_p == auto.winner_p[0]).all())
+    assert one_row == (cfg.strategy != "distraction")
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("replicas, burn_in, steps", [(64, 37, 150), (5_000, 20, 30)])
+def test_kernel_visits_equal_the_searchsorted_loop(kernel_case, side, replicas, burn_in, steps):
+    # 5,000 replicas make blocks of 13 steps, so burn-in ends inside a block
+    _, auto = kernel_case
+    cdf = _winner_cdf(auto.winner_p)
+    got = _lockstep_visits(auto.next_state, cdf, np.random.default_rng(3), replicas, burn_in, steps, side)
+    want = lockstep_visits_loop(auto.next_state, cdf, np.random.default_rng(3), replicas, burn_in, steps, side)
+    np.testing.assert_array_equal(got, want)
+    assert got.sum() == replicas * steps
+
+
+class _UniformsOnTheCdf:
+    """Generator stand-in whose uniforms repeat values that sit exactly on cdf entries."""
+
+    values = np.array([0.0, 0.25, 0.5, 0.75])
+
+    def random(self, shape):
+        return np.resize(self.values, shape)
+
+
+@pytest.mark.parametrize("rows", [[[0.25, 0.5, 1.0]] * 2, [[0.25, 0.5, 1.0], [0.5, 0.75, 1.0]]],
+                         ids=["one-row", "per-state"])
+def test_kernel_breaks_ties_by_side(rows):
+    next_state = np.array([[0, 1, 0], [1, 0, 1]])
+    cdf = np.array(rows)
+    counts = {}
+    for side in ("left", "right"):
+        got = _lockstep_visits(next_state, cdf, _UniformsOnTheCdf(), 8, 3, 40, side)
+        want = lockstep_visits_loop(next_state, cdf, _UniformsOnTheCdf(), 8, 3, 40, side)
+        np.testing.assert_array_equal(got, want)
+        counts[side] = got
+    assert not np.array_equal(counts["left"], counts["right"])
+
+
+@pytest.mark.parametrize("transitions, replicas, burn_in", [(200_000, 1024, 300), (150_000, 5_000, 20)])
+def test_reward_share_mc_matches_the_per_step_loop(kernel_case, transitions, replicas, burn_in):
+    cfg, _ = kernel_case
+    got = reward_share_mc(cfg, transitions, replicas, burn_in)
+    want = reward_share_mc_loop(cfg, transitions, replicas, burn_in)
+    assert got.orphan_count == want.orphan_count
+    assert got.rng_draws == want.rng_draws
+    # only the order of the bribe sums differs
+    assert got.adversary_reward_share == pytest.approx(want.adversary_reward_share, abs=1e-15)
+
+
+@pytest.mark.parametrize("choice", ["mini_pow", "bitcoin"])
+@pytest.mark.parametrize("events, replicas, burn_in", [(300_000, 1024, 300), (100_000, 5_000, 20)])
+def test_occupancy_matches_the_per_step_loop(choice, events, replicas, burn_in):
+    got = distraction_occupancy_mc(_DISTRACTION, choice, events, replicas, burn_in, seed=11)
+    want = distraction_occupancy_loop(_DISTRACTION, choice, events, replicas, burn_in, seed=11)
+    np.testing.assert_array_equal(got, want)
 
 
 # -- sequential engine ---------------------------------------------------------------
