@@ -35,6 +35,7 @@ from .experiments import (
     EXPERIMENT_KINDS,
     Artifact,
     ExperimentSpec,
+    _downsample,
     emit_artifact,
     render_csv,
     render_json,
@@ -86,12 +87,6 @@ def _common() -> _Parser:
         help="seed for randomized commands (default 0xC0FFEE)",
     )
     g.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads; falls back to POWPLAY_THREADS, then 1",
-    )
-    g.add_argument(
         "--format",
         dest="fmt",
         choices=("csv", "json"),
@@ -99,19 +94,6 @@ def _common() -> _Parser:
         help="artifact format for --out and stdout",
     )
     return p
-
-
-def _resolve_threads(args) -> int:
-    n = getattr(args, "threads", None)
-    if n is None:
-        raw = os.environ.get("POWPLAY_THREADS", "1")
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValidationError(f"POWPLAY_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError(f"thread count must be >= 1, got {n}")
-    return n
 
 
 def _meta(kind: str, args, **extra) -> dict:
@@ -149,12 +131,7 @@ def _cmd_reproduce(args):
             overrides[name] = value
     if args.pool_file is not None:
         overrides["pool_file"] = str(args.pool_file)
-    # emission happens in the shared delivery path, not in run_experiment,
-    # so reproduce output behaves exactly like every other subcommand's
-    spec = ExperimentSpec(
-        args.kind, overrides=overrides, out=None, svg=None, seed=args.seed, threads=args.threads, fmt=args.fmt
-    )
-    return run_experiment(spec)
+    return run_experiment(ExperimentSpec(args.kind, overrides=overrides, seed=args.seed))
 
 
 def _cmd_selfish_threshold(args):
@@ -301,6 +278,24 @@ def _pools_from_config(raw: dict, base_dir: Path) -> PoolSet | None:
     raise ValidationError("'pools' must be a file path or an inline pool list")
 
 
+def _number(path: Path, key: str, value, integer: bool = False):
+    """A config value that must be a JSON number (an integer if asked), not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        what = "an integer" if integer else "a number"
+        raise ValidationError(f"{path}: {key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _object(path: Path, key: str, value, allowed: set) -> dict:
+    """A config value that must be a JSON object holding only the allowed keys."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path}: {key!r} must be an object")
+    extra = set(value) - allowed
+    if extra:
+        raise ValidationError(f"{path}: unknown {key} keys {sorted(extra)}")
+    return value
+
+
 def _sim_config_from_file(path: Path, default_seed: int) -> SimConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -312,41 +307,37 @@ def _sim_config_from_file(path: Path, default_seed: int) -> SimConfig:
     if unknown:
         raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
     kwargs = {"pools": _pools_from_config(raw, Path(path).resolve().parent)}
-    for name in ("strategy", "horizon", "horizon_unit", "dam_mode", "fork_cap", "puzzle_choice", "collect_trajectory"):
+    for name in ("strategy", "horizon", "horizon_unit", "dam_mode", "puzzle_choice", "collect_trajectory"):
         if name in raw:
             kwargs[name] = raw[name]
+    if "fork_cap" in raw:
+        kwargs["fork_cap"] = _number(path, "fork_cap", raw["fork_cap"], integer=True)
     kwargs["seed"] = raw.get("seed", default_seed)
     params = {}
-    for name in ("epsilon", "max_bribe"):
+    for name, integer in (("epsilon", False), ("max_bribe", True)):
         if name in raw:
-            params[name] = raw[name]
+            params[name] = _number(path, name, raw[name], integer)
     if params:
         kwargs["params"] = AttackParams(**params)
-    if "targets" in raw and raw["targets"] is not None:
-        kwargs["targets"] = tuple(int(t) for t in raw["targets"])
+    if raw.get("targets") is not None:
+        if not isinstance(raw["targets"], list):
+            raise ValidationError(f"{path}: 'targets' must be a list of pool indices")
+        kwargs["targets"] = tuple(_number(path, "targets", t, integer=True) for t in raw["targets"])
     if "epoch" in raw:
-        if not isinstance(raw["epoch"], dict):
-            raise ValidationError(f"{path}: 'epoch' must be an object")
-        extra = set(raw["epoch"]) - {"blocks_per_epoch", "block_rate", "block_reward"}
-        if extra:
-            raise ValidationError(f"{path}: unknown epoch keys {sorted(extra)}")
-        kwargs["epoch"] = EpochModel(**raw["epoch"])
+        epoch = _object(path, "epoch", raw["epoch"], {"blocks_per_epoch", "block_rate", "block_reward"})
+        kwargs["epoch"] = EpochModel(
+            **{k: _number(path, f"epoch.{k}", v, integer=k == "blocks_per_epoch") for k, v in epoch.items()}
+        )
     if "distraction" in raw:
-        d = dict(raw["distraction"])
-        split_keys = {"alpha_a", "alpha_i", "alpha_c", "alpha_nc"}
-        extra = set(d) - split_keys - {"d_ratio", "br2", "br3"}
-        if extra:
-            raise ValidationError(f"{path}: unknown distraction keys {sorted(extra)}")
-        try:
-            split = PowerSplit(**{k: float(d.get(k, 0.0)) for k in split_keys})
-            kwargs["distraction"] = DistractionParams(
-                split=split,
-                d_ratio=float(d.get("d_ratio", 1.0)),
-                br2=float(d.get("br2", 0.0)),
-                br3=float(d.get("br3", 0.0)),
-            )
-        except TypeError as e:
-            raise ValidationError(f"{path}: bad distraction block ({e})")
+        defaults = {"alpha_a": 0.0, "alpha_i": 0.0, "alpha_c": 0.0, "alpha_nc": 0.0, "d_ratio": 1.0, "br2": 0.0, "br3": 0.0}
+        d = _object(path, "distraction", raw["distraction"], set(defaults))
+        v = {k: float(_number(path, f"distraction.{k}", d.get(k, default))) for k, default in defaults.items()}
+        kwargs["distraction"] = DistractionParams(
+            split=PowerSplit(alpha_a=v["alpha_a"], alpha_i=v["alpha_i"], alpha_c=v["alpha_c"], alpha_nc=v["alpha_nc"]),
+            d_ratio=v["d_ratio"],
+            br2=v["br2"],
+            br3=v["br3"],
+        )
     return SimConfig(**kwargs)
 
 
@@ -401,11 +392,8 @@ def _cmd_sim_profit_lag(args):
         seed=args.seed,
         dam_mode=args.dam_mode,
     )
-    traj = revenue_advantage_trajectory(cfg, replicas=args.replicas, threads=args.threads)
-    points = traj.points
-    if args.points and len(points) > args.points:
-        idx = np.unique(np.linspace(0, len(points) - 1, args.points).round().astype(int))
-        points = points[idx]
+    traj = revenue_advantage_trajectory(cfg, replicas=args.replicas)
+    points = _downsample(traj.points, args.points) if args.points else traj.points
     meta = _meta(
         "profit_lag",
         args,
@@ -512,7 +500,7 @@ def build_parser() -> _Parser:
         help="regenerate a result table or curve family",
         description="Regenerate one of the packaged result sets as a self-describing artifact.",
     )
-    rep.add_argument("kind", choices=[k for k in EXPERIMENT_KINDS if k != "custom"])
+    rep.add_argument("kind", choices=EXPERIMENT_KINDS)
     rep.add_argument("--fork-cap", dest="fork_cap", type=int, help="fork-race state cap for solver kinds")
     rep.add_argument("--tol", type=float, help="solver stopping tolerance on the share")
     rep.add_argument("--rows", type=_int_list, help="run only these row indices, e.g. 0,2")
@@ -627,7 +615,6 @@ def _deliver(artifact: Artifact, args) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.threads = _resolve_threads(args)
         artifact = args.func(args)
         if artifact is not None:
             _deliver(artifact, args)

@@ -20,7 +20,6 @@ import inspect
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,14 +107,6 @@ class Artifact:
 # -- shared helpers -------------------------------------------------------------
 
 
-def _map_ordered(fn, items, threads: int) -> list:
-    """Apply fn to items, possibly in parallel, keeping input order."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(it) for it in items]
-
-
 def _row_subset(rows, n: int) -> tuple[int, ...]:
     if rows is None:
         return tuple(range(n))
@@ -138,6 +129,8 @@ def _load_snapshot(pool_file) -> PoolSet:
 
 def _downsample(points: np.ndarray, keep: int) -> np.ndarray:
     """Thin a curve to ~keep points, always retaining both endpoints."""
+    if keep < 1:
+        raise ValidationError(f"points must be at least 1, got {keep}")
     if len(points) <= keep:
         return points
     idx = np.unique(np.linspace(0, len(points) - 1, keep).round().astype(int))
@@ -158,7 +151,7 @@ def _base_meta(kind: str, seed, fork_cap, tolerance) -> dict:
 # -- solver tables --------------------------------------------------------------
 
 
-def _run_table(kind, spec, *, fork_cap, tol, threads, rows, seed):
+def _run_table(kind, spec, *, fork_cap, tol, rows, seed):
     alpha_a, epsilon, configs, reference = spec
     take = _row_subset(rows, len(configs))
     params = AttackParams(epsilon=epsilon)
@@ -176,7 +169,7 @@ def _run_table(kind, spec, *, fork_cap, tol, threads, rows, seed):
             reference[idx],
         )
 
-    out = _map_ordered(solve_one, take, threads)
+    out = [solve_one(idx) for idx in take]
     meta = _base_meta(kind, seed, fork_cap, TABLE_TOLERANCE)
     meta.update(
         adversary_share=alpha_a,
@@ -197,17 +190,17 @@ def _run_table(kind, spec, *, fork_cap, tol, threads, rows, seed):
     return Artifact(kind, meta, columns, out)
 
 
-def run_table2(*, fork_cap=8, tol=1e-6, threads=1, rows=None, seed=DEFAULT_SEED):
+def run_table2(*, fork_cap=8, tol=1e-6, rows=None, seed=DEFAULT_SEED):
     """Optimal reward share of a 0.4 attacker against four rival mixes."""
-    return _run_table("table2", TABLE2, fork_cap=fork_cap, tol=tol, threads=threads, rows=rows, seed=seed)
+    return _run_table("table2", TABLE2, fork_cap=fork_cap, tol=tol, rows=rows, seed=seed)
 
 
-def run_table3(*, fork_cap=8, tol=1e-6, threads=1, rows=None, seed=DEFAULT_SEED):
+def run_table3(*, fork_cap=8, tol=1e-6, rows=None, seed=DEFAULT_SEED):
     """Optimal reward share of a 0.3 attacker, no sweetener, four rival mixes."""
-    return _run_table("table3", TABLE3, fork_cap=fork_cap, tol=tol, threads=threads, rows=rows, seed=seed)
+    return _run_table("table3", TABLE3, fork_cap=fork_cap, tol=tol, rows=rows, seed=seed)
 
 
-def run_table4(*, fork_cap=8, tol=1e-6, threads=1, rows=None, seed=DEFAULT_SEED, pool_file=None):
+def run_table4(*, fork_cap=8, tol=1e-6, rows=None, seed=DEFAULT_SEED, pool_file=None):
     """Optimal reward share of each major real-world pool turned attacker."""
     base = _load_snapshot(pool_file)
     take = _row_subset(rows, len(TABLE4_ADVERSARIES))
@@ -227,7 +220,7 @@ def run_table4(*, fork_cap=8, tol=1e-6, threads=1, rows=None, seed=DEFAULT_SEED,
             TABLE4_REFERENCE[idx],
         )
 
-    out = _map_ordered(solve_one, take, threads)
+    out = [solve_one(idx) for idx in take]
     meta = _base_meta("table4", seed, fork_cap, TABLE_TOLERANCE)
     meta.update(
         pool_file=pool_file or BITCOIN_POOLS_MERGED,
@@ -251,7 +244,7 @@ def run_table4(*, fork_cap=8, tol=1e-6, threads=1, rows=None, seed=DEFAULT_SEED,
 # -- figures ----------------------------------------------------------------------
 
 
-def run_fig3(*, fork_cap=6, tol=1e-6, threads=1, rows=None, seed=DEFAULT_SEED, pool_file=None, epsilon=0.0):
+def run_fig3(*, fork_cap=6, tol=1e-6, rows=None, seed=DEFAULT_SEED, pool_file=None, epsilon=0.0):
     """Three-attack comparison across the snapshot, smallest attacker first.
 
     Bribery and undercutting come from their closed forms, withholding from
@@ -274,7 +267,7 @@ def run_fig3(*, fork_cap=6, tol=1e-6, threads=1, rows=None, seed=DEFAULT_SEED, p
             _mdp_share(pools, AttackParams(epsilon=epsilon), fork_cap, tol),
         )
 
-    out = _map_ordered(eval_one, take, threads)
+    out = [eval_one(idx) for idx in take]
     meta = _base_meta("fig3", seed, fork_cap, tol)
     meta.update(
         pool_file=pool_file or BITCOIN_POOLS_MERGED,
@@ -291,7 +284,6 @@ def run_fig4(
     replicas=4,
     epsilon=0.0,
     seed=DEFAULT_SEED,
-    threads=1,
     rows=None,
     pool_file=None,
     points=400,
@@ -318,7 +310,7 @@ def run_fig4(
             seed=seed,
             dam_mode=dam_mode,
         )
-        traj = revenue_advantage_trajectory(cfg, replicas=replicas, threads=threads)
+        traj = revenue_advantage_trajectory(cfg, replicas=replicas)
         crossings[name] = traj.zero_crossing_time
         for t, v in _downsample(traj.points, points):
             out.append((name, float(t), float(v)))
@@ -344,7 +336,6 @@ def run_fig5(
     replicas=8,
     epsilon=0.0,
     seed=DEFAULT_SEED,
-    threads=1,
     pool_file=None,
     points=400,
     dam_mode="canonical_only",
@@ -359,7 +350,7 @@ def run_fig5(
         seed=seed,
         dam_mode=dam_mode,
     )
-    traj = revenue_advantage_trajectory(cfg, replicas=replicas, threads=threads)
+    traj = revenue_advantage_trajectory(cfg, replicas=replicas)
     out = [(float(t), float(v)) for t, v in _downsample(traj.points, points)]
     meta = _base_meta("fig5", seed, "n/a", "n/a")
     meta.update(
@@ -386,7 +377,6 @@ def run_fig6(
     d_fail=2.0,
     step=0.01,
     seed=DEFAULT_SEED,
-    threads=1,
 ):
     """Distraction frontier: return gaps over the deciding-share grid + min ratio.
 
@@ -431,7 +421,7 @@ RUNNERS = {
     "fig6": run_fig6,
 }
 
-EXPERIMENT_KINDS = tuple(RUNNERS) + ("custom",)
+EXPERIMENT_KINDS = tuple(RUNNERS)
 
 
 # -- CSV / JSON / SVG emission ---------------------------------------------------
@@ -637,15 +627,11 @@ def emit_artifact(artifact: Artifact, out=None, fmt="csv", svg=None) -> None:
 
 @dataclass
 class ExperimentSpec:
-    """What to regenerate and where to put it."""
+    """What to regenerate: a kind, its parameter overrides and the seed."""
 
     kind: str
     overrides: dict = field(default_factory=dict)
-    out: Path | None = None
-    svg: Path | None = None
     seed: int = DEFAULT_SEED
-    threads: int = 1
-    fmt: str = "csv"
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -655,24 +641,12 @@ class ExperimentSpec:
 
 
 def run_experiment(spec: ExperimentSpec) -> Artifact:
-    """Run one experiment and emit its artifacts; returns the artifact."""
-    if spec.kind == "custom":
-        runner = spec.overrides.get("runner")
-        if not callable(runner):
-            raise ValidationError("custom experiments need a callable 'runner' override")
-        kwargs = {k: v for k, v in spec.overrides.items() if k != "runner"}
-    else:
-        runner = RUNNERS[spec.kind]
-        kwargs = dict(spec.overrides)
-        allowed = set(inspect.signature(runner).parameters)
-        for k in kwargs:
-            if k not in allowed:
-                raise ValidationError(f"{spec.kind} does not take parameter {k!r}")
-        kwargs.setdefault("seed", spec.seed)
-        if "threads" in allowed:
-            kwargs.setdefault("threads", spec.threads)
-    artifact = runner(**kwargs)
-    if not isinstance(artifact, Artifact):
-        raise ValidationError(f"{spec.kind} runner returned {type(artifact).__name__}, not an Artifact")
-    emit_artifact(artifact, out=spec.out, fmt=spec.fmt, svg=spec.svg)
-    return artifact
+    """Run one experiment and return its artifact; the caller emits it."""
+    runner = RUNNERS[spec.kind]
+    kwargs = dict(spec.overrides)
+    allowed = set(inspect.signature(runner).parameters)
+    for k in kwargs:
+        if k not in allowed:
+            raise ValidationError(f"{spec.kind} does not take parameter {k!r}")
+    kwargs.setdefault("seed", spec.seed)
+    return runner(**kwargs)

@@ -201,7 +201,6 @@ def walk_never_reach_mc(
     seed: int = 0,
     step_cap: int = 100_000,
     band: int = 30,
-    threads: int = 1,
 ) -> float:
     """Monte Carlo estimate of prob_never_reach, exact in expectation.
 
@@ -211,7 +210,7 @@ def walk_never_reach_mc(
     unbiased while bounding runtime); walks still alive at ``step_cap`` are
     likewise closed out analytically.  Work is split into fixed chunks with
     independently spawned sub-seeds and reduced in chunk order, so the result
-    depends only on (seed, walks), not on thread count.
+    depends only on (seed, walks).
     """
     _check_share(share)
     if r < 1:
@@ -247,11 +246,5 @@ def walk_never_reach_mc(
             hit_mass += float(np.sum(_hit_from(q, r - lead)))
         return hit_mass
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            masses = list(ex.map(run_chunk, range(len(starts))))
-    else:
-        masses = [run_chunk(i) for i in range(len(starts))]
+    masses = [run_chunk(i) for i in range(len(starts))]
     return 1.0 - sum(masses) / walks

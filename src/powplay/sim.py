@@ -32,7 +32,7 @@ Two engines share the automata:
 
 Determinism: every run is a pure function of its seed.  Replicated runs
 spawn child seeds from numpy's SeedSequence and reduce results in list
-order, so thread count never changes the numbers.
+order.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import math
 import warnings
 from bisect import bisect_right
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -715,13 +714,11 @@ def simulate(config: SimConfig) -> SimStats:
     )
 
 
-def simulate_many(
-    config: SimConfig, replicas: int, threads: int | None = None
-) -> list[SimStats]:
+def simulate_many(config: SimConfig, replicas: int) -> list[SimStats]:
     """Independent replicas under spawned child seeds, in deterministic order.
 
-    Results depend only on config.seed and replicas, never on threads: seeds
-    come from SeedSequence.spawn and the output list keeps spawn order.
+    Results depend only on config.seed and replicas: seeds come from
+    SeedSequence.spawn and the output list keeps spawn order.
     """
     if replicas < 1:
         raise ValidationError("replicas must be at least 1")
@@ -730,9 +727,6 @@ def simulate_many(
     configs = [
         replace(config, seed=int(c.generate_state(1, np.uint64)[0])) for c in children
     ]
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(simulate, configs))
     return [simulate(c) for c in configs]
 
 
@@ -841,9 +835,7 @@ def distraction_occupancy_mc(
 _TRAJECTORY_STRATEGIES = ("honest", "pi_selfish", "bribery", "mdp_policy")
 
 
-def revenue_advantage_trajectory(
-    config: SimConfig, replicas: int = 1, threads: int | None = None
-) -> TrajectoryResult:
+def revenue_advantage_trajectory(config: SimConfig, replicas: int = 1) -> TrajectoryResult:
     """Mean revenue-advantage curve and its profit-lag summary statistics.
 
     Replica curves are averaged per event index (both coordinates), which
@@ -873,7 +865,7 @@ def revenue_advantage_trajectory(
             stacklevel=2,
         )
     config = replace(config, collect_trajectory=True)
-    runs = simulate_many(config, replicas, threads)
+    runs = simulate_many(config, replicas)
     n = min(r.revenue_advantage.shape[0] for r in runs)
     if n == 0:
         raise ValidationError("no events recorded; horizon too short")

@@ -78,7 +78,7 @@ def _ok(n: int, detail: str) -> None:
 
 def test_criterion_01_optimal_shares_alpha_04(merged):
     t0 = time.monotonic()
-    art = run_table2(threads=2)
+    art = run_table2()
     elapsed = time.monotonic() - t0
     devs = [abs(g - w) for g, w in zip(art.column("reward_share"), art.column("reference"))]
     assert len(devs) == 4
@@ -90,7 +90,7 @@ def test_criterion_01_optimal_shares_alpha_04(merged):
 
 
 def test_criterion_02_optimal_shares_alpha_03_monotone():
-    art = run_table3(threads=2)
+    art = run_table3()
     devs = [abs(g - w) for g, w in zip(art.column("reward_share"), art.column("reference"))]
     assert len(devs) == 4
     assert max(devs) <= 0.01
@@ -103,7 +103,7 @@ def test_criterion_02_optimal_shares_alpha_03_monotone():
 
 
 def test_criterion_03_optimal_shares_real_pools():
-    art = run_table4(threads=2)
+    art = run_table4()
     devs = [abs(g - w) for g, w in zip(art.column("reward_share"), art.column("reference"))]
     assert len(devs) == 5
     assert max(devs) <= 0.01
@@ -227,7 +227,7 @@ def test_criterion_09_profit_lag_shape(merged):
     def lag_curve(name, strategy):
         pools = merged.with_adversary(name)
         cfg = SimConfig(pools=pools, strategy=strategy, params=AttackParams(), horizon=20, seed=SEED)
-        tr = revenue_advantage_trajectory(cfg, replicas=replicas, threads=4)
+        tr = revenue_advantage_trajectory(cfg, replicas=replicas)
         a = pools.adversary_share
         # binomial scale of the averaged curve at the end of epoch one; the
         # first 2% of the epoch is single-block launch jitter and is skipped
@@ -293,7 +293,7 @@ def test_criterion_11_dam_power_accounting_mitigation(merged):
         horizon=12,
         seed=SEED,
     )
-    runs = simulate_many(cfg, replicas=32, threads=4)
+    runs = simulate_many(cfg, replicas=32)
     rates = np.array([s.revenue_advantage[-1, 1] / s.revenue_advantage[-1, 0] for s in runs])
     mean = float(rates.mean())
     sem = float(rates.std(ddof=1) / math.sqrt(len(rates)))

@@ -13,16 +13,16 @@ from powplay.errors import ConvergenceError, ValidationError
 from powplay.experiments import (
     Artifact,
     ExperimentSpec,
+    emit_artifact,
     read_artifact,
-    render_csv,
-    run_experiment,
     validate_artifact,
     write_svg,
 )
 from powplay.mdp import solve_reward_share
-from powplay.model import BITCOIN_POOLS_MERGED, bundled_pool_file
+from powplay.model import BITCOIN_POOLS_MERGED, bundled_pool_file, load_pool_file
 from powplay.randomwalk import abandon_threshold
 from powplay.selfish import selfish_dominance_threshold
+from powplay.sim import SimConfig, revenue_advantage_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -84,21 +84,9 @@ def test_missed_tolerance_exits_2(tmp_path, capsys):
     assert "misses reference" in capsys.readouterr().err
 
 
-def test_bad_threads_env_exits_1(monkeypatch, capsys):
-    monkeypatch.setenv("POWPLAY_THREADS", "zebra")
-    assert main(["walk", "threshold", "--d", "2"]) == 1
-    capsys.readouterr()
-
-
-def test_threads_env_fallback_used(monkeypatch, capsys):
-    monkeypatch.setenv("POWPLAY_THREADS", "2")
-    assert main(["walk", "threshold", "--d", "2"]) == 0
-    capsys.readouterr()
-
-
-def test_zero_threads_flag_exits_1(capsys):
-    assert main(["walk", "threshold", "--d", "2", "--threads", "0"]) == 1
-    capsys.readouterr()
+def test_threads_flag_is_a_usage_error(capsys):
+    assert main(["reproduce", "table2", "--threads", "2"]) == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_reproduce_rejects_foreign_parameter(capsys):
@@ -273,21 +261,58 @@ def test_sim_run_inline_pools_reject_non_numeric_share(tmp_path, capsys, share):
     assert "not numeric" in capsys.readouterr().err
 
 
+_DISTRACTION = {"alpha_a": 0.4, "alpha_i": 0.1, "alpha_c": 0.3, "alpha_nc": 0.2}
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"targets": ["AntPool"]}, "'targets'"),
+        ({"targets": [1.7]}, "'targets'"),
+        ({"targets": [True]}, "'targets'"),
+        ({"targets": 1}, "'targets'"),
+        ({"strategy": "distraction", "distraction": {**_DISTRACTION, "br2": "x"}}, "'distraction.br2'"),
+        ({"strategy": "distraction", "distraction": 5}, "'distraction'"),
+        ({"epoch": {"blocks_per_epoch": "10"}}, "'epoch.blocks_per_epoch'"),
+        ({"epsilon": "x"}, "'epsilon'"),
+        ({"max_bribe": 1.5}, "'max_bribe'"),
+    ],
+    ids=["target-name", "target-float", "target-bool", "targets-scalar", "distraction-value",
+         "distraction-scalar", "epoch-value", "epsilon", "max-bribe"],
+)
+def test_sim_run_rejects_malformed_values(merged_file, tmp_path, capsys, extra, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"pools": merged_file, "adversary": "Foundry USA", "strategy": "bribery", **extra}))
+    assert main(["sim", "run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+
+
 def test_profit_lag_schema_and_svg(merged_file, tmp_path, capsys):
-    out = tmp_path / "lag.csv"
-    svg = tmp_path / "lag.svg"
+    cfg = SimConfig(load_pool_file(merged_file, adversary="Unknown"), strategy="bribery", horizon=3)
+    every = len(revenue_advantage_trajectory(cfg).points)
+    for points, rows in ((40, 40), (0, every)):  # 0 keeps every event of the curve
+        out = tmp_path / "lag.csv"
+        svg = tmp_path / "lag.svg"
+        rc = main(["sim", "profit-lag", "--attack", "bribery", "--pools", merged_file, "--adversary", "Unknown",
+                   "--epochs", "3", "--replicas", "1", "--points", str(points), "--out", str(out), "--svg", str(svg)])
+        assert rc == 0
+        capsys.readouterr()
+        art = read_artifact(out)
+        assert art.columns == ("time", "cumulative_advantage")
+        assert len(art.rows) == rows
+        times = art.column("time")
+        assert times == sorted(times)
+        assert {"first_epoch_min", "zero_crossing", "replicas"} <= set(art.meta)
+        text = svg.read_text()
+        assert text.startswith("<svg") and "polyline" in text
+
+
+def test_profit_lag_negative_points_exits_1(merged_file, capsys):
     rc = main(["sim", "profit-lag", "--attack", "bribery", "--pools", merged_file, "--adversary", "Unknown",
-               "--epochs", "3", "--replicas", "1", "--points", "40", "--out", str(out), "--svg", str(svg)])
-    assert rc == 0
-    capsys.readouterr()
-    art = read_artifact(out)
-    assert art.columns == ("time", "cumulative_advantage")
-    assert len(art.rows) <= 40
-    times = art.column("time")
-    assert times == sorted(times)
-    assert {"first_epoch_min", "zero_crossing", "replicas"} <= set(art.meta)
-    text = svg.read_text()
-    assert text.startswith("<svg") and "polyline" in text
+               "--epochs", "3", "--replicas", "1", "--points", "-3"])
+    assert rc == 1
+    assert "points must be at least 1" in capsys.readouterr().err
 
 
 def test_profit_lag_selfish_attack_name_maps(merged_file, capsys):
@@ -400,7 +425,7 @@ def test_csv_roundtrip_preserves_floats(tmp_path):
     meta = {"artifact": "x", "seed": 3, "fork_cap": "n/a", "tolerance": "n/a"}
     art = Artifact("x", meta, ("a", "b"), [(math.pi, "text"), (1e-17, "more")])
     path = tmp_path / "x.csv"
-    path.write_text(render_csv(art))
+    emit_artifact(art, out=path)
     back = read_artifact(path)
     assert back.rows[0][0] == math.pi
     assert back.rows[1][0] == 1e-17
@@ -414,23 +439,9 @@ def test_write_svg_needs_two_numeric_columns(tmp_path):
 
 
 def test_experiment_spec_rejects_unknown_kind():
-    with pytest.raises(ValidationError):
-        ExperimentSpec("table9")
-
-
-def test_custom_experiment_requires_runner():
-    with pytest.raises(ValidationError):
-        run_experiment(ExperimentSpec("custom"))
-
-
-def test_custom_experiment_runs_callable(tmp_path):
-    def runner(scale=1):
-        meta = {"artifact": "custom", "seed": 0, "fork_cap": "n/a", "tolerance": "n/a"}
-        return Artifact("custom", meta, ("x",), [(scale,)])
-
-    art = run_experiment(ExperimentSpec("custom", overrides={"runner": runner, "scale": 3}, out=tmp_path / "c.csv"))
-    assert art.rows == [(3,)]
-    assert read_artifact(tmp_path / "c.csv").rows[0][0] == 3
+    for kind in ("table9", "custom"):
+        with pytest.raises(ValidationError):
+            ExperimentSpec(kind)
 
 
 def test_console_entry_point_runs():

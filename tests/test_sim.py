@@ -1,5 +1,7 @@
 """Simulation engines: automata vs closed forms, difficulty retargets, trajectories."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -424,14 +426,19 @@ def test_sequential_distraction_share_and_rate():
     assert total == pytest.approx(expected_duration, rel=0.03)
 
 
-def test_simulate_many_thread_invariant(merged_foundry):
+def test_simulate_many_replicas_use_spawned_seeds(merged_foundry):
     ep = EpochModel(blocks_per_epoch=250)
     cfg = SimConfig(merged_foundry, strategy="pi_selfish", epoch=ep, horizon=2)
-    serial = simulate_many(cfg, 4, threads=1)
-    threaded = simulate_many(cfg, 4, threads=4)
-    for a, b in zip(serial, threaded):
-        assert a.adversary_reward_share == b.adversary_reward_share
-        assert np.array_equal(a.revenue_advantage, b.revenue_advantage)
+    children = np.random.SeedSequence(cfg.seed).spawn(4)
+    runs = simulate_many(cfg, 4)
+    assert len(runs) == 4
+    for run, child in zip(runs, children):
+        alone = simulate(replace(cfg, seed=int(child.generate_state(1, np.uint64)[0])))
+        assert run.adversary_reward_share == alone.adversary_reward_share
+        assert run.orphan_count == alone.orphan_count
+        assert run.rng_draws == alone.rng_draws
+        assert np.array_equal(run.epoch_durations, alone.epoch_durations)
+        assert np.array_equal(run.revenue_advantage, alone.revenue_advantage)
 
 
 def test_simulate_many_replicas_differ(merged_foundry):
