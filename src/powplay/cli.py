@@ -306,13 +306,21 @@ def _sim_config_from_file(path: Path, default_seed: int) -> SimConfig:
     unknown = set(raw) - _SIM_KEYS
     if unknown:
         raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
-    kwargs = {"pools": _pools_from_config(raw, Path(path).resolve().parent)}
-    for name in ("strategy", "horizon", "horizon_unit", "dam_mode", "puzzle_choice", "collect_trajectory"):
+    kwargs = {"pools": _pools_from_config(raw, Path(path).resolve().parent), "seed": default_seed}
+    for name, kind, what in (
+        ("strategy", str, "a string"),
+        ("horizon_unit", str, "a string"),
+        ("dam_mode", str, "a string"),
+        ("puzzle_choice", str, "a string"),
+        ("collect_trajectory", bool, "true or false"),
+    ):
         if name in raw:
+            if not isinstance(raw[name], kind):
+                raise ValidationError(f"{path}: {name!r} must be {what}, got {raw[name]!r}")
             kwargs[name] = raw[name]
-    if "fork_cap" in raw:
-        kwargs["fork_cap"] = _number(path, "fork_cap", raw["fork_cap"], integer=True)
-    kwargs["seed"] = raw.get("seed", default_seed)
+    for name in ("horizon", "seed", "fork_cap"):
+        if name in raw:
+            kwargs[name] = _number(path, name, raw[name], integer=True)
     params = {}
     for name, integer in (("epsilon", False), ("max_bribe", True)):
         if name in raw:
@@ -393,7 +401,7 @@ def _cmd_sim_profit_lag(args):
         dam_mode=args.dam_mode,
     )
     traj = revenue_advantage_trajectory(cfg, replicas=args.replicas)
-    points = _downsample(traj.points, args.points) if args.points else traj.points
+    points = _downsample(traj.points, args.points)
     meta = _meta(
         "profit_lag",
         args,
@@ -507,7 +515,7 @@ def build_parser() -> _Parser:
     rep.add_argument("--epochs", type=int, help="difficulty epochs for curve kinds")
     rep.add_argument("--replicas", type=int, help="averaged runs per curve")
     rep.add_argument("--epsilon", type=float, help="sweetener override where the kind takes one")
-    rep.add_argument("--points", type=int, help="points kept per curve")
+    rep.add_argument("--points", type=int, help="points kept per curve (default 400, 0 = keep all)")
     rep.add_argument("--adversary", help="attacking pool for single-curve kinds")
     rep.add_argument("--step", type=float, help="grid step for the frontier kind")
     rep.add_argument("--dam-mode", dest="dam_mode", choices=("canonical_only", "active_power"))

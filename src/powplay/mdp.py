@@ -38,6 +38,7 @@ and the distribution carry over between steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -567,9 +568,10 @@ def policy_rollout(
 ):
     """Monte Carlo execution of a fixed policy over winner draws.
 
-    Runs `replicas` chains for horizon//replicas steps each (at least one,
-    plus burn_in discarded ones) on powplay.sim's lockstep kernel and reads
-    settled blocks, rewards net of bribes and orphans off its visit counts.
+    Runs `replicas` chains for ceil(horizon / replicas) steps each (plus
+    burn_in discarded ones), so at least horizon transitions are counted,
+    on powplay.sim's lockstep kernel and reads settled blocks, rewards net
+    of bribes and orphans off its visit counts.
     Winners are drawn as rng.choice(p=shares) draws them; deterministic for
     a fixed seed.
     """
@@ -580,7 +582,7 @@ def policy_rollout(
     p = np.append(model.shares, model.alpha_a)
     cdf = np.cumsum(p / p.sum())
     cdf /= cdf[-1]
-    steps = max(1, horizon // replicas)
+    steps = math.ceil(horizon / replicas)
     rng = np.random.default_rng(seed)
     visits = _lockstep_visits(next_tab, cdf[None, :], rng, replicas, burn_in, steps, side="right")
     return _lockstep_stats(visits, settled_tab, reward_tab - bribe_tab, orphan_tab, (burn_in + steps) * replicas)

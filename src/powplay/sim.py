@@ -16,19 +16,22 @@ dam_update; an event that settles two blocks can straddle an epoch boundary,
 in which case the first block closes the old epoch and the second opens the
 new one.
 
-Two engines share the automata:
+Two engines share the automata and one path walker, _walk(), which steps
+every replica through the automaton in lockstep; where all states share one
+winner row (every automaton but distraction's), a block of steps has its
+winners counted at once:
 
-* simulate() walks a single trajectory sequentially, tracking wall-clock
-  time, epoch durations and the cumulative revenue advantage over the
-  expected honest counterfactual alpha_a * block_rate * t (expected value
-  rather than a coupled honest run; this removes counterfactual noise from
-  the advantage curve).
-* one lockstep kernel, _lockstep_visits(), runs many replicas side by side
-  and ignores time, legitimate because the reward share is a ratio per
-  canonical block.  It counts (state, winner) visits; reward_share_mc(),
-  distraction_occupancy_mc() and mdp.policy_rollout() multiply the counts
-  by automaton tables.  Where all states share one winner row (every
-  automaton but distraction's), a block of steps draws its winners at once.
+* the clocked engine behind simulate() and simulate_many() walks its
+  replicas a chunk of events at a time and then, per chunk, tracks
+  wall-clock time, epoch durations and the cumulative revenue advantage
+  over the expected honest counterfactual alpha_a * block_rate * t
+  (expected value rather than a coupled honest run; this removes
+  counterfactual noise from the advantage curve).  Its results are
+  bit-identical to a per-event loop over the same draws.
+* the clockless kernel, _lockstep_visits(), ignores time, legitimate
+  because the reward share is a ratio per canonical block.  It counts
+  (state, winner) visits; reward_share_mc(), distraction_occupancy_mc() and
+  mdp.policy_rollout() multiply the counts by automaton tables.
 
 Determinism: every run is a pure function of its seed.  Replicated runs
 spawn child seeds from numpy's SeedSequence and reduce results in list
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
@@ -61,8 +63,8 @@ STRATEGIES = (
     "distraction",
 )
 
-# sequential engine draws uniforms and exponentials in fixed-size blocks;
-# the size is a constant so chunking can never change a seeded run
+# the clocked engine draws uniforms and exponentials in fixed-size chunks per
+# replica; the size is a constant so chunking can never change a seeded run
 _CHUNK = 4096
 _LOCKSTEP_BLOCK = 1 << 16  # lockstep uniforms per block of steps: ~1 MB buffers at any horizon
 
@@ -78,6 +80,9 @@ class SimStats:
     revenue_advantage rows are (time, cumulative advantage in block-reward
     units); empty when the run did not collect a trajectory.  rng_draws
     counts the random variates generated, over-draw from chunking included.
+    events counts the events a clocked run walked (one trajectory row
+    each), or the (state, winner) transitions a lockstep share route
+    counted, burn-in excluded.
     """
 
     adversary_reward_share: float
@@ -85,6 +90,7 @@ class SimStats:
     epoch_durations: np.ndarray
     revenue_advantage: np.ndarray
     rng_draws: int
+    events: int
 
 
 @dataclass(frozen=True)
@@ -603,7 +609,183 @@ def build_automaton(config: SimConfig) -> _Automaton:
     raise ValidationError(f"unknown strategy {config.strategy!r}")
 
 
-# -- sequential engine ---------------------------------------------------------------
+# -- the path walker ---------------------------------------------------------------
+
+
+def _walk(next_offset, cdf, shared, below, u, offset, idx) -> None:
+    """Walk every chain len(u) steps; the one path walker of both engines.
+
+    Row t of u holds step t's uniform for each chain.  A chain's winner is
+    the count of its cdf row's entries that below(entry, u) admits: np.less
+    matches searchsorted's side="left", np.less_equal side="right" (and
+    bisect_right).  offset holds state * n_win per chain and is advanced in
+    place through next_offset; idx[t] receives the flat (state, winner)
+    index each chain visits at step t.  With shared (every cdf row equal)
+    the winners of all steps are counted at once, otherwise step by step
+    from each chain's own row.
+    """
+    n_win = cdf.shape[1]
+    steps = len(u)
+    if shared:
+        wins = np.zeros(u.shape, dtype=np.min_scalar_type(n_win))
+        for c in cdf[0, :-1]:
+            wins += below(c, u)
+        del u  # callers pass u as a temporary, so the walk runs without it
+    for t, row in enumerate(idx[:steps]):
+        w = wins[t] if shared else below(cdf[offset // n_win], u[t][:, None]).sum(axis=1)
+        np.add(offset, w, out=row)
+        # every index is in range; "clip" skips the copy of out that "raise" makes
+        next_offset.take(row, out=offset, mode="clip")
+
+
+# -- clocked engine ------------------------------------------------------------------
+
+
+class _Run:
+    """One clocked replica: its generator and everything carried from chunk to chunk."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+        self.events = 0
+        self.t = 0.0
+        self.difficulty = 1.0
+        self.epoch_start = 0.0
+        self.revenue = 0.0
+        self.canonical = 0
+        self.orphans = 0
+        self.orphans_at_close = 0  # orphans up to the event that closed the last epoch
+        self.durations: list[float] = []
+        self.pieces: list[np.ndarray] = []  # (time, advantage) rows, one slice per chunk
+
+    def draw(self, method: str, out: np.ndarray) -> np.ndarray:
+        getattr(self.rng, method)(out=out)
+        self.draws += out.size
+        return out
+
+    def tick(self, times: np.ndarray, rate: np.ndarray) -> None:
+        """Turn one segment's exponential gaps, at one difficulty, into event times in place.
+
+        t += g * difficulty / rate event by event, as a per-event loop adds them.
+        """
+        times *= self.difficulty
+        times /= rate
+        times[0] += self.t
+        np.add.accumulate(times, out=times)
+        self.t = float(times[-1])
+
+    def finish(self, target: int) -> SimStats:
+        trajectory = np.concatenate(self.pieces) if self.pieces else np.empty((0, 2))
+        self.pieces = []
+        return SimStats(
+            adversary_reward_share=self.revenue / target,
+            orphan_count=self.orphans,
+            epoch_durations=np.array(self.durations),
+            revenue_advantage=trajectory,
+            rng_draws=self.draws,
+            events=self.events,
+        )
+
+
+def _uniforms(runs: list[_Run]) -> np.ndarray:
+    """The next _CHUNK uniforms of each replica's generator, one column per replica."""
+    u = np.empty((len(runs), _CHUNK))
+    for j, run in enumerate(runs):
+        run.draw("random", u[j])
+    return u.T
+
+
+def _clocked_runs(config: SimConfig, seeds: list[int]) -> list[SimStats]:
+    """One clocked run per seed, all walked in lockstep a chunk of events at a time.
+
+    Each replica draws rng.random(_CHUNK) and then
+    rng.standard_exponential(_CHUNK) from its own generator whenever it has
+    used up its last chunk, as a run one event at a time would.  The clock
+    never feeds back into the path, so a chunk's states and winners come
+    first (_walk, winners on bisect_right's side), then one column-wise pass
+    gathers each event's blocks, orphans and net reward and accumulates
+    them down each replica's column, and then each replica's times follow,
+    one segment between difficulty retargets at a time.  Every float
+    operation of a replica happens in the order of a per-event loop, so
+    the results are bit-identical to one.  A replica leaves the lockstep at
+    the event that reaches its horizon.
+    """
+    auto = build_automaton(config)
+    ep = config.epoch
+    L = ep.blocks_per_epoch
+    target = config.horizon * L if config.horizon_unit == "epochs" else config.horizon
+    n_win = auto.next_state.shape[1]
+    cdf = _winner_cdf(auto.winner_p)
+    shared = bool((cdf == cdf[0]).all())
+    next_offset = (auto.next_state * n_win).ravel()
+    # flat (state, winner) tables; a chunk's running block and orphan counts
+    # fit the smallest type that holds _CHUNK times the table's largest entry
+    blocks, orphans = (
+        x.astype(np.min_scalar_type(_CHUNK * int(x.max()))).ravel() for x in (auto.settled, auto.orphans)
+    )
+    net = (auto.attacker - auto.bribe).ravel()
+    erate = np.repeat(ep.block_rate * auto.rate, n_win)
+    drift = auto.alpha_a * ep.block_rate  # expected honest revenue per unit time
+
+    def advance(run: _Run, idx, revenue, canonical, orphaned) -> bool:
+        """Carry one replica through its column of the chunk; True once it reaches the horizon."""
+        end = int(np.searchsorted(canonical, target - run.canonical)) + 1
+        done = end <= _CHUNK
+        end = min(end, _CHUNK)
+        # the replica's exponentials follow its uniforms in its own stream
+        times = run.draw("standard_exponential", np.empty(_CHUNK))[:end]
+        a = 0  # first event whose time is not yet known
+        # each epoch end inside the horizon closes at the first event whose
+        # blocks reach it; an event that settles two blocks can close an
+        # epoch with its first and open the next one with its second
+        while (len(run.durations) + 1) * L <= target:
+            c = int(np.searchsorted(canonical[:end], (len(run.durations) + 1) * L - run.canonical))
+            if c == end:
+                break
+            if c >= a:
+                run.tick(times[a : c + 1], erate.take(idx[a : c + 1]))
+                a = c + 1
+            duration = run.t - run.epoch_start
+            run.durations.append(duration)
+            closed = run.orphans + int(orphaned[c])
+            run.difficulty = dam_update(
+                duration, (L, closed - run.orphans_at_close), config.dam_mode, ep, run.difficulty
+            )
+            run.epoch_start = run.t
+            run.orphans_at_close = closed
+        if end > a:
+            run.tick(times[a:end], erate.take(idx[a:end]))
+        run.events += end
+        run.canonical += int(canonical[end - 1])
+        run.orphans += int(orphaned[end - 1])
+        run.revenue = float(revenue[end - 1])
+        if config.collect_trajectory:
+            # the honest curve is pinned to zero, not left as martingale noise
+            adv = np.zeros(end) if config.strategy == "honest" else revenue[:end] - drift * times
+            run.pieces.append(np.column_stack([times, adv]))
+        return done
+
+    runs = [_Run(seed) for seed in seeds]
+    live = list(runs)
+    offset = np.zeros(len(live), dtype=np.int64)
+    while live:
+        idx = np.empty((_CHUNK, len(live)), dtype=np.int64)
+        _walk(next_offset, cdf, shared, np.less_equal, _uniforms(live), offset, idx)
+        revenue = net.take(idx)
+        revenue[0] += [run.revenue for run in live]
+        np.add.accumulate(revenue, axis=0, out=revenue)
+        canonical = blocks.take(idx)  # blocks settled so far in the chunk
+        np.add.accumulate(canonical, axis=0, out=canonical)
+        orphaned = orphans.take(idx)
+        np.add.accumulate(orphaned, axis=0, out=orphaned)
+        done = np.array(
+            [advance(run, idx[:, j], revenue[:, j], canonical[:, j], orphaned[:, j]) for j, run in enumerate(live)]
+        )
+        del idx, revenue, canonical, orphaned  # free this chunk's columns before the next is drawn
+        if done.any():
+            live = [run for run, d in zip(live, done) if not d]
+            offset = offset[~done]
+    return [run.finish(target) for run in runs]
 
 
 def simulate(config: SimConfig) -> SimStats:
@@ -614,123 +796,26 @@ def simulate(config: SimConfig) -> SimStats:
     cumulative adversary revenue, net of bribes, against the expected
     honest take alpha_a * block_rate * block_reward * t; for the honest
     strategy that comparison is against itself, so the curve is pinned to
-    zero rather than left as martingale noise.
+    zero rather than left as martingale noise.  This is the clocked
+    engine's one-replica case, seeded from config.seed itself.
     """
-    auto = build_automaton(config)
-    ep = config.epoch
-    L = ep.blocks_per_epoch
-    lam = ep.block_rate
-    target = config.horizon * L if config.horizon_unit == "epochs" else config.horizon
-
-    # the inner loop runs once per event; plain lists plus bisect beat numpy
-    # row indexing at this granularity, so visited-state rows are converted
-    # lazily (MDP automata have too many states to convert up front)
-    cdf = _winner_cdf(auto.winner_p)
-    rows: dict[int, tuple] = {}
-
-    def row(s: int) -> tuple:
-        r = rows.get(s)
-        if r is None:
-            r = (
-                cdf[s].tolist(),
-                auto.next_state[s].tolist(),
-                auto.settled[s].tolist(),
-                auto.attacker[s].tolist(),
-                auto.bribe[s].tolist(),
-                auto.orphans[s].tolist(),
-                float(lam * auto.rate[s]),
-            )
-            rows[s] = r
-        return r
-
-    rng = np.random.default_rng(config.seed)
-    u = rng.random(_CHUNK)
-    g = rng.standard_exponential(_CHUNK)
-    pos = 0
-    draws = 2 * _CHUNK
-
-    honest_run = config.strategy == "honest"
-    alpha_a = auto.alpha_a
-    collect = config.collect_trajectory
-    times: list[float] = []
-    advs: list[float] = []
-    durations: list[float] = []
-
-    state = 0
-    t = 0.0
-    difficulty = 1.0
-    revenue = 0.0
-    canonical = 0
-    canon_epoch = 0
-    orphan_epoch = 0
-    orphan_total = 0
-    epoch_start = 0.0
-
-    while canonical < target:
-        if pos == _CHUNK:
-            u = rng.random(_CHUNK)
-            g = rng.standard_exponential(_CHUNK)
-            pos = 0
-            draws += 2 * _CHUNK
-        rcdf, rnxt, rset, ratt, rbri, rorp, erate = row(state)
-        w = bisect_right(rcdf, u[pos])
-        t += g[pos] * difficulty / erate
-        pos += 1
-
-        nb = int(rset[w])
-        orp = int(rorp[w])
-        revenue += ratt[w] - rbri[w]
-        orphan_epoch += orp
-        orphan_total += orp
-        if collect:
-            times.append(t)
-            advs.append(0.0 if honest_run else revenue - alpha_a * lam * t)
-        for _ in range(nb):
-            canonical += 1
-            canon_epoch += 1
-            if canon_epoch == L:
-                duration = t - epoch_start
-                durations.append(duration)
-                difficulty = dam_update(
-                    duration, (L, orphan_epoch), config.dam_mode, ep, difficulty
-                )
-                epoch_start = t
-                canon_epoch = 0
-                orphan_epoch = 0
-            if canonical == target:
-                break
-        state = int(rnxt[w])
-
-    if collect:
-        trajectory = np.column_stack([times, advs])
-    else:
-        trajectory = np.empty((0, 2))
-    return SimStats(
-        adversary_reward_share=revenue / canonical,
-        orphan_count=orphan_total,
-        epoch_durations=np.array(durations),
-        revenue_advantage=trajectory,
-        rng_draws=draws,
-    )
+    return _clocked_runs(config, [config.seed])[0]
 
 
 def simulate_many(config: SimConfig, replicas: int) -> list[SimStats]:
-    """Independent replicas under spawned child seeds, in deterministic order.
+    """Independent replicas under spawned child seeds, walked in lockstep.
 
     Results depend only on config.seed and replicas: seeds come from
-    SeedSequence.spawn and the output list keeps spawn order.
+    SeedSequence.spawn and the output list keeps spawn order.  Each replica
+    equals simulate() run alone under its child seed.
     """
     if replicas < 1:
         raise ValidationError("replicas must be at least 1")
-    ss = np.random.SeedSequence(config.seed)
-    children = ss.spawn(replicas)
-    configs = [
-        replace(config, seed=int(c.generate_state(1, np.uint64)[0])) for c in children
-    ]
-    return [simulate(c) for c in configs]
+    children = np.random.SeedSequence(config.seed).spawn(replicas)
+    return _clocked_runs(config, [int(c.generate_state(1, np.uint64)[0]) for c in children])
 
 
-# -- lockstep engine -----------------------------------------------------------------
+# -- clockless lockstep kernel -------------------------------------------------------
 
 
 def _check_lockstep(count, name: str, replicas, burn_in) -> None:
@@ -763,15 +848,7 @@ def _lockstep_visits(next_state, cdf, rng, replicas, burn_in, steps, side="left"
     visits = np.zeros(n_states * n_win, dtype=np.int64)
     for start in range(0, rows, block):
         n = min(block, rows - start)
-        u = rng.random((n, replicas))
-        if shared:
-            wins = np.zeros(u.shape, dtype=np.min_scalar_type(n_win))
-            for c in cdf[0, :-1]:
-                wins += below(c, u)
-        for t in range(n):
-            w = wins[t] if shared else below(cdf[offset // n_win], u[t][:, None]).sum(axis=1)
-            np.add(offset, w, out=idx[t])
-            next_offset.take(idx[t], out=offset)
+        _walk(next_offset, cdf, shared, below, rng.random((n, replicas)), offset, idx)
         visits += np.bincount(idx[max(0, burn_in - start):n].ravel(), minlength=visits.size)
     return visits.reshape(n_states, n_win)
 
@@ -781,7 +858,7 @@ def _lockstep_stats(visits, settled, reward, orphans, rng_draws: int) -> SimStat
     settled, reward, orphans = (float((visits * t).sum()) for t in (settled, reward, orphans))
     if settled <= 0:
         raise ValidationError("no blocks settled; the run is too short")
-    return SimStats(reward / settled, int(orphans), np.array([]), np.empty((0, 2)), rng_draws)
+    return SimStats(reward / settled, int(orphans), np.array([]), np.empty((0, 2)), rng_draws, int(visits.sum()))
 
 
 def reward_share_mc(

@@ -6,11 +6,13 @@ Taylor expansion of the closed forms over Fractions, and small Monte Carlo
 models written directly from the process definitions.  The fork-race MDP
 builder is kept here in its unlumped form, as the reference for the lumped
 one, greedy-policy extraction as the per-state loop it replaced, the
-share solver as the bisection that the Dinkelbach iteration replaced, and
-the three lockstep Monte Carlo loops that the visit-count kernel replaced.
+share solver as the bisection that the Dinkelbach iteration replaced, the
+three lockstep Monte Carlo loops that the visit-count kernel replaced, and
+the per-event clocked simulator that the lockstep clocked engine replaced.
 """
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +28,15 @@ from powplay.mdp import (
     policy_tables,
 )
 from powplay.model import AttackParams, PoolSet
-from powplay.sim import DEFAULT_SEED, SimStats, _distraction_automaton, build_automaton
+from powplay.sim import (
+    _CHUNK,
+    DEFAULT_SEED,
+    SimStats,
+    _distraction_automaton,
+    _winner_cdf,
+    build_automaton,
+    dam_update,
+)
 
 # -- exact lattice-path enumeration ------------------------------------------------
 #
@@ -607,8 +617,9 @@ def solve_reward_share_bisection(model, tol=1e-6, max_sweeps=500_000):
 
     Bisection on the share: at a candidate rho the transformed edge reward
     is reward - bribe - rho*settled, and the sign of the optimal average
-    reward says whether rho under- or overshoots.  The value table carries
-    over between steps.
+    reward says whether rho under- or overshoots; that sign is taken only
+    once the sweeps' span settles it.  The value table carries over between
+    steps.
     """
     n = model.state_count
     V = np.zeros(n)
@@ -618,13 +629,19 @@ def solve_reward_share_bisection(model, tol=1e-6, max_sweeps=500_000):
     while hi - lo > tol:
         rho = 0.5 * (lo + hi)
         span_tol = max(1e-12, (hi - lo) * 1e-3)
-        g, V, used, span = _sweeps(model, rho, V, span_tol, max_sweeps - spent)
-        spent += used
-        per_step.append(used)
-        if g is None:
-            raise ConvergenceError(
-                f"value iteration exhausted {max_sweeps} sweeps", residual=span
-            )
+        while True:
+            g, V, used, span = _sweeps(model, rho, V, span_tol, max_sweeps - spent)
+            spent += used
+            per_step.append(used)
+            if g is None:
+                raise ConvergenceError(
+                    f"value iteration exhausted {max_sweeps} sweeps", residual=span
+                )
+            # the optimal average reward lies within span / 2 of g: sweep on
+            # until that settles its sign, or the span reaches rounding level
+            if abs(g) > span / 2 or span_tol <= 1e-14:
+                break
+            span_tol = max(1e-14, span_tol * 1e-2)
         if g > 0:
             lo = rho
         else:
@@ -683,6 +700,7 @@ def reward_share_mc_loop(config, transitions=10_000_000, replicas=1024, burn_in=
         epoch_durations=np.array([]),
         revenue_advantage=np.empty((0, 2)),
         rng_draws=replicas * (burn_in + steps),
+        events=replicas * steps,
     )
 
 
@@ -717,7 +735,7 @@ def policy_rollout_loop(model, policy, seed=0, horizon=1_000_000, replicas=1_024
     n_win = next_tab.shape[1]
     p = np.append(model.shares, model.alpha_a)
     p = p / p.sum()
-    steps = max(1, horizon // replicas)
+    steps = math.ceil(horizon / replicas)
     rows = burn_in + steps
     rng = np.random.default_rng(seed)
     block = max(1, (1 << 16) // replicas)
@@ -741,6 +759,7 @@ def policy_rollout_loop(model, policy, seed=0, horizon=1_000_000, replicas=1_024
         epoch_durations=np.array([]),
         revenue_advantage=np.empty((0, 2)),
         rng_draws=rows * replicas,
+        events=steps * replicas,
     )
 
 
@@ -759,3 +778,109 @@ def lockstep_visits_loop(next_state, cdf, rng, replicas, burn_in, steps, side="l
             np.add.at(visits, (state, w), 1)
         state = next_state[state, w]
     return visits
+
+
+# -- the per-event clocked simulator --------------------------------------------------
+
+
+def simulate_sequential(config):
+    """One seeded clocked run, one event at a time, as sim.simulate ran it before lockstep."""
+    auto = build_automaton(config)
+    ep = config.epoch
+    L = ep.blocks_per_epoch
+    lam = ep.block_rate
+    target = config.horizon * L if config.horizon_unit == "epochs" else config.horizon
+
+    # the inner loop runs once per event; plain lists plus bisect beat numpy
+    # row indexing at this granularity, so visited-state rows are converted
+    # lazily (MDP automata have too many states to convert up front)
+    cdf = _winner_cdf(auto.winner_p)
+    rows: dict[int, tuple] = {}
+
+    def row(s: int) -> tuple:
+        r = rows.get(s)
+        if r is None:
+            r = (
+                cdf[s].tolist(),
+                auto.next_state[s].tolist(),
+                auto.settled[s].tolist(),
+                auto.attacker[s].tolist(),
+                auto.bribe[s].tolist(),
+                auto.orphans[s].tolist(),
+                float(lam * auto.rate[s]),
+            )
+            rows[s] = r
+        return r
+
+    rng = np.random.default_rng(config.seed)
+    u = rng.random(_CHUNK)
+    g = rng.standard_exponential(_CHUNK)
+    pos = 0
+    draws = 2 * _CHUNK
+
+    honest_run = config.strategy == "honest"
+    alpha_a = auto.alpha_a
+    collect = config.collect_trajectory
+    times: list[float] = []
+    advs: list[float] = []
+    durations: list[float] = []
+
+    state = 0
+    t = 0.0
+    difficulty = 1.0
+    revenue = 0.0
+    canonical = 0
+    canon_epoch = 0
+    orphan_epoch = 0
+    orphan_total = 0
+    epoch_start = 0.0
+    events = 0
+
+    while canonical < target:
+        if pos == _CHUNK:
+            u = rng.random(_CHUNK)
+            g = rng.standard_exponential(_CHUNK)
+            pos = 0
+            draws += 2 * _CHUNK
+        rcdf, rnxt, rset, ratt, rbri, rorp, erate = row(state)
+        w = bisect_right(rcdf, u[pos])
+        t += g[pos] * difficulty / erate
+        pos += 1
+        events += 1
+
+        nb = int(rset[w])
+        orp = int(rorp[w])
+        revenue += ratt[w] - rbri[w]
+        orphan_epoch += orp
+        orphan_total += orp
+        if collect:
+            times.append(t)
+            advs.append(0.0 if honest_run else revenue - alpha_a * lam * t)
+        for _ in range(nb):
+            canonical += 1
+            canon_epoch += 1
+            if canon_epoch == L:
+                duration = t - epoch_start
+                durations.append(duration)
+                difficulty = dam_update(
+                    duration, (L, orphan_epoch), config.dam_mode, ep, difficulty
+                )
+                epoch_start = t
+                canon_epoch = 0
+                orphan_epoch = 0
+            if canonical == target:
+                break
+        state = int(rnxt[w])
+
+    if collect:
+        trajectory = np.column_stack([times, advs])
+    else:
+        trajectory = np.empty((0, 2))
+    return SimStats(
+        adversary_reward_share=revenue / canonical,
+        orphan_count=orphan_total,
+        epoch_durations=np.array(durations),
+        revenue_advantage=trajectory,
+        rng_draws=draws,
+        events=events,
+    )

@@ -276,16 +276,27 @@ _DISTRACTION = {"alpha_a": 0.4, "alpha_i": 0.1, "alpha_c": 0.3, "alpha_nc": 0.2}
         ({"epoch": {"blocks_per_epoch": "10"}}, "'epoch.blocks_per_epoch'"),
         ({"epsilon": "x"}, "'epsilon'"),
         ({"max_bribe": 1.5}, "'max_bribe'"),
+        ({"collect_trajectory": "yes"}, "'collect_trajectory'"),
+        ({"horizon": True}, "'horizon'"),
+        ({"horizon": 2.5}, "'horizon'"),
+        ({"seed": True}, "'seed'"),
+        ({"seed": "0xC0FFEE"}, "'seed'"),
+        ({"strategy": 3}, "'strategy'"),
+        ({"horizon_unit": ["blocks"]}, "'horizon_unit'"),
+        ({"dam_mode": None}, "'dam_mode'"),
+        ({"strategy": "distraction", "distraction": _DISTRACTION, "puzzle_choice": 1}, "'puzzle_choice'"),
     ],
     ids=["target-name", "target-float", "target-bool", "targets-scalar", "distraction-value",
-         "distraction-scalar", "epoch-value", "epsilon", "max-bribe"],
+         "distraction-scalar", "epoch-value", "epsilon", "max-bribe", "collect-trajectory-string",
+         "horizon-bool", "horizon-float", "seed-bool", "seed-string", "strategy", "horizon-unit",
+         "dam-mode", "puzzle-choice"],
 )
 def test_sim_run_rejects_malformed_values(merged_file, tmp_path, capsys, extra, key):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"pools": merged_file, "adversary": "Foundry USA", "strategy": "bribery", **extra}))
     assert main(["sim", "run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and key in err
+    assert err.startswith("error:") and key in err and str(cfg) in err
 
 
 def test_profit_lag_schema_and_svg(merged_file, tmp_path, capsys):
@@ -312,7 +323,17 @@ def test_profit_lag_negative_points_exits_1(merged_file, capsys):
     rc = main(["sim", "profit-lag", "--attack", "bribery", "--pools", merged_file, "--adversary", "Unknown",
                "--epochs", "3", "--replicas", "1", "--points", "-3"])
     assert rc == 1
-    assert "points must be at least 1" in capsys.readouterr().err
+    assert "points must be at least 0" in capsys.readouterr().err
+
+
+def test_reproduce_fig4_points_0_keeps_every_point(tmp_path, capsys):
+    out = tmp_path / "fig4.csv"
+    assert main(["reproduce", "fig4", "--rows", "0", "--epochs", "3", "--points", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    art = read_artifact(out)
+    assert art.meta["points_per_curve"] == "0"
+    assert len(art.rows) > 400  # more events than the default 400 points
+    assert art.column("time") == sorted(art.column("time"))
 
 
 def test_profit_lag_selfish_attack_name_maps(merged_file, capsys):

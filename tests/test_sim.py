@@ -1,6 +1,7 @@
 """Simulation engines: automata vs closed forms, difficulty retargets, trajectories."""
 
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     distraction_occupancy_loop,
     lockstep_visits_loop,
     reward_share_mc_loop,
+    simulate_sequential,
 )
 from powplay.bribery import TargetPartition, bribery_reward_share, undercut_reward_share
 from powplay.distraction import DistractionParams, PowerSplit, distraction_reward_share, scenario_rates
@@ -26,6 +28,7 @@ from powplay.model import (
 )
 from powplay.selfish import selfish_profit
 from powplay.sim import (
+    _CHUNK,
     DEFAULT_SEED,
     HorizonWarning,
     SimConfig,
@@ -311,6 +314,7 @@ def test_reward_share_mc_matches_the_per_step_loop(kernel_case, transitions, rep
     want = reward_share_mc_loop(cfg, transitions, replicas, burn_in)
     assert got.orphan_count == want.orphan_count
     assert got.rng_draws == want.rng_draws
+    assert got.events == want.events == replicas * math.ceil(transitions / replicas)
     # only the order of the bribe sums differs
     assert got.adversary_reward_share == pytest.approx(want.adversary_reward_share, abs=1e-15)
 
@@ -323,7 +327,96 @@ def test_occupancy_matches_the_per_step_loop(choice, events, replicas, burn_in):
     np.testing.assert_array_equal(got, want)
 
 
-# -- sequential engine ---------------------------------------------------------------
+# -- clocked engine against the per-event loop it replaced ---------------------------
+
+
+def _assert_same_stats(got: SimStats, want: SimStats) -> None:
+    for f in fields(SimStats):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+def _spawned(cfg: SimConfig, replicas: int) -> list[SimConfig]:
+    children = np.random.SeedSequence(cfg.seed).spawn(replicas)
+    return [replace(cfg, seed=int(c.generate_state(1, np.uint64)[0])) for c in children]
+
+
+@pytest.mark.parametrize("dam_mode", ["canonical_only", "active_power"])
+@pytest.mark.parametrize("horizon, unit", [(3, "epochs"), (700, "blocks")], ids=["epochs", "blocks"])
+def test_simulate_equals_the_per_event_loop(kernel_case, dam_mode, horizon, unit):
+    cfg, _ = kernel_case
+    cfg = replace(cfg, epoch=EpochModel(blocks_per_epoch=300), horizon=horizon, horizon_unit=unit, dam_mode=dam_mode)
+    got = simulate(cfg)
+    _assert_same_stats(got, simulate_sequential(cfg))
+    assert got.events == len(got.revenue_advantage)
+    assert len(got.epoch_durations) == (horizon if unit == "epochs" else 2)
+
+
+def test_simulate_equals_the_per_event_loop_without_a_trajectory(merged_foundry):
+    cfg = SimConfig(merged_foundry, strategy="bribery", horizon=2, collect_trajectory=False, seed=4)
+    got = simulate(cfg)
+    _assert_same_stats(got, simulate_sequential(cfg))
+    assert got.revenue_advantage.shape == (0, 2) and got.events > 0
+
+
+def test_horizon_on_an_epoch_end_reached_by_a_two_block_event(merged_foundry):
+    # at seed 0 the event that settles block 1,200 settles blocks 1,199 and 1,200
+    cfg = SimConfig(merged_foundry, strategy="pi_selfish", epoch=EpochModel(blocks_per_epoch=400),
+                    horizon=3, dam_mode="active_power", seed=0)
+    want = simulate_sequential(cfg)
+    one_short = simulate_sequential(replace(cfg, horizon=1_199, horizon_unit="blocks"))
+    assert one_short.events == want.events
+    _assert_same_stats(simulate(cfg), want)
+
+
+@pytest.mark.parametrize("replicas", [1, 3, 24])
+@pytest.mark.parametrize("dam_mode", ["canonical_only", "active_power"])
+def test_simulate_many_equals_the_per_event_loop_across_chunks(merged_foundry, replicas, dam_mode):
+    # about 8,200 events a run: replicas finish in the second or third chunk
+    cfg = SimConfig(merged_foundry, strategy="pi_selfish", epoch=EpochModel(blocks_per_epoch=1_000),
+                    horizon=6_726, horizon_unit="blocks", dam_mode=dam_mode, seed=replicas)
+    runs = simulate_many(cfg, replicas)
+    for got, alone in zip(runs, _spawned(cfg, replicas), strict=True):
+        _assert_same_stats(got, simulate_sequential(alone))
+    if replicas == 24:
+        assert {math.ceil(r.events / _CHUNK) for r in runs} == {2, 3}
+        assert {r.rng_draws for r in runs} == {4 * _CHUNK, 6 * _CHUNK}
+
+
+class _GeneratorOnTheCdf:
+    """default_rng stand-in: uniforms cycle through the automaton's cdf entries, gaps are 1."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return np.resize(self.values, size)
+        out[:] = np.resize(self.values, out.shape)
+        return out
+
+    def standard_exponential(self, size=None, out=None):
+        if out is None:
+            return np.ones(size)
+        out[:] = 1.0
+        return out
+
+
+@pytest.mark.parametrize("case", [
+    SimConfig(PoolSet.from_shares(0.25, [0.25, 0.5]), strategy="pi_selfish", params=_EPS),
+    SimConfig(None, strategy="distraction", distraction=_DISTRACTION, puzzle_choice="bitcoin"),
+], ids=["one-row", "per-state"])
+def test_simulate_breaks_ties_as_bisect_right(monkeypatch, case):
+    cfg = replace(case, epoch=EpochModel(blocks_per_epoch=100), horizon=3)
+    values = np.unique(np.append(_winner_cdf(build_automaton(cfg).winner_p)[:, :-1], 0.0))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _GeneratorOnTheCdf(values))
+    _assert_same_stats(simulate(cfg), simulate_sequential(cfg))
+
+
+# -- clocked engine ------------------------------------------------------------------
 
 
 def test_sequential_honest_run(merged_foundry):
