@@ -206,6 +206,8 @@ def _cmd_undercut_share(args):
 
 
 def _cmd_mdp_solve(args):
+    if args.svg is not None:
+        raise ValidationError("mdp solve emits a JSON object; there is no curve to draw")
     pools = _load_pools(args)
     params = AttackParams(epsilon=args.epsilon, max_bribe=args.max_bribe)
     model = build_mdp(pools, params, fork_cap=args.fork_cap)
@@ -240,8 +242,6 @@ def _cmd_mdp_solve(args):
         }
         emit_artifact(Artifact("mdp_policy", meta, ("state", "action"), rows), out=args.policy_csv)
         print(f"wrote {len(rows)} policy rows -> {args.policy_csv}")
-    if args.svg is not None:
-        raise ValidationError("mdp solve emits a JSON object; there is no curve to draw")
     return None
 
 

@@ -128,12 +128,12 @@ def _load_snapshot(pool_file) -> PoolSet:
 
 
 def _downsample(points: np.ndarray, keep: int) -> np.ndarray:
-    """Thin a curve to ~keep points, always retaining both endpoints; keep=0 keeps every point."""
+    """Thin a curve to ~keep points, at least both endpoints; keep=0 keeps every point."""
     if keep < 0:
         raise ValidationError(f"points must be at least 0, got {keep}")
     if keep == 0 or len(points) <= keep:
         return points
-    idx = np.unique(np.linspace(0, len(points) - 1, keep).round().astype(int))
+    idx = np.unique(np.linspace(0, len(points) - 1, max(keep, 2)).round().astype(int))
     return points[idx]
 
 

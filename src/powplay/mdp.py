@@ -38,7 +38,6 @@ and the distribution carry over between steps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -570,19 +569,11 @@ def policy_rollout(
 
     Runs `replicas` chains for ceil(horizon / replicas) steps each (plus
     burn_in discarded ones), so at least horizon transitions are counted,
-    on powplay.sim's lockstep kernel and reads settled blocks, rewards net
-    of bribes and orphans off its visit counts.
-    Winners are drawn as rng.choice(p=shares) draws them; deterministic for
-    a fixed seed.
+    on powplay.sim's lockstep kernel, and reads settled blocks, rewards net
+    of bribes and orphans off its visit counts.  Its automaton and draws are
+    reward_share_mc's under strategy "mdp_policy", so the two agree field
+    by field at one seed.
     """
-    from powplay.sim import _check_lockstep, _lockstep_stats, _lockstep_visits
+    from powplay.sim import _policy_automaton, _share_mc
 
-    _check_lockstep(horizon, "horizon", replicas, burn_in)
-    next_tab, settled_tab, reward_tab, bribe_tab, orphan_tab = policy_tables(model, policy)
-    p = np.append(model.shares, model.alpha_a)
-    cdf = np.cumsum(p / p.sum())
-    cdf /= cdf[-1]
-    steps = math.ceil(horizon / replicas)
-    rng = np.random.default_rng(seed)
-    visits = _lockstep_visits(next_tab, cdf[None, :], rng, replicas, burn_in, steps, side="right")
-    return _lockstep_stats(visits, settled_tab, reward_tab - bribe_tab, orphan_tab, (burn_in + steps) * replicas)
+    return _share_mc(_policy_automaton(model, policy), horizon, "horizon", replicas, burn_in, seed)

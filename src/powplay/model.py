@@ -200,22 +200,18 @@ class AttackParams:
                on top of every bribe.
     max_bribe  largest whole-block bribe the attacker may attach when
                publishing a matching fork (the sweetener comes on top).
-    gamma      fraction of a bribe the briber recovers when it goes
-               uncollected.  The analyses assume full recovery; values other
-               than 1 are rejected rather than silently mishandled.
+
+    An uncollected bribe is recovered in full by the briber.
     """
 
     epsilon: float = 0.0
     max_bribe: int = 1
-    gamma: float = 1.0
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValidationError("epsilon must be >= 0")
         if self.max_bribe < 0:
             raise ValidationError("max_bribe must be >= 0")
-        if self.gamma != 1.0:
-            raise ValidationError("only full bribe recovery (gamma=1) is supported")
 
 
 @dataclass(frozen=True)

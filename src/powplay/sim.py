@@ -19,7 +19,12 @@ new one.
 Two engines share the automata and one path walker, _walk(), which steps
 every replica through the automaton in lockstep; where all states share one
 winner row (every automaton but distraction's), a block of steps has its
-winners counted at once:
+winners counted at once.  Every engine breaks ties by one rule: a uniform u
+picks the winner whose cdf interval [cdf[w-1], cdf[w]) holds it, as
+bisect_right and rng.choice do, so a winner of probability 0 is never
+drawn.  A fork-race MDP policy becomes an automaton in one place,
+_policy_automaton(), for the mdp_policy strategy and mdp.policy_rollout()
+alike.
 
 * the clocked engine behind simulate() and simulate_many() walks its
   replicas a chunk of events at a time and then, per chunk, tracks
@@ -31,7 +36,8 @@ winners counted at once:
 * the clockless kernel, _lockstep_visits(), ignores time, legitimate
   because the reward share is a ratio per canonical block.  It counts
   (state, winner) visits; reward_share_mc(), distraction_occupancy_mc() and
-  mdp.policy_rollout() multiply the counts by automaton tables.
+  mdp.policy_rollout() enter it through _run_lockstep() and multiply the
+  counts by automaton tables.
 
 Determinism: every run is a pure function of its seed.  Replicated runs
 spawn child seeds from numpy's SeedSequence and reduce results in list
@@ -50,6 +56,7 @@ import numpy as np
 from powplay.bribery import TargetPartition
 from powplay.distraction import DistractionParams, scenario_rates
 from powplay.errors import ValidationError
+from powplay.mdp import MdpModel, build_mdp, policy_tables, solve_reward_share
 from powplay.model import AttackParams, EpochModel, PoolSet
 
 DEFAULT_SEED = 0xC0FFEE
@@ -221,7 +228,10 @@ class _Automaton:
     Row s of winner_p gives the winner-column probabilities while in state s
     (columns: non-adversary pools in PoolSet.others() order, adversary last;
     the distraction automaton uses the four power-split categories instead).
-    rate[s] multiplies the base event rate in state s.
+    rate[s] multiplies the base event rate in state s.  Builders pass the
+    five tables positionally, in the order _empty_tables returns them, and
+    construct the automaton only once they are filled, so the checks below
+    see the final tables.
     """
 
     winner_p: np.ndarray
@@ -255,6 +265,7 @@ def _winner_cdf(winner_p: np.ndarray) -> np.ndarray:
 
 
 def _empty_tables(n_states: int, n_win: int):
+    """Zeroed (next_state, settled, attacker, bribe, orphans) tables for a builder to fill."""
     return (
         np.zeros((n_states, n_win), dtype=np.int64),
         np.zeros((n_states, n_win)),
@@ -264,25 +275,22 @@ def _empty_tables(n_states: int, n_win: int):
     )
 
 
+def _pool_automaton(pools: PoolSet, tables) -> _Automaton:
+    """The filled tables of a pool-set strategy, every state drawing winners by share.
+
+    Columns: rival pools in PoolSet.others() order, the adversary last.
+    """
+    n = tables[0].shape[0]
+    row = np.append([pools.pools[j].share for j in pools.others()], pools.adversary_share)
+    return _Automaton(np.tile(row, (n, 1)), np.ones(n), *tables, pools.adversary_share)
+
+
 def _honest_automaton(pools: PoolSet) -> _Automaton:
     """Single state; every block settles immediately for its miner."""
-    others = pools.others()
-    shares = np.array([pools.pools[j].share for j in others])
-    a = pools.adversary_share
-    W = len(others) + 1
-    nxt, settled, attacker, bribe, orphans = _empty_tables(1, W)
+    tables = _, settled, attacker, _, _ = _empty_tables(1, len(pools))
     settled[0, :] = 1.0
     attacker[0, -1] = 1.0
-    return _Automaton(
-        winner_p=np.append(shares, a).reshape(1, W),
-        rate=np.ones(1),
-        next_state=nxt,
-        settled=settled,
-        attacker=attacker,
-        bribe=bribe,
-        orphans=orphans,
-        alpha_a=a,
-    )
+    return _pool_automaton(pools, tables)
 
 
 def _selfish_automaton(pools: PoolSet, params: AttackParams) -> _Automaton:
@@ -294,35 +302,26 @@ def _selfish_automaton(pools: PoolSet, params: AttackParams) -> _Automaton:
     remembered: the owner keeps mining its own fork, everyone else takes the
     sweetener and mines the adversary's side.
     """
-    others = pools.others()
-    shares = np.array([pools.pools[j].share for j in others])
-    a = pools.adversary_share
     eps = params.epsilon
-    m = len(others)
-    W = m + 1
-    S = 3 + m
-    nxt, settled, attacker, bribe, orphans = _empty_tables(S, W)
+    m = len(pools) - 1
+    tables = nxt, settled, attacker, bribe, orphans = _empty_tables(3 + m, m + 1)
 
     # state 0: adversary hides its block, anyone else settles one
     nxt[0, -1] = 1
-    nxt[0, :m] = 0
     settled[0, :m] = 1.0
     # state 1: adversary extends the hidden lead; rival j forces a tie it owns
     nxt[1, -1] = 2
-    for j in range(m):
-        nxt[1, j] = 3 + j
+    nxt[1, :m] = 3 + np.arange(m)
     # state 2: adversary trickles one block per win; a rival block is overridden
     nxt[2, -1] = 2
     settled[2, -1] = 1.0
     attacker[2, -1] = 1.0
-    nxt[2, :m] = 0
     settled[2, :m] = 2.0
     attacker[2, :m] = 2.0
     orphans[2, :m] = 1.0
     # tie states: two public blocks race, the next block decides
     for j in range(m):
         s = 3 + j
-        nxt[s, :] = 0
         settled[s, :] = 2.0
         orphans[s, :] = 1.0
         attacker[s, -1] = 2.0
@@ -330,17 +329,7 @@ def _selfish_automaton(pools: PoolSet, params: AttackParams) -> _Automaton:
         attacker[s, j] = 0.0
         bribe[s, :m] = eps
         bribe[s, j] = 0.0
-
-    return _Automaton(
-        winner_p=np.tile(np.append(shares, a), (S, 1)),
-        rate=np.ones(S),
-        next_state=nxt,
-        settled=settled,
-        attacker=attacker,
-        bribe=bribe,
-        orphans=orphans,
-        alpha_a=a,
-    )
+    return _pool_automaton(pools, tables)
 
 
 def _partition_for(config: SimConfig) -> TargetPartition:
@@ -350,41 +339,47 @@ def _partition_for(config: SimConfig) -> TargetPartition:
     return TargetPartition.auto(pools, config.params.epsilon)
 
 
-def _bribery_automaton(pools: PoolSet, partition: TargetPartition, params: AttackParams) -> _Automaton:
-    """Bounty-funded orphaning, per-winner view of the bribery reward chain.
+def _target_automaton(pools: PoolSet, partition: TargetPartition, race) -> _Automaton:
+    """The state layout the bribery and undercut automata share with their reward chains.
 
-    States: idle, then per target t a standing-target state s1(t) and a
-    rival-race state s2(t), laid out exactly like the chain so the two
-    routes stay comparable state by state.
+    States: idle (0), then per target t a standing-target state 1 + t and
+    a rival-race state 1 + n + t, laid out exactly like the chains so the
+    two routes stay comparable state by state.  In the idle row the
+    adversary and bystanders settle one block and a target block opens an
+    attack.  race(tables, tcols, t, st, sr) fills target t's two rows
+    (tcols[t] is its column); then, in the rival-race row, a block of any
+    other target u settles the race and opens an attack on u.
     """
-    others = pools.others()
-    shares = np.array([pools.pools[j].share for j in others])
-    a = pools.adversary_share
-    eps = params.epsilon
-    m = len(others)
-    W = m + 1
-    n = len(partition.targets)
-    col = {pool: c for c, pool in enumerate(others)}
+    col = {pool: c for c, pool in enumerate(pools.others())}
     tcols = [col[p] for p in partition.targets]
-    bs = partition.target_shares
-    s1 = lambda t: 1 + t  # noqa: E731
-    s2 = lambda t: 1 + n + t  # noqa: E731
-    S = 1 + 2 * n
-    nxt, settled, attacker, bribe, orphans = _empty_tables(S, W)
-
-    # idle: adversary and bystanders settle one; a target block opens an attack
+    n = len(tcols)
+    tables = nxt, settled, attacker, _, _ = _empty_tables(1 + 2 * n, len(pools))
     settled[0, :] = 1.0
     attacker[0, -1] = 1.0
+    nxt[0, tcols] = 1 + np.arange(n)
+    settled[0, tcols] = 0.0
     for t, c in enumerate(tcols):
-        nxt[0, c] = s1(t)
-        settled[0, c] = 0.0
-    for t, c in enumerate(tcols):
-        bt = bs[t]
+        sr = 1 + n + t
+        race(tables, tcols, t, 1 + t, sr)
+        for u, cu in enumerate(tcols):
+            if u != t:
+                nxt[sr, cu] = 1 + u
+                settled[sr, cu] = 1.0
+    return _pool_automaton(pools, tables)
+
+
+def _bribery_automaton(pools: PoolSet, partition: TargetPartition, params: AttackParams) -> _Automaton:
+    """Bounty-funded orphaning, per-winner view of the bribery reward chain."""
+    eps = params.epsilon
+    bs = partition.target_shares
+
+    def race(tables, tcols, t, st, sr):
+        nxt, settled, attacker, bribe, orphans = tables
+        c = tcols[t]
         # target standing: adversary buries it, the owner renews it, any
         # other block becomes the bounty-funded rival (bounty paid at once)
-        st = s1(t)
-        nxt[st, :] = s2(t)
-        bribe[st, :] = bt + eps
+        nxt[st, :] = sr
+        bribe[st, :] = bs[t] + eps
         nxt[st, -1] = 0
         settled[st, -1] = 2.0
         attacker[st, -1] = 1.0
@@ -395,8 +390,6 @@ def _bribery_automaton(pools: PoolSet, partition: TargetPartition, params: Attac
         # rival standing: any non-owner block settles the race against the
         # owner (epsilon to the settler unless the adversary mined it);
         # the owner can rescue its block, which re-opens a fresh target
-        sr = s2(t)
-        nxt[sr, :] = 0
         settled[sr, :] = 2.0
         bribe[sr, :] = eps
         orphans[sr, :] = 1.0
@@ -405,60 +398,27 @@ def _bribery_automaton(pools: PoolSet, partition: TargetPartition, params: Attac
         nxt[sr, c] = st
         settled[sr, c] = 1.0
         bribe[sr, c] = 0.0
-        for u, cu in enumerate(tcols):
-            if u != t:
-                nxt[sr, cu] = s1(u)
-                settled[sr, cu] = 1.0
 
-    return _Automaton(
-        winner_p=np.tile(np.append(shares, a), (S, 1)),
-        rate=np.ones(S),
-        next_state=nxt,
-        settled=settled,
-        attacker=attacker,
-        bribe=bribe,
-        orphans=orphans,
-        alpha_a=a,
-    )
+    return _target_automaton(pools, partition, race)
 
 
 def _undercut_automaton(pools: PoolSet, partition: TargetPartition, params: AttackParams) -> _Automaton:
     """Self-mined rival racing, per-winner view of the undercut reward chain."""
-    others = pools.others()
-    shares = np.array([pools.pools[j].share for j in others])
-    a = pools.adversary_share
     eps = params.epsilon
-    m = len(others)
-    W = m + 1
-    n = len(partition.targets)
-    col = {pool: c for c, pool in enumerate(others)}
-    tcols = [col[p] for p in partition.targets]
-    s1 = lambda t: 1 + t  # noqa: E731
-    s2 = lambda t: 1 + n + t  # noqa: E731
-    S = 1 + 2 * n
-    nxt, settled, attacker, bribe, orphans = _empty_tables(S, W)
 
-    settled[0, :] = 1.0
-    attacker[0, -1] = 1.0
-    for t, c in enumerate(tcols):
-        nxt[0, c] = s1(t)
-        settled[0, c] = 0.0
-    for t, c in enumerate(tcols):
+    def race(tables, tcols, t, st, sr):
+        nxt, settled, attacker, bribe, orphans = tables
+        c = tcols[t]
         # target standing: the adversary mines the rival itself; a bystander
         # block settles the target outright; a target block (the owner's own
         # included) settles it and opens the next target
-        st = s1(t)
-        nxt[st, :] = 0
         settled[st, :] = 2.0
-        nxt[st, -1] = s2(t)
+        nxt[st, -1] = sr
         settled[st, -1] = 0.0
-        for u, cu in enumerate(tcols):
-            nxt[st, cu] = s1(u)
-            settled[st, cu] = 1.0
+        nxt[st, tcols] = 1 + np.arange(len(tcols))
+        settled[st, tcols] = 1.0
         # rival standing: everyone but the owner mines the sweetened rival
         # side, so the adversary's block settles unless the owner rescues
-        sr = s2(t)
-        nxt[sr, :] = 0
         settled[sr, :] = 2.0
         attacker[sr, :] = 1.0
         bribe[sr, :] = eps
@@ -469,21 +429,24 @@ def _undercut_automaton(pools: PoolSet, partition: TargetPartition, params: Atta
         settled[sr, c] = 1.0
         attacker[sr, c] = 0.0
         bribe[sr, c] = 0.0
-        for u, cu in enumerate(tcols):
-            if u != t:
-                nxt[sr, cu] = s1(u)
-                settled[sr, cu] = 1.0
 
-    return _Automaton(
-        winner_p=np.tile(np.append(shares, a), (S, 1)),
-        rate=np.ones(S),
-        next_state=nxt,
-        settled=settled,
-        attacker=attacker,
-        bribe=bribe,
-        orphans=orphans,
-        alpha_a=a,
-    )
+    return _target_automaton(pools, partition, race)
+
+
+def _policy_automaton(model: MdpModel, policy: Mapping) -> _Automaton:
+    """A fixed policy of a fork-race MDP: its chosen action's edges, per winner.
+
+    The one place a policy becomes an automaton, for reward_share_mc and
+    simulate under mdp_policy and for mdp.policy_rollout alike.  Winners are
+    drawn by the normalised shares.  A winner with no edge is a pool of
+    share 0, which is never drawn; its column points at state 0 so every
+    table entry stays in range.
+    """
+    nxt, *tables = policy_tables(model, policy)
+    nxt[nxt < 0] = 0
+    p = np.append(model.shares, model.alpha_a)
+    n = model.state_count
+    return _Automaton(np.tile(p / p.sum(), (n, 1)), np.ones(n), nxt, *tables, model.alpha_a)
 
 
 def _mdp_automaton(config: SimConfig) -> _Automaton:
@@ -491,31 +454,14 @@ def _mdp_automaton(config: SimConfig) -> _Automaton:
 
     Asks build_mdp for the model of the configured pools and fork cap, which
     reuses the cached topology when the caller has just built the same
-    model, then freezes the chosen action's edges into per-winner tables.
-    Solving happens here when no policy is supplied, which is the expensive
-    path.
+    model.  Solving happens here when no policy is supplied, which is the
+    expensive path.
     """
-    from powplay.mdp import build_mdp, policy_tables, solve_reward_share
-
     model = build_mdp(config.pools, config.params, fork_cap=config.fork_cap)
     policy = config.policy
     if policy is None:
         policy = solve_reward_share(model).policy
-    n = model.state_count
-    nxt, settled, attacker, bribe, orphans = policy_tables(model, policy)
-    assert np.all(nxt >= 0), "every state needs an edge for every winner"
-    p = np.append(model.shares, model.alpha_a)
-    p = p / p.sum()
-    return _Automaton(
-        winner_p=np.tile(p, (n, 1)),
-        rate=np.ones(n),
-        next_state=nxt,
-        settled=settled,
-        attacker=attacker,
-        bribe=bribe,
-        orphans=orphans,
-        alpha_a=model.alpha_a,
-    )
+    return _policy_automaton(model, policy)
 
 
 def _distraction_automaton(dparams: DistractionParams, choice: str) -> _Automaton:
@@ -538,8 +484,7 @@ def _distraction_automaton(dparams: DistractionParams, choice: str) -> _Automato
     br2, br3 = dparams.br2, dparams.br3
     race_owner_cols = [2] if choice == "mini_pow" else [2, 0]
     S = 2 + len(race_owner_cols)
-    W = 4
-    nxt, settled, attacker, bribe, orphans = _empty_tables(S, W)
+    tables = nxt, settled, attacker, bribe, orphans = _empty_tables(S, 4)
     winner_p = np.tile(raw, (S, 1))
     winner_p[1] = live
     rate = np.ones(S)
@@ -570,7 +515,6 @@ def _distraction_automaton(dparams: DistractionParams, choice: str) -> _Automato
     # of its blocks, the losing block is orphaned
     for k, oc in enumerate(race_owner_cols):
         s = 2 + k
-        nxt[s, :] = 0
         settled[s, :] = 2.0
         orphans[s, :] = 1.0
         attacker[s, :] = 1.0
@@ -580,16 +524,7 @@ def _distraction_automaton(dparams: DistractionParams, choice: str) -> _Automato
         attacker[s, oc] = 0.0
         bribe[s, oc] = 0.0
 
-    return _Automaton(
-        winner_p=winner_p,
-        rate=rate,
-        next_state=nxt,
-        settled=settled,
-        attacker=attacker,
-        bribe=bribe,
-        orphans=orphans,
-        alpha_a=split.alpha_a,
-    )
+    return _Automaton(winner_p, rate, *tables, split.alpha_a)
 
 
 def build_automaton(config: SimConfig) -> _Automaton:
@@ -612,27 +547,27 @@ def build_automaton(config: SimConfig) -> _Automaton:
 # -- the path walker ---------------------------------------------------------------
 
 
-def _walk(next_offset, cdf, shared, below, u, offset, idx) -> None:
+def _walk(next_offset, cdf, shared, u, offset, idx) -> None:
     """Walk every chain len(u) steps; the one path walker of both engines.
 
     Row t of u holds step t's uniform for each chain.  A chain's winner is
-    the count of its cdf row's entries that below(entry, u) admits: np.less
-    matches searchsorted's side="left", np.less_equal side="right" (and
-    bisect_right).  offset holds state * n_win per chain and is advanced in
-    place through next_offset; idx[t] receives the flat (state, winner)
-    index each chain visits at step t.  With shared (every cdf row equal)
-    the winners of all steps are counted at once, otherwise step by step
-    from each chain's own row.
+    the count of its cdf row's entries at most u, the one tie rule of every
+    engine: bisect_right's, searchsorted's side="right" and rng.choice's.
+    A winner of probability 0 is thus never drawn.  offset holds
+    state * n_win per chain and is advanced in place through next_offset;
+    idx[t] receives the flat (state, winner) index each chain visits at
+    step t.  With shared (every cdf row equal) the winners of all steps are
+    counted at once, otherwise step by step from each chain's own row.
     """
     n_win = cdf.shape[1]
     steps = len(u)
     if shared:
         wins = np.zeros(u.shape, dtype=np.min_scalar_type(n_win))
         for c in cdf[0, :-1]:
-            wins += below(c, u)
+            wins += c <= u
         del u  # callers pass u as a temporary, so the walk runs without it
     for t, row in enumerate(idx[:steps]):
-        w = wins[t] if shared else below(cdf[offset // n_win], u[t][:, None]).sum(axis=1)
+        w = wins[t] if shared else (cdf[offset // n_win] <= u[t][:, None]).sum(axis=1)
         np.add(offset, w, out=row)
         # every index is in range; "clip" skips the copy of out that "raise" makes
         next_offset.take(row, out=offset, mode="clip")
@@ -702,7 +637,7 @@ def _clocked_runs(config: SimConfig, seeds: list[int]) -> list[SimStats]:
     rng.standard_exponential(_CHUNK) from its own generator whenever it has
     used up its last chunk, as a run one event at a time would.  The clock
     never feeds back into the path, so a chunk's states and winners come
-    first (_walk, winners on bisect_right's side), then one column-wise pass
+    first (_walk), then one column-wise pass
     gathers each event's blocks, orphans and net reward and accumulates
     them down each replica's column, and then each replica's times follow,
     one segment between difficulty retargets at a time.  Every float
@@ -770,7 +705,7 @@ def _clocked_runs(config: SimConfig, seeds: list[int]) -> list[SimStats]:
     offset = np.zeros(len(live), dtype=np.int64)
     while live:
         idx = np.empty((_CHUNK, len(live)), dtype=np.int64)
-        _walk(next_offset, cdf, shared, np.less_equal, _uniforms(live), offset, idx)
+        _walk(next_offset, cdf, shared, _uniforms(live), offset, idx)
         revenue = net.take(idx)
         revenue[0] += [run.revenue for run in live]
         np.add.accumulate(revenue, axis=0, out=revenue)
@@ -818,29 +753,20 @@ def simulate_many(config: SimConfig, replicas: int) -> list[SimStats]:
 # -- clockless lockstep kernel -------------------------------------------------------
 
 
-def _check_lockstep(count, name: str, replicas, burn_in) -> None:
-    """Reject lockstep sizes that would divide by zero, walk nothing or count nothing."""
-    for value, label, least in ((count, name, 1), (replicas, "replicas", 1), (burn_in, "burn_in", 0)):
-        if not value >= least:
-            raise ValidationError(f"{label} must be at least {least}, got {value!r}")
-
-
-def _lockstep_visits(next_state, cdf, rng, replicas, burn_in, steps, side="left"):
+def _lockstep_visits(next_state, cdf, rng, replicas, burn_in, steps):
     """(state, winner) visit counts of replicas chains walked in lockstep from state 0.
 
     Each step draws rng.random(replicas), gives every chain the winner that
-    np.searchsorted(cdf[state], u, side) picks (every cdf row ends in 1.0)
-    and moves it to next_state[state, winner]; steps from burn_in on are
-    counted.  Uniforms come a block of steps at a time, which consumes the
-    generator exactly as one draw per step.  When all cdf rows are equal (all
-    automata but the distraction one), a block's winners are counted at once.
+    np.searchsorted(cdf[state], u, side="right") picks (every cdf row ends
+    in 1.0) and moves it to next_state[state, winner]; steps from burn_in
+    on are counted.  Uniforms come a block of steps at a time, which
+    consumes the generator exactly as one draw per step.  When all cdf rows
+    are equal (all automata but the distraction one), a block's winners are
+    counted at once.
     """
     n_states, n_win = next_state.shape
     next_offset = (next_state * n_win).ravel()  # successor's row start in the flat tables
     shared = bool((cdf == cdf[0]).all())
-    # searchsorted's index is the count of entries below u (side="left") or
-    # at most u ("right"); the last entry, 1.0, is above every uniform
-    below = np.less if side == "left" else np.less_equal
     rows = burn_in + steps
     block = max(1, _LOCKSTEP_BLOCK // replicas)
     offset = np.zeros(replicas, dtype=np.int64)  # state * n_win per chain
@@ -848,14 +774,34 @@ def _lockstep_visits(next_state, cdf, rng, replicas, burn_in, steps, side="left"
     visits = np.zeros(n_states * n_win, dtype=np.int64)
     for start in range(0, rows, block):
         n = min(block, rows - start)
-        _walk(next_offset, cdf, shared, below, rng.random((n, replicas)), offset, idx)
+        _walk(next_offset, cdf, shared, rng.random((n, replicas)), offset, idx)
         visits += np.bincount(idx[max(0, burn_in - start):n].ravel(), minlength=visits.size)
     return visits.reshape(n_states, n_win)
 
 
-def _lockstep_stats(visits, settled, reward, orphans, rng_draws: int) -> SimStats:
-    """Share of reward (net of bribes) per settled block, from visit counts times tables."""
-    settled, reward, orphans = (float((visits * t).sum()) for t in (settled, reward, orphans))
+def _run_lockstep(auto: _Automaton, count, label: str, replicas, burn_in, seed):
+    """The one lockstep entry: visits of a seeded walk of auto counting at least count transitions.
+
+    Walks replicas chains for burn_in uncounted and ceil(count / replicas)
+    counted steps under default_rng(seed).  Returns the (state, winner)
+    visit counts and the uniforms drawn.  Sizes that would divide by zero,
+    walk nothing or count nothing are rejected, naming count as label.
+    """
+    for value, name, least in ((count, label, 1), (replicas, "replicas", 1), (burn_in, "burn_in", 0)):
+        if not value >= least:
+            raise ValidationError(f"{name} must be at least {least}, got {value!r}")
+    steps = math.ceil(count / replicas)
+    rng = np.random.default_rng(seed)
+    visits = _lockstep_visits(auto.next_state, _winner_cdf(auto.winner_p), rng, replicas, burn_in, steps)
+    return visits, replicas * (burn_in + steps)
+
+
+def _share_mc(auto: _Automaton, count, label: str, replicas, burn_in, seed) -> SimStats:
+    """Share of reward (net of bribes) per settled block: _run_lockstep's visits times auto's tables."""
+    visits, rng_draws = _run_lockstep(auto, count, label, replicas, burn_in, seed)
+    settled, reward, orphans = (
+        float((visits * t).sum()) for t in (auto.settled, auto.attacker - auto.bribe, auto.orphans)
+    )
     if settled <= 0:
         raise ValidationError("no blocks settled; the run is too short")
     return SimStats(reward / settled, int(orphans), np.array([]), np.empty((0, 2)), rng_draws, int(visits.sum()))
@@ -875,13 +821,7 @@ def reward_share_mc(
     which removes the bias of always starting in the idle state.  The
     statistics are the kernel's visit counts times the automaton's tables.
     """
-    _check_lockstep(transitions, "transitions", replicas, burn_in)
-    auto = build_automaton(config)
-    steps = math.ceil(transitions / replicas)
-    rng = np.random.default_rng(config.seed)
-    visits = _lockstep_visits(auto.next_state, _winner_cdf(auto.winner_p), rng, replicas, burn_in, steps)
-    net = auto.attacker - auto.bribe
-    return _lockstep_stats(visits, auto.settled, net, auto.orphans, replicas * (burn_in + steps))
+    return _share_mc(build_automaton(config), transitions, "transitions", replicas, burn_in, config.seed)
 
 
 def distraction_occupancy_mc(
@@ -898,11 +838,7 @@ def distraction_occupancy_mc(
     the result lines up with the three-state occupancy the closed forms
     report.
     """
-    _check_lockstep(events, "events", replicas, burn_in)
-    auto = _distraction_automaton(dparams, choice)
-    steps = math.ceil(events / replicas)
-    rng = np.random.default_rng(seed)
-    visits = _lockstep_visits(auto.next_state, _winner_cdf(auto.winner_p), rng, replicas, burn_in, steps)
+    visits, _ = _run_lockstep(_distraction_automaton(dparams, choice), events, "events", replicas, burn_in, seed)
     counts = visits.sum(axis=1)
     return np.array([counts[0], counts[1], counts[2:].sum()]) / counts.sum()
 

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from powplay.cli import main
@@ -13,6 +14,7 @@ from powplay.errors import ConvergenceError, ValidationError
 from powplay.experiments import (
     Artifact,
     ExperimentSpec,
+    _downsample,
     emit_artifact,
     read_artifact,
     validate_artifact,
@@ -95,10 +97,20 @@ def test_reproduce_rejects_foreign_parameter(capsys):
 
 
 def test_mdp_svg_request_exits_1(tiny_pool_file, tmp_path, capsys):
-    rc = main(["mdp", "solve", "--pools", tiny_pool_file, "--adversary", "B",
-               "--fork-cap", "3", "--svg", str(tmp_path / "x.svg")])
+    # the request is refused before anything is solved or written
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["mdp", "solve", "--pools", tiny_pool_file, "--adversary", "B", "--fork-cap", "3",
+               "--svg", str(out / "x.svg"), "--out", str(out / "r.json"), "--policy-csv", str(out / "p.csv")])
     assert rc == 1
-    capsys.readouterr()
+    assert "no curve to draw" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("keep, want", [(1, [0, 4]), (2, [0, 4]), (3, [0, 2, 4])])
+def test_downsample_keeps_both_endpoints(keep, want):
+    curve = np.arange(10.0).reshape(5, 2)
+    np.testing.assert_array_equal(_downsample(curve, keep), curve[want])
 
 
 # -- verdict commands ------------------------------------------------------------
@@ -247,6 +259,22 @@ def test_sim_run_inline_pools_and_distraction(tmp_path, capsys):
     share = float(row[1])
     expected = distraction_reward_share(PowerSplit(0.4, 0.1, 0.3, 0.2), 5, 0.04)
     assert share == pytest.approx(expected, abs=0.05)
+
+
+def test_sim_run_mdp_policy_with_a_zero_share_pool(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "pools": [{"name": "a", "share": 0.35}, {"name": "b", "share": 0.35},
+                  {"name": "c", "share": 0.3}, {"name": "d", "share": 0}],
+        "adversary": "a",
+        "strategy": "mdp_policy",
+        "fork_cap": 4,
+        "horizon": 1,
+        "epoch": {"blocks_per_epoch": 400},
+    }))
+    assert main(["sim", "run", "--config", str(cfg)]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+    assert row[0] == "mdp_policy" and 0.0 < float(row[1]) < 1.0
 
 
 @pytest.mark.parametrize("share", [True, "0.5"], ids=["bool", "string"])

@@ -1,5 +1,7 @@
 """Optimal fork-race withholding: model construction, ratio solver, rollouts."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,7 @@ from powplay.model import (
     bundled_pool_file,
     load_pool_file,
 )
+from powplay.sim import SimConfig, SimStats, reward_share_mc
 
 EPS01 = AttackParams(epsilon=0.1)
 EPS0 = AttackParams()
@@ -384,6 +387,20 @@ def test_rollout_matches_the_per_step_loop(two_pool_model, two_pool_solved, repl
         assert got.rng_draws == want.rng_draws
         assert got.events == want.events >= 200_000
         assert got.adversary_reward_share == pytest.approx(want.adversary_reward_share, abs=1e-15)
+
+
+def test_rollout_equals_reward_share_mc_under_the_policy(two_pool_model, two_pool_solved):
+    # a pool of share 0 has no edge, so its policy table has an empty column
+    zero = build_mdp(PoolSet.from_shares(0.35, [0.35, 0.3, 0.0]), EPS0, fork_cap=4)
+    cases = [(two_pool_model, two_pool_solved.policy), (zero, solve_reward_share(zero).policy)]
+    for model, policy in cases:
+        for seed in (3, 42):
+            cfg = SimConfig(model.pools, strategy="mdp_policy", params=model.params,
+                            fork_cap=model.fork_cap, policy=policy, seed=seed)
+            got = policy_rollout(model, policy, seed=seed, horizon=150_000)
+            want = reward_share_mc(cfg, transitions=150_000)
+            for f in fields(SimStats):
+                np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name), err_msg=f.name)
 
 
 @pytest.mark.parametrize(

@@ -70,7 +70,7 @@ def test_attack_params_validation():
     with pytest.raises(ValidationError):
         AttackParams(epsilon=-0.1)
     with pytest.raises(ValidationError):
-        AttackParams(gamma=0.9)
+        AttackParams(max_bribe=-1)
 
 
 def test_epoch_model_defaults():

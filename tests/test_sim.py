@@ -204,6 +204,20 @@ def test_lockstep_mdp_policy_matches_solver():
     assert _topology.cache_info().misses == misses
 
 
+def test_mdp_policy_runs_with_a_zero_share_rival():
+    # a pool of share 0 has no edge in the MDP; its winner column is never drawn
+    pools = PoolSet.from_shares(0.35, [0.35, 0.3, 0.0])
+    cfg = SimConfig(pools, strategy="mdp_policy", fork_cap=4, horizon=2,
+                    epoch=EpochModel(blocks_per_epoch=400), seed=5)
+    auto = build_automaton(cfg)
+    visits = _lockstep_visits(auto.next_state, _winner_cdf(auto.winner_p), np.random.default_rng(1), 256, 10, 400)
+    assert visits[:, 2].sum() == 0 and visits.sum() == 256 * 400
+    _assert_same_stats(simulate(cfg), simulate_sequential(cfg))
+    solved = solve_reward_share(build_mdp(pools, AttackParams(), fork_cap=4)).reward_share
+    stats = reward_share_mc(cfg, transitions=1_000_000)
+    assert stats.adversary_reward_share == pytest.approx(solved, abs=0.005)
+
+
 def test_lockstep_distraction_matches_closed_form():
     split = PowerSplit(0.3, 0.2, 0.5, 0.0)
     dp = DistractionParams(split, 5.0, 0.03, 0.0)
@@ -275,10 +289,13 @@ def test_only_the_distraction_automaton_has_more_than_one_winner_row(kernel_case
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("replicas, burn_in, steps", [(64, 37, 150), (5_000, 20, 30)])
 def test_kernel_visits_equal_the_searchsorted_loop(kernel_case, side, replicas, burn_in, steps):
+    # the kernel breaks ties as side="right"; no uniform of these seeded
+    # walks sits on a cdf entry, so the loop counts the same visits under
+    # either rule, which is why the one rule moved no seeded result
     # 5,000 replicas make blocks of 13 steps, so burn-in ends inside a block
     _, auto = kernel_case
     cdf = _winner_cdf(auto.winner_p)
-    got = _lockstep_visits(auto.next_state, cdf, np.random.default_rng(3), replicas, burn_in, steps, side)
+    got = _lockstep_visits(auto.next_state, cdf, np.random.default_rng(3), replicas, burn_in, steps)
     want = lockstep_visits_loop(auto.next_state, cdf, np.random.default_rng(3), replicas, burn_in, steps, side)
     np.testing.assert_array_equal(got, want)
     assert got.sum() == replicas * steps
@@ -295,16 +312,15 @@ class _UniformsOnTheCdf:
 
 @pytest.mark.parametrize("rows", [[[0.25, 0.5, 1.0]] * 2, [[0.25, 0.5, 1.0], [0.5, 0.75, 1.0]]],
                          ids=["one-row", "per-state"])
-def test_kernel_breaks_ties_by_side(rows):
+def test_kernel_breaks_ties_as_bisect_right(rows):
     next_state = np.array([[0, 1, 0], [1, 0, 1]])
     cdf = np.array(rows)
-    counts = {}
-    for side in ("left", "right"):
-        got = _lockstep_visits(next_state, cdf, _UniformsOnTheCdf(), 8, 3, 40, side)
-        want = lockstep_visits_loop(next_state, cdf, _UniformsOnTheCdf(), 8, 3, 40, side)
-        np.testing.assert_array_equal(got, want)
-        counts[side] = got
-    assert not np.array_equal(counts["left"], counts["right"])
+    got = _lockstep_visits(next_state, cdf, _UniformsOnTheCdf(), 8, 3, 40)
+    want = lockstep_visits_loop(next_state, cdf, _UniformsOnTheCdf(), 8, 3, 40, side="right")
+    np.testing.assert_array_equal(got, want)
+    # these uniforms do tell the rules apart
+    left = lockstep_visits_loop(next_state, cdf, _UniformsOnTheCdf(), 8, 3, 40, side="left")
+    assert not np.array_equal(got, left)
 
 
 @pytest.mark.parametrize("transitions, replicas, burn_in", [(200_000, 1024, 300), (150_000, 5_000, 20)])
