@@ -225,8 +225,8 @@ def _cmd_mdp_solve(args):
         sys.stdout.write(text)
     if args.policy_csv is not None:
         rows = []
-        for key in model.states:
-            action = result.policy[key]
+        for key, acts, slot in zip(model.states, model.actions, result.policy - model.state_ptr[:-1]):
+            action = acts[slot]
             label = action.kind if action.kind != "match" else f"match:{action.level}"
             rows.append((str(key), label))
         meta = {
@@ -440,8 +440,8 @@ def _parse_grid(spec: str | None, alpha_a: float) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"grid must be three numbers lo:hi:step, got {spec!r}")
-    if step <= 0 or lo <= 0 or hi < lo:
-        raise ValidationError("grid needs 0 < lo <= hi and step > 0")
+    if not (0 < lo <= hi and 0 < step < np.inf):
+        raise ValidationError("grid needs 0 < lo <= hi and a finite step > 0")
     if hi > 1.0 - alpha_a:
         raise ValidationError(
             f"grid reaches {hi:g} but the attacker leaves only {1.0 - alpha_a:g} to share"

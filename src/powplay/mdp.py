@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -90,10 +89,11 @@ class MdpModel:
     sweep is a gather + segmented sum + segmented max.  Rewards are stored
     gross; bribes separately; blocks settled separately, so the
     share-transformed reward is assembled per solver step.  The graph
-    fields (states, index, actions, the pointers and every edge array but
+    fields (states, actions, the pointers and every edge array but
     edge_prob and edge_bribe) are shared with every model of the same
     topology signature (see build_mdp): the arrays are read-only, and the
-    lists and the index must not be mutated.
+    lists must not be mutated.  A policy is an int64 array of each state's
+    chosen action slot: state s takes actions[s][slot - state_ptr[s]].
     """
 
     pools: PoolSet
@@ -104,7 +104,6 @@ class MdpModel:
     alpha_a: float
     petty: tuple[bool, ...]
     states: list
-    index: dict
     actions: list  # per state, list of MdpAction
     # flat layout
     state_ptr: np.ndarray  # state -> first action slot
@@ -220,7 +219,7 @@ def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ce
     """Enumerate every reachable lumped state with its actions and edges.
 
     The arguments are build_mdp's topology signature.  Returns (states,
-    index, actions, edge_level, arrays): arrays maps the MdpModel graph
+    actions, edge_level, arrays): arrays maps the MdpModel graph
     fields to read-only arrays, and edge_level is the bribe level collected
     on each edge, -1 where none is.
     """
@@ -275,7 +274,7 @@ def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ce
     edge_level = np.array(level, dtype=np.int32)
     for arr in (*arrays.values(), edge_level):
         arr.flags.writeable = False
-    return states, index, actions, edge_level, arrays
+    return states, actions, edge_level, arrays
 
 
 def build_mdp(
@@ -297,7 +296,7 @@ def build_mdp(
     have a positive share, whether the adversary does, which are petty, the
     groups of pools with equal (share, petty), fork_cap, max_bribe and
     state_ceiling.  Models with one signature share those structures; their
-    arrays are read-only and the lists and index must not be mutated.  Only
+    arrays are read-only and the lists must not be mutated.  Only
     edge_prob and edge_bribe are computed per call.
 
     The default fork_cap of 8 is a calibration point, not a convergence
@@ -329,7 +328,7 @@ def build_mdp(
     for j, kind in enumerate(zip(shares.tolist(), petty)):
         alike.setdefault(kind, []).append(j)
     groups = tuple(tuple(g) for g in alike.values() if len(g) > 1)
-    states, index, actions, edge_level, arrays = _topology(
+    states, actions, edge_level, arrays = _topology(
         tuple(bool(s > 0) for s in shares),
         alpha_a > 0,
         petty,
@@ -348,7 +347,6 @@ def build_mdp(
         alpha_a=alpha_a,
         petty=petty,
         states=states,
-        index=index,
         actions=actions,
         edge_prob=np.where(winner == ADVERSARY, alpha_a, shares[winner]),
         edge_bribe=np.where(edge_level >= 0, edge_level + params.epsilon, 0.0),
@@ -360,13 +358,14 @@ def build_mdp(
 class SolveResult:
     """Solved reward share with the greedy policy that attains it.
 
-    iterations counts value sweeps over all outer steps, sweeps_per_step
-    splits them by step, and residual is |g|, the average transformed reward
-    of the last step's value iteration.
+    policy holds each state's action slot (see MdpModel).  iterations
+    counts value sweeps over all outer steps, sweeps_per_step splits them by
+    step, and residual is |g|, the average transformed reward of the last
+    step's value iteration.
     """
 
     reward_share: float
-    policy: Mapping
+    policy: np.ndarray
     iterations: int
     residual: float
     outer_steps: int
@@ -404,14 +403,6 @@ def _greedy_slots(model: MdpModel, q_act: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(np.where(at_best, slots, q_act.size), s_ptr)
 
 
-def _greedy_policy(model: MdpModel, q_act: np.ndarray) -> dict:
-    """Each state's best action as a policy dict (first on ties)."""
-    first = _greedy_slots(model, q_act) - model.state_ptr[:-1]
-    return {
-        key: acts[i] for key, acts, i in zip(model.states, model.actions, first.tolist())
-    }
-
-
 def _stationary(count, dst, prob, pi, max_iterations=_STATIONARY_MAX):
     """Stationary distribution of a chain, by power iteration from pi.
 
@@ -434,16 +425,28 @@ def _stationary(count, dst, prob, pi, max_iterations=_STATIONARY_MAX):
     )
 
 
+def _policy_edges(model: MdpModel, policy: np.ndarray):
+    """(first, count, edges): state s's chosen action has count[s] edges,
+    edges[first[s]] onwards.  Raises ValidationError unless policy holds one
+    integer action slot per state, each in [state_ptr[s], state_ptr[s + 1]).
+    """
+    slots, ptr = np.asarray(policy), model.state_ptr
+    if not (slots.shape == (ptr.size - 1,) and slots.dtype.kind in "iu"
+            and np.all((ptr[:-1] <= slots) & (slots < ptr[1:]))):
+        raise ValidationError(f"a policy is an int array of {ptr.size - 1} action slots, one per state")
+    start = model.action_ptr[slots]
+    count = np.append(model.action_ptr[1:], model.edge_prob.size)[slots] - start
+    first = np.cumsum(count) - count
+    return first, count, np.repeat(start - first, count) + np.arange(first[-1] + count[-1])
+
+
 def _policy_ratio(model: MdpModel, slots: np.ndarray, pi: np.ndarray):
     """Exact long-run (reward - bribes) / settled of the policy taking slots.
 
     Returns the ratio, the settled blocks per transition and the policy's
     stationary distribution, found from pi.
     """
-    start = model.action_ptr[slots]
-    count = np.append(model.action_ptr[1:], model.edge_prob.size)[slots] - start
-    first = np.cumsum(count) - count
-    edges = np.repeat(start - first, count) + np.arange(first[-1] + count[-1])
+    first, count, edges = _policy_edges(model, slots)
     prob = model.edge_prob[edges]
     settled = np.add.reduceat(prob * model.edge_settled[edges], first)
     gain = np.add.reduceat(prob * (model.edge_reward[edges] - model.edge_bribe[edges]), first)
@@ -470,6 +473,8 @@ def solve_reward_share(
     span tight for tol, and returns that step's policy and its ratio.  The
     value table and the stationary distribution carry over between steps.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tol must be a positive finite number, got {tol!r}")
     n = model.state_count
     V = np.zeros(n)
     pi = np.zeros(n)
@@ -492,7 +497,8 @@ def solve_reward_share(
             ),
             model.action_ptr,
         )
-        ratio, settled, pi = _policy_ratio(model, _greedy_slots(model, q_act), pi)
+        slots = _greedy_slots(model, q_act)
+        ratio, settled, pi = _policy_ratio(model, slots, pi)
         step = ratio - rho
         rho = ratio
         if abs(step) < tol and span_tol <= end_span:
@@ -503,26 +509,20 @@ def solve_reward_share(
         span_tol = min(span_tol, max(end_span, abs(step) * settled * _SPAN_SHRINK))
     if not 0.0 <= rho <= 1.0:
         raise ConvergenceError(f"share {rho} escaped [0,1]", residual=abs(g))
-    return SolveResult(
-        rho, _greedy_policy(model, q_act), sum(per_step), abs(g), len(per_step), tuple(per_step)
-    )
+    return SolveResult(rho, slots, sum(per_step), abs(g), len(per_step), tuple(per_step))
 
 
-def honest_policy(model: MdpModel) -> dict:
+def honest_policy(model: MdpModel) -> np.ndarray:
     """Publish immediately, concede otherwise: reproduces honest mining."""
-    policy = {}
-    for key in model.states:
-        _, lbar, a, _, _ = key
-        if a > lbar:
-            policy[key] = MdpAction("override")
-        elif lbar >= 1:
-            policy[key] = MdpAction("adopt")
-        else:
-            policy[key] = MdpAction("wait")
-    return policy
+    override, adopt, wait = MdpAction("override"), MdpAction("adopt"), MdpAction("wait")
+    first = [
+        acts.index(override if a > lbar else adopt if lbar >= 1 else wait)
+        for (_, lbar, a, _, _), acts in zip(model.states, model.actions)
+    ]
+    return model.state_ptr[:-1] + np.array(first, dtype=np.int64)
 
 
-def policy_tables(model: MdpModel, policy: Mapping):
+def policy_tables(model: MdpModel, policy: np.ndarray):
     """Freeze a policy into per-winner tables of its chosen action's edges.
 
     Returns (next_state, settled, reward, bribe, orphans), each with one row
@@ -532,19 +532,8 @@ def policy_tables(model: MdpModel, policy: Mapping):
     """
     n = model.state_count
     n_win = len(model.shares) + 1
-    bounds = np.append(model.action_ptr, len(model.edge_prob))
-    rows, edges = [], []
-    for s, key in enumerate(model.states):
-        act = policy.get(key)
-        if act is None:
-            raise ValidationError(f"policy does not cover state {key}")
-        try:
-            slot = int(model.state_ptr[s]) + model.actions[s].index(act)
-        except ValueError:
-            raise ValidationError(f"action {act} infeasible in state {key}")
-        chosen = range(int(bounds[slot]), int(bounds[slot + 1]))
-        edges.extend(chosen)
-        rows.extend([s] * len(chosen))
+    _, count, edges = _policy_edges(model, policy)
+    rows = np.repeat(np.arange(n), count)
     w = model.edge_winner[edges]
     col = np.where(w == ADVERSARY, n_win - 1, w)
     next_state = np.full((n, n_win), -1, dtype=np.int64)
@@ -559,7 +548,7 @@ def policy_tables(model: MdpModel, policy: Mapping):
 
 def policy_rollout(
     model: MdpModel,
-    policy: Mapping,
+    policy: np.ndarray,
     seed: int = 0,
     horizon: int = 1_000_000,
     replicas: int = 1_024,

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,7 +107,8 @@ class SimConfig:
     carried by the DistractionParams power split.  targets=None lets the
     bribery and undercut strategies pick targets with TargetPartition.auto.
     policy=None makes mdp_policy solve for the optimal policy first (slow;
-    pass a solved policy when running several horizons on one model).
+    pass a solved policy, SolveResult.policy, when running several horizons
+    on one model).
     """
 
     pools: PoolSet | None
@@ -121,7 +121,7 @@ class SimConfig:
     dam_mode: str = "canonical_only"
     targets: tuple[int, ...] | None = None
     fork_cap: int = 8
-    policy: Mapping | None = None
+    policy: np.ndarray | None = None
     distraction: DistractionParams | None = None
     puzzle_choice: str = "mini_pow"
     collect_trajectory: bool = True
@@ -433,7 +433,7 @@ def _undercut_automaton(pools: PoolSet, partition: TargetPartition, params: Atta
     return _target_automaton(pools, partition, race)
 
 
-def _policy_automaton(model: MdpModel, policy: Mapping) -> _Automaton:
+def _policy_automaton(model: MdpModel, policy: np.ndarray) -> _Automaton:
     """A fixed policy of a fork-race MDP: its chosen action's edges, per winner.
 
     The one place a policy becomes an automaton, for reward_share_mc and

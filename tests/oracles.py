@@ -5,8 +5,9 @@ by a different route: exact lattice-path enumeration with integer DP, exact
 Taylor expansion of the closed forms over Fractions, and small Monte Carlo
 models written directly from the process definitions.  The fork-race MDP
 builder is kept here in its unlumped form, as the reference for the lumped
-one, greedy-policy extraction as the per-state loop it replaced, the
-share solver as the bisection that the Dinkelbach iteration replaced, the
+one, greedy-policy extraction as the per-state loop it replaced, freezing
+a policy into tables as the walk over a {state: action} dict it replaced,
+the share solver as the bisection that the Dinkelbach iteration replaced, the
 three lockstep Monte Carlo loops that the visit-count kernel replaced, and
 the per-event clocked simulator that the lockstep clocked engine replaced.
 """
@@ -23,7 +24,7 @@ from powplay.mdp import (
     MdpAction,
     MdpModel,
     SolveResult,
-    _greedy_policy,
+    _greedy_slots,
     _sweeps,
     policy_tables,
 )
@@ -582,7 +583,6 @@ def build_mdp_unlumped(
         alpha_a=alpha_a,
         petty=petty,
         states=states,
-        index=index,
         actions=actions,
         state_ptr=np.array(state_ptr, dtype=np.int64),
         action_ptr=np.array(action_ptr, dtype=np.int64),
@@ -600,13 +600,44 @@ def build_mdp_unlumped(
 
 
 def greedy_policy_loop(model, q_act):
-    """Each state's best action by one np.argmax per state (first on ties)."""
-    policy = {}
+    """Each state's best action slot by one np.argmax per state (first on ties)."""
+    slots = np.empty(model.state_count, dtype=np.int64)
     for s in range(model.state_count):
         a0, a1 = model.state_ptr[s], model.state_ptr[s + 1]
-        best = int(np.argmax(q_act[a0:a1]))
-        policy[model.states[s]] = model.actions[s][best]
-    return policy
+        slots[s] = a0 + int(np.argmax(q_act[a0:a1]))
+    return slots
+
+
+# -- freezing a policy into tables -------------------------------------------------
+
+
+def policy_tables_loop(model, policy):
+    """policy_tables of a {state key: MdpAction} policy, walked state by state."""
+    n = model.state_count
+    n_win = len(model.shares) + 1
+    bounds = np.append(model.action_ptr, len(model.edge_prob))
+    rows, edges = [], []
+    for s, key in enumerate(model.states):
+        act = policy.get(key)
+        if act is None:
+            raise ValidationError(f"policy does not cover state {key}")
+        try:
+            slot = int(model.state_ptr[s]) + model.actions[s].index(act)
+        except ValueError:
+            raise ValidationError(f"action {act} infeasible in state {key}")
+        chosen = range(int(bounds[slot]), int(bounds[slot + 1]))
+        edges.extend(chosen)
+        rows.extend([s] * len(chosen))
+    w = model.edge_winner[edges]
+    col = np.where(w == ADVERSARY, n_win - 1, w)
+    next_state = np.full((n, n_win), -1, dtype=np.int64)
+    next_state[rows, col] = model.edge_dst[edges]
+    tables = [next_state]
+    for values in (model.edge_settled, model.edge_reward, model.edge_bribe, model.edge_orphans):
+        table = np.zeros((n, n_win))
+        table[rows, col] = values[edges]
+        tables.append(table)
+    return tuple(tables)
 
 
 # -- the share solver by bisection -------------------------------------------------
@@ -659,7 +690,7 @@ def solve_reward_share_bisection(model, tol=1e-6, max_sweeps=500_000):
         model.edge_reward - model.edge_bribe - rho_star * model.edge_settled
     )
     q_edge = base + model.edge_prob * V[model.edge_dst]
-    policy = _greedy_policy(model, np.add.reduceat(q_edge, model.action_ptr))
+    policy = _greedy_slots(model, np.add.reduceat(q_edge, model.action_ptr))
     if not 0.0 <= rho_star <= 1.0:
         raise ConvergenceError(f"share {rho_star} escaped [0,1]", residual=residual)
     return SolveResult(rho_star, policy, spent, residual, len(per_step), tuple(per_step))

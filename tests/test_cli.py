@@ -386,7 +386,9 @@ def test_distraction_delta_default_grid(capsys):
 def test_distraction_delta_bad_grid_exits_1(capsys):
     assert main(["distraction", "delta", "--alpha-a", "0.4", "--br2", "0.04", "--d", "5", "--grid", "nope"]) == 1
     assert main(["distraction", "delta", "--alpha-a", "0.4", "--br2", "0.04", "--d", "5", "--grid", "0.1:0.9:0.1"]) == 1
-    capsys.readouterr()
+    for grid in ("0.01:0.1:nan", "0.01:nan:0.01", "nan:0.1:0.01", "0.01:0.1:0"):
+        assert main(["distraction", "delta", "--alpha-a", "0.4", "--br2", "0.04", "--d", "5", "--grid", grid]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_distraction_min_d_matches_library(capsys):
@@ -430,6 +432,29 @@ def test_reproduce_fig6_series(capsys):
     out = capsys.readouterr().out
     series = {line.split(",")[0] for line in out.splitlines() if line and not line.startswith(("#", "series"))}
     assert series == {"delta_d5", "delta_d2", "min_d"}
+
+
+@pytest.mark.parametrize("step", ["0", "nan"])
+def test_reproduce_fig6_bad_step_exits_1(step, capsys):
+    assert main(["reproduce", "fig6", "--step", step]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walk", "threshold", "--d", "2", "--tol", "0"],
+        ["walk", "threshold", "--d", "2", "--tol", "-1"],
+        ["mdp", "solve", "--adversary", "A", "--fork-cap", "4", "--tol", "0"],
+        ["reproduce", "table2", "--rows", "0", "--tol", "nan"],
+    ],
+    ids=["walk-tol-0", "walk-tol-negative", "mdp-solve-tol-0", "reproduce-tol-nan"],
+)
+def test_tol_that_is_not_positive_and_finite_exits_1(argv, tiny_pool_file, capsys):
+    if argv[0] == "mdp":
+        argv = [*argv, "--pools", tiny_pool_file]
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_reproduce_json_format(tmp_path, capsys):

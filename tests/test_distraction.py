@@ -277,6 +277,19 @@ def test_min_difficulty_ratio_infeasible_reward():
         min_difficulty_ratio(0.3, 0.03, epsilon=0.5)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_min_difficulty_ratio_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    # at tol 0 the bisection stalls on adjacent floats and never returns
+    with pytest.raises(ValidationError):
+        min_difficulty_ratio(0.4, 0.04, 0.02, tol=tol)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, float("nan"), float("inf")])
+def test_default_grid_rejects_a_step_that_is_not_positive_and_finite(step):
+    with pytest.raises(ValidationError):
+        default_deciding_grid(0.4, step)
+
+
 # -- attacker reward share -----------------------------------------------------------
 
 

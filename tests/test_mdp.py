@@ -10,19 +10,21 @@ from oracles import (
     build_mdp_unlumped,
     greedy_policy_loop,
     policy_rollout_loop,
+    policy_tables_loop,
     solve_reward_share_bisection,
 )
 from powplay.errors import CapacityError, ConvergenceError, ValidationError
 from powplay.mdp import (
     ADVERSARY,
     MdpAction,
-    _greedy_policy,
+    _greedy_slots,
     _stationary,
     _sweeps,
     _topology,
     build_mdp,
     honest_policy,
     policy_rollout,
+    policy_tables,
     solve_reward_share,
 )
 from powplay.model import (
@@ -50,6 +52,12 @@ def two_pool_model():
 @pytest.fixture(scope="module")
 def two_pool_solved(two_pool_model):
     return solve_reward_share(two_pool_model)
+
+
+def _as_actions(model, slots):
+    """A slot policy as the {state key: MdpAction} dict the oracles walk."""
+    first = (slots - model.state_ptr[:-1]).tolist()
+    return {key: acts[i] for key, acts, i in zip(model.states, model.actions, first)}
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +233,13 @@ def test_solve_result_counts_steps_and_sweeps(two_pool_solved):
     assert 0.0 <= res.residual < 1e-6
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_solver_rejects_a_tol_that_is_not_positive_and_finite(two_pool_model, tol):
+    # at tol 0 the Dinkelbach steps never stop short of max_sweeps
+    with pytest.raises(ValidationError):
+        solve_reward_share(two_pool_model, tol=tol)
+
+
 def test_solver_out_of_sweeps_raises_with_residual(two_pool_model):
     with pytest.raises(ConvergenceError) as err:
         solve_reward_share(two_pool_model, max_sweeps=3)
@@ -355,10 +370,14 @@ def test_optimal_policy_rollout_agrees_with_solver(two_pool_model, two_pool_solv
 
 
 def test_rollout_rejects_partial_policy(two_pool_model, two_pool_solved):
-    partial = dict(two_pool_solved.policy)
-    partial.pop(next(iter(partial)))
-    with pytest.raises(ValidationError):
-        policy_rollout(two_pool_model, partial, seed=1, horizon=10_000)
+    model, slots = two_pool_model, two_pool_solved.policy
+    # the first state of one slot past its range: a slot of its neighbour
+    s = int(np.flatnonzero(np.diff(model.state_ptr) > 0)[0])
+    foreign = slots.copy()
+    foreign[s] = model.state_ptr[s + 1]
+    for policy in (slots[:-1], foreign, _as_actions(model, slots)):
+        with pytest.raises(ValidationError):
+            policy_rollout(model, policy, seed=1, horizon=10_000)
 
 
 def test_rollout_deterministic(two_pool_model, two_pool_solved):
@@ -425,7 +444,7 @@ def test_greedy_policy_matches_argmax_loop_on_fig3_row(fig3_row_model):
     q_act = np.add.reduceat(q_edge, model.action_ptr)
     tied = np.round(q_act, 2)  # ties between actions, settled by the first
     for q in (q_act, tied):
-        assert _greedy_policy(model, q) == greedy_policy_loop(model, q)
+        assert np.array_equal(_greedy_slots(model, q), greedy_policy_loop(model, q))
 
 
 @settings(max_examples=30, deadline=None)
@@ -434,7 +453,47 @@ def test_greedy_policy_matches_argmax_loop_on_drawn_models(case, seed):
     pools, params, cap, honest = case
     model = build_mdp(pools, params, fork_cap=cap, honest=honest)
     q_act = np.random.default_rng(seed).integers(0, 3, model.action_ptr.size).astype(float)
-    assert _greedy_policy(model, q_act) == greedy_policy_loop(model, q_act)
+    assert np.array_equal(_greedy_slots(model, q_act), greedy_policy_loop(model, q_act))
+
+
+# -- freezing a policy into tables --------------------------------------------------
+
+
+def _assert_tables_match_the_dict_walk(model, slots):
+    got = policy_tables(model, slots)
+    want = policy_tables_loop(model, _as_actions(model, slots))
+    for name, g, w in zip(("next_state", "settled", "reward", "bribe", "orphans"), got, want):
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+
+
+def _assert_honest(model, slots):
+    for (_, lbar, a, _, _), act in _as_actions(model, slots).items():
+        assert act.kind == ("override" if a > lbar else "adopt" if lbar >= 1 else "wait")
+
+
+def test_policy_tables_match_the_dict_walk_on_fig3_row():
+    foundry = load_pool_file(
+        bundled_pool_file("bitcoin_pools_2024_merged.json"), adversary="Foundry USA"
+    )
+    model = build_mdp(foundry, EPS0, fork_cap=6)
+    honest = honest_policy(model)
+    _assert_honest(model, honest)
+    for slots in (solve_reward_share(model).policy, honest):
+        assert slots.dtype == np.int64
+        _assert_tables_match_the_dict_walk(model, slots)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lumping_cases(), st.integers(0, 2**32 - 1))
+def test_policy_tables_match_the_dict_walk_on_drawn_models(case, seed):
+    pools, params, cap, honest = case
+    model = build_mdp(pools, params, fork_cap=cap, honest=honest)
+    q_act = np.random.default_rng(seed).integers(0, 3, model.action_ptr.size).astype(float)
+    honest_slots = honest_policy(model)
+    _assert_honest(model, honest_slots)
+    for slots in (_greedy_slots(model, q_act), honest_slots):
+        _assert_tables_match_the_dict_walk(model, slots)
 
 
 # -- action plumbing -----------------------------------------------------------------

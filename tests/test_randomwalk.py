@@ -181,3 +181,10 @@ def test_abandon_threshold_no_root_beyond_two():
 def test_abandon_threshold_rejects_short_races():
     with pytest.raises(ValidationError):
         abandon_threshold(1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_abandon_threshold_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    # at tol 0 the bisection stalls on adjacent floats and never returns
+    with pytest.raises(ValidationError):
+        abandon_threshold(2, tol=tol)
