@@ -30,7 +30,7 @@ from .distraction import (
     delta_sweep,
     min_difficulty_ratio,
 )
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, require_positive_finite
 from .experiments import (
     EXPERIMENT_KINDS,
     Artifact,
@@ -623,6 +623,8 @@ def _deliver(artifact: Artifact, args) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "tol", None) is not None:
+            require_positive_finite("tol", args.tol)  # before a solver command builds its model
         artifact = args.func(args)
         if artifact is not None:
             _deliver(artifact, args)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from powplay.errors import InfeasibleError, ValidationError
+from powplay.errors import InfeasibleError, ValidationError, require_positive_finite
 from powplay.model import EpochModel
 
 __all__ = [
@@ -264,8 +264,7 @@ def expected_return_delta(
 
 def default_deciding_grid(alpha_a: float, step: float = 0.01) -> np.ndarray:
     """Deciding-pool shares 0.01..0.30 (capped at what alpha_a leaves over)."""
-    if not 0.0 < step < np.inf:
-        raise ValidationError(f"step must be a positive finite number, got {step!r}")
+    require_positive_finite("step", step)
     hi = min(DEFAULT_GRID_HI, 1.0 - alpha_a)
     return np.arange(step, hi + step / 2, step)
 
@@ -313,8 +312,7 @@ def min_difficulty_ratio(
         raise ValidationError(f"alpha_a must be in (0, 1), got {alpha_a!r}")
     if br2 <= 0:
         raise ValidationError(f"br2 must be > 0, got {br2!r}")
-    if not 0.0 < tol < np.inf:
-        raise ValidationError(f"tol must be a positive finite number, got {tol!r}")
+    require_positive_finite("tol", tol)
     if alpha_i_grid is None:
         alpha_i_grid = default_deciding_grid(alpha_a)
     alpha_i_grid = [float(a) for a in alpha_i_grid]

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one positive-number check.
 
 The CLI maps these onto exit codes (validation 1, convergence 2, I/O 3), so
 library code should raise one of them rather than bare ValueError/RuntimeError
@@ -24,3 +24,9 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
+
+
+def require_positive_finite(name: str, value) -> None:
+    """Raise ValidationError unless value is a positive finite number (NaN is not)."""
+    if not 0.0 < value < float("inf"):
+        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from powplay.errors import CapacityError, ConvergenceError, ValidationError
+from powplay.errors import CapacityError, ConvergenceError, ValidationError, require_positive_finite
 from powplay.model import AttackParams, PoolSet
 
 __all__ = [
@@ -473,8 +473,7 @@ def solve_reward_share(
     span tight for tol, and returns that step's policy and its ratio.  The
     value table and the stationary distribution carry over between steps.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValidationError(f"tol must be a positive finite number, got {tol!r}")
+    require_positive_finite("tol", tol)
     n = model.state_count
     V = np.zeros(n)
     pi = np.zeros(n)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from powplay.errors import ConvergenceError, ValidationError
+from powplay.errors import ConvergenceError, ValidationError, require_positive_finite
 
 __all__ = [
     "SeriesResult",
@@ -164,8 +164,7 @@ def abandon_threshold(d: int, tol: float = 1e-6) -> float:
     """
     if d < 2:
         raise ValidationError(f"d must be >= 2, got {d!r}")
-    if not 0.0 < tol < np.inf:
-        raise ValidationError(f"tol must be a positive finite number, got {tol!r}")
+    require_positive_finite("tol", tol)
 
     def diff(a: float) -> float:
         r1, r2 = fork_abandon_returns(a, d)

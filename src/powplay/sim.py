@@ -17,14 +17,14 @@ in which case the first block closes the old epoch and the second opens the
 new one.
 
 Two engines share the automata and one path walker, _walk(), which steps
-every replica through the automaton in lockstep; where all states share one
-winner row (every automaton but distraction's), a block of steps has its
-winners counted at once.  Every engine breaks ties by one rule: a uniform u
-picks the winner whose cdf interval [cdf[w-1], cdf[w]) holds it, as
-bisect_right and rng.choice do, so a winner of probability 0 is never
-drawn.  A fork-race MDP policy becomes an automaton in one place,
-_policy_automaton(), for the mdp_policy strategy and mdp.policy_rollout()
-alike.
+every replica through the automaton in lockstep.  All states of an automaton
+draw winners from one cdf row (the distraction automaton's state-dependent
+rows are folded into one, _fold_rows), so a block of steps has its winners
+counted at once.  Every engine breaks ties by one rule: a uniform u picks
+the winner whose cdf interval [cdf[w-1], cdf[w]) holds it, as bisect_right
+and rng.choice do, so a winner of probability 0 is never drawn.  A fork-race
+MDP policy becomes an automaton in one place, _policy_automaton(), for the
+mdp_policy strategy and mdp.policy_rollout() alike.
 
 * the clocked engine behind simulate() and simulate_many() walks its
   replicas a chunk of events at a time and then, per chunk, tracks
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -121,7 +121,7 @@ class SimConfig:
     dam_mode: str = "canonical_only"
     targets: tuple[int, ...] | None = None
     fork_cap: int = 8
-    policy: np.ndarray | None = None
+    policy: np.ndarray | None = field(default=None, hash=False)
     distraction: DistractionParams | None = None
     puzzle_choice: str = "mini_pow"
     collect_trajectory: bool = True
@@ -155,6 +155,13 @@ class SimConfig:
             raise ValidationError("attack strategies need a positive adversary share")
         if self.strategy == "mdp_policy" and self.fork_cap < 2:
             raise ValidationError("fork_cap must be at least 2")
+
+    def __eq__(self, other):
+        # as the generated ==, but a policy array by value: its own == has no truth value
+        if type(other) is not SimConfig:
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if np.ndarray in (type(a), type(b)) else a == b for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -225,16 +232,16 @@ def dam_update(
 class _Automaton:
     """Per-winner transition tables shared by both engines.
 
-    Row s of winner_p gives the winner-column probabilities while in state s
-    (columns: non-adversary pools in PoolSet.others() order, adversary last;
-    the distraction automaton uses the four power-split categories instead).
+    Every state draws winner column w when a uniform falls in [cdf[w-1],
+    cdf[w]) (columns: non-adversary pools in PoolSet.others() order,
+    adversary last; for distraction, the pieces of its folded rows).
     rate[s] multiplies the base event rate in state s.  Builders pass the
     five tables positionally, in the order _empty_tables returns them, and
     construct the automaton only once they are filled, so the checks below
     see the final tables.
     """
 
-    winner_p: np.ndarray
+    cdf: np.ndarray
     rate: np.ndarray
     next_state: np.ndarray
     settled: np.ndarray
@@ -244,10 +251,9 @@ class _Automaton:
     alpha_a: float
 
     def __post_init__(self):
-        S, W = self.winner_p.shape
-        assert self.next_state.shape == (S, W)
-        assert np.all(self.winner_p >= -1e-15)
-        assert np.allclose(self.winner_p.sum(axis=1), 1.0, atol=1e-9)
+        S = self.n_states
+        assert self.cdf.ndim == 1 and self.next_state.shape == (S, self.cdf.size)
+        assert self.cdf[0] >= 0.0 and np.all(np.diff(self.cdf) >= 0.0) and self.cdf[-1] == 1.0
         assert np.all((self.next_state >= 0) & (self.next_state < S))
         assert np.all(self.settled >= self.attacker)
         assert np.all(self.attacker >= 0) and np.all(self.bribe >= -1e-12)
@@ -255,12 +261,14 @@ class _Automaton:
 
     @property
     def n_states(self) -> int:
-        return self.winner_p.shape[0]
+        return self.next_state.shape[0]
 
 
-def _winner_cdf(winner_p: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(winner_p, axis=1)
-    cdf[:, -1] = 1.0  # above every uniform, whatever the rounding of the sum
+def _winner_cdf(row: np.ndarray) -> np.ndarray:
+    """The cdf of one row of winner probabilities, its last entry forced to 1.0."""
+    cdf = np.cumsum(row)
+    assert abs(cdf[-1] - 1.0) <= 1e-9
+    cdf[-1] = 1.0  # above every uniform, whatever the rounding of the sum
     return cdf
 
 
@@ -280,9 +288,8 @@ def _pool_automaton(pools: PoolSet, tables) -> _Automaton:
 
     Columns: rival pools in PoolSet.others() order, the adversary last.
     """
-    n = tables[0].shape[0]
     row = np.append([pools.pools[j].share for j in pools.others()], pools.adversary_share)
-    return _Automaton(np.tile(row, (n, 1)), np.ones(n), *tables, pools.adversary_share)
+    return _Automaton(_winner_cdf(row), np.ones(tables[0].shape[0]), *tables, pools.adversary_share)
 
 
 def _honest_automaton(pools: PoolSet) -> _Automaton:
@@ -445,8 +452,7 @@ def _policy_automaton(model: MdpModel, policy: np.ndarray) -> _Automaton:
     nxt, *tables = policy_tables(model, policy)
     nxt[nxt < 0] = 0
     p = np.append(model.shares, model.alpha_a)
-    n = model.state_count
-    return _Automaton(np.tile(p / p.sum(), (n, 1)), np.ones(n), nxt, *tables, model.alpha_a)
+    return _Automaton(_winner_cdf(p / p.sum()), np.ones(model.state_count), nxt, *tables, model.alpha_a)
 
 
 def _mdp_automaton(config: SimConfig) -> _Automaton:
@@ -464,67 +470,66 @@ def _mdp_automaton(config: SimConfig) -> _Automaton:
     return _policy_automaton(model, policy)
 
 
-def _distraction_automaton(dparams: DistractionParams, choice: str) -> _Automaton:
-    """Hidden-block puzzle sale with per-state event rates.
+def _distraction_rows(dparams: DistractionParams, choice: str):
+    """Per-state winner rows, event rates and tables of the hidden-block puzzle sale.
 
     Winner columns are the power-split categories (deciding pool, compliant
     set, non-compliant set, adversary).  States: 0 quiet, 1 puzzle live
-    (event rate scaled by the extra mini-puzzle hash), then one race state
-    per possible owner of the defiant public block: the non-compliant set
-    always, the deciding pool too when it keeps mining standard blocks.
-    While racing, every non-owner mines the sweetened adversarial side; the
-    owner defends its own block.
+    (winners drawn from the primed split, event rate scaled by the extra
+    mini-puzzle hash), then one race state per possible owner of the
+    defiant public block: the non-compliant set always, the deciding pool
+    too when it keeps mining standard blocks.  While racing, every non-owner
+    mines the sweetened adversarial side; the owner defends its own block.
+    Returns (winner_p, rate, tables, alpha_a), winner_p holding one row per state.
     """
     sr = scenario_rates(dparams.split, dparams.d_ratio, choice)
     split = dparams.split
-    raw = np.array([split.alpha_i, split.alpha_c, split.alpha_nc, split.alpha_a])
-    live = np.array(
-        [sr.alpha_i_prime, sr.alpha_c_prime, sr.alpha_nc_prime, sr.alpha_a_prime]
-    )
+    raw = [split.alpha_i, split.alpha_c, split.alpha_nc, split.alpha_a]
+    live = [sr.alpha_i_prime, sr.alpha_c_prime, sr.alpha_nc_prime, sr.alpha_a_prime]
     br2, br3 = dparams.br2, dparams.br3
     race_owner_cols = [2] if choice == "mini_pow" else [2, 0]
     S = 2 + len(race_owner_cols)
     tables = nxt, settled, attacker, bribe, orphans = _empty_tables(S, 4)
-    winner_p = np.tile(raw, (S, 1))
-    winner_p[1] = live
-    rate = np.ones(S)
-    rate[1] = sr.rate_multiplier
+    winner_p = np.array([raw, live] + [raw] * len(race_owner_cols))
+    rate = np.array([1.0, sr.rate_multiplier] + [1.0] * len(race_owner_cols))
 
     # quiet: the adversary hides its block and opens the puzzle sale
-    settled[0, :] = 1.0
+    settled[0, :-1] = 1.0
     nxt[0, -1] = 1
-    settled[0, -1] = 0.0
     # live: adversary wins trickle-publish one hidden block and keep selling;
     # a solved puzzle anchors the hidden block (puzzle reward paid) and ends
     # the sale; a standard block elsewhere forces a race and the hidden
     # block goes public to contest it
     nxt[1, -1] = 1
-    settled[1, -1] = 1.0
-    attacker[1, -1] = 1.0
-    for c in (0, 1):  # deciding pool and compliant set
-        nxt[1, c] = 0
-        settled[1, c] = 1.0
-        attacker[1, c] = 1.0
-        bribe[1, c] = br2
-    for k, oc in enumerate(race_owner_cols):
-        nxt[1, oc] = 2 + k
-        settled[1, oc] = 0.0
-        attacker[1, oc] = 0.0
-        bribe[1, oc] = 0.0
+    settled[1, :] = attacker[1, :] = 1.0
+    bribe[1, :2] = br2  # deciding pool and compliant set
+    for s, oc in enumerate(race_owner_cols, start=2):
+        nxt[1, oc] = s
+        settled[1, oc] = attacker[1, oc] = bribe[1, oc] = 0.0
     # races: next block anywhere resolves; the winner's fork settles both
     # of its blocks, the losing block is orphaned
-    for k, oc in enumerate(race_owner_cols):
-        s = 2 + k
+    for s, oc in enumerate(race_owner_cols, start=2):
         settled[s, :] = 2.0
-        orphans[s, :] = 1.0
-        attacker[s, :] = 1.0
+        orphans[s, :] = attacker[s, :] = 1.0
         bribe[s, :] = br3
-        attacker[s, -1] = 2.0
-        bribe[s, -1] = 0.0
-        attacker[s, oc] = 0.0
-        bribe[s, oc] = 0.0
+        attacker[s, -1], bribe[s, -1] = 2.0, 0.0
+        attacker[s, oc] = bribe[s, oc] = 0.0
+    return winner_p, rate, tables, split.alpha_a
 
-    return _Automaton(winner_p, rate, *tables, split.alpha_a)
+
+def _fold_rows(winner_p: np.ndarray, rate, tables, alpha_a) -> _Automaton:
+    """The automaton of per-state winner rows, folded into one cdf with its tables re-indexed.
+
+    The cdf is every row's entries below 1.0 (no uniform reaches the rest),
+    merged, then 1.0.  No row has an entry inside its column k, [cdf[k-1],
+    cdf[k]), so state s draws there wins[s, k], the count of its row's
+    entries at most the column's lower end: bisect_right on its own row.
+    """
+    rows = np.cumsum(winner_p, axis=1)[:, :-1]
+    cdf = np.unique(np.append(rows[rows < 1.0], 1.0))
+    lower = np.append(-np.inf, cdf[:-1])
+    wins = (rows[:, None, :] <= lower[None, :, None]).sum(axis=2)
+    return _Automaton(cdf, rate, *(np.take_along_axis(t, wins, axis=1) for t in tables), alpha_a)
 
 
 def build_automaton(config: SimConfig) -> _Automaton:
@@ -540,34 +545,29 @@ def build_automaton(config: SimConfig) -> _Automaton:
     if config.strategy == "mdp_policy":
         return _mdp_automaton(config)
     if config.strategy == "distraction":
-        return _distraction_automaton(config.distraction, config.puzzle_choice)
+        return _fold_rows(*_distraction_rows(config.distraction, config.puzzle_choice))
     raise ValidationError(f"unknown strategy {config.strategy!r}")
 
 
 # -- the path walker ---------------------------------------------------------------
 
 
-def _walk(next_offset, cdf, shared, u, offset, idx) -> None:
+def _walk(next_offset, cdf, u, offset, idx) -> None:
     """Walk every chain len(u) steps; the one path walker of both engines.
 
-    Row t of u holds step t's uniform for each chain.  A chain's winner is
-    the count of its cdf row's entries at most u, the one tie rule of every
-    engine: bisect_right's, searchsorted's side="right" and rng.choice's.
-    A winner of probability 0 is thus never drawn.  offset holds
-    state * n_win per chain and is advanced in place through next_offset;
-    idx[t] receives the flat (state, winner) index each chain visits at
-    step t.  With shared (every cdf row equal) the winners of all steps are
-    counted at once, otherwise step by step from each chain's own row.
+    Row t of u holds step t's uniform for each chain.  Its winner, counted
+    for all steps at once, is the count of cdf's entries at most u, the one
+    tie rule of every engine: bisect_right's, searchsorted's side="right"
+    and rng.choice's, so a winner of probability 0 is never drawn.  offset
+    holds state * n_win per chain and is advanced in place through
+    next_offset; idx[t] receives the flat (state, winner) index each chain
+    visits at step t.
     """
-    n_win = cdf.shape[1]
-    steps = len(u)
-    if shared:
-        wins = np.zeros(u.shape, dtype=np.min_scalar_type(n_win))
-        for c in cdf[0, :-1]:
-            wins += c <= u
-        del u  # callers pass u as a temporary, so the walk runs without it
-    for t, row in enumerate(idx[:steps]):
-        w = wins[t] if shared else (cdf[offset // n_win] <= u[t][:, None]).sum(axis=1)
+    wins = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size))
+    for c in cdf[:-1]:
+        wins += c <= u
+    del u  # callers pass u as a temporary, so the walk runs without it
+    for w, row in zip(wins, idx):
         np.add(offset, w, out=row)
         # every index is in range; "clip" skips the copy of out that "raise" makes
         next_offset.take(row, out=offset, mode="clip")
@@ -649,9 +649,7 @@ def _clocked_runs(config: SimConfig, seeds: list[int]) -> list[SimStats]:
     ep = config.epoch
     L = ep.blocks_per_epoch
     target = config.horizon * L if config.horizon_unit == "epochs" else config.horizon
-    n_win = auto.next_state.shape[1]
-    cdf = _winner_cdf(auto.winner_p)
-    shared = bool((cdf == cdf[0]).all())
+    n_win = auto.cdf.size
     next_offset = (auto.next_state * n_win).ravel()
     # flat (state, winner) tables; a chunk's running block and orphan counts
     # fit the smallest type that holds _CHUNK times the table's largest entry
@@ -705,7 +703,7 @@ def _clocked_runs(config: SimConfig, seeds: list[int]) -> list[SimStats]:
     offset = np.zeros(len(live), dtype=np.int64)
     while live:
         idx = np.empty((_CHUNK, len(live)), dtype=np.int64)
-        _walk(next_offset, cdf, shared, _uniforms(live), offset, idx)
+        _walk(next_offset, auto.cdf, _uniforms(live), offset, idx)
         revenue = net.take(idx)
         revenue[0] += [run.revenue for run in live]
         np.add.accumulate(revenue, axis=0, out=revenue)
@@ -757,16 +755,13 @@ def _lockstep_visits(next_state, cdf, rng, replicas, burn_in, steps):
     """(state, winner) visit counts of replicas chains walked in lockstep from state 0.
 
     Each step draws rng.random(replicas), gives every chain the winner that
-    np.searchsorted(cdf[state], u, side="right") picks (every cdf row ends
-    in 1.0) and moves it to next_state[state, winner]; steps from burn_in
-    on are counted.  Uniforms come a block of steps at a time, which
-    consumes the generator exactly as one draw per step.  When all cdf rows
-    are equal (all automata but the distraction one), a block's winners are
-    counted at once.
+    np.searchsorted(cdf, u, side="right") picks (cdf, every state's one
+    winner row, ends in 1.0) and moves it to next_state[state, winner];
+    steps from burn_in on are counted.  Uniforms come a block of steps at a
+    time, which consumes the generator exactly as one draw per step.
     """
     n_states, n_win = next_state.shape
     next_offset = (next_state * n_win).ravel()  # successor's row start in the flat tables
-    shared = bool((cdf == cdf[0]).all())
     rows = burn_in + steps
     block = max(1, _LOCKSTEP_BLOCK // replicas)
     offset = np.zeros(replicas, dtype=np.int64)  # state * n_win per chain
@@ -774,7 +769,7 @@ def _lockstep_visits(next_state, cdf, rng, replicas, burn_in, steps):
     visits = np.zeros(n_states * n_win, dtype=np.int64)
     for start in range(0, rows, block):
         n = min(block, rows - start)
-        _walk(next_offset, cdf, shared, rng.random((n, replicas)), offset, idx)
+        _walk(next_offset, cdf, rng.random((n, replicas)), offset, idx)
         visits += np.bincount(idx[max(0, burn_in - start):n].ravel(), minlength=visits.size)
     return visits.reshape(n_states, n_win)
 
@@ -792,7 +787,7 @@ def _run_lockstep(auto: _Automaton, count, label: str, replicas, burn_in, seed):
             raise ValidationError(f"{name} must be at least {least}, got {value!r}")
     steps = math.ceil(count / replicas)
     rng = np.random.default_rng(seed)
-    visits = _lockstep_visits(auto.next_state, _winner_cdf(auto.winner_p), rng, replicas, burn_in, steps)
+    visits = _lockstep_visits(auto.next_state, auto.cdf, rng, replicas, burn_in, steps)
     return visits, replicas * (burn_in + steps)
 
 
@@ -838,7 +833,8 @@ def distraction_occupancy_mc(
     the result lines up with the three-state occupancy the closed forms
     report.
     """
-    visits, _ = _run_lockstep(_distraction_automaton(dparams, choice), events, "events", replicas, burn_in, seed)
+    auto = _fold_rows(*_distraction_rows(dparams, choice))
+    visits, _ = _run_lockstep(auto, events, "events", replicas, burn_in, seed)
     counts = visits.sum(axis=1)
     return np.array([counts[0], counts[1], counts[2:].sum()]) / counts.sum()
 

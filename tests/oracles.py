@@ -10,11 +10,15 @@ a policy into tables as the walk over a {state: action} dict it replaced,
 the share solver as the bisection that the Dinkelbach iteration replaced, the
 three lockstep Monte Carlo loops that the visit-count kernel replaced, and
 the per-event clocked simulator that the lockstep clocked engine replaced.
+The Monte Carlo loops draw the distraction automaton's winners from its
+per-state rows, as they did before the rows were folded into one cdf, and
+an exact stationary solve evaluates any automaton without sampling.
 """
 
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,8 +37,7 @@ from powplay.sim import (
     _CHUNK,
     DEFAULT_SEED,
     SimStats,
-    _distraction_automaton,
-    _winner_cdf,
+    _distraction_rows,
     build_automaton,
     dam_update,
 )
@@ -696,6 +699,71 @@ def solve_reward_share_bisection(model, tol=1e-6, max_sweeps=500_000):
     return SolveResult(rho_star, policy, spent, residual, len(per_step), tuple(per_step))
 
 
+# -- automata with one winner row per state ------------------------------------------
+
+
+def row_cdfs(winner_p):
+    """One cdf row per state, each ending in a forced 1.0."""
+    cdf = np.cumsum(winner_p, axis=1)
+    cdf[:, -1] = 1.0
+    return cdf
+
+
+def per_state_automaton(config):
+    """config's automaton with a winner cdf row per state.
+
+    The distraction automaton comes unfolded, from its per-state rows; every
+    other automaton draws all states from one row, which is repeated.
+    """
+    if config.strategy == "distraction":
+        winner_p, rate, tables, alpha_a = _distraction_rows(config.distraction, config.puzzle_choice)
+        cdf = row_cdfs(winner_p)
+    else:
+        auto = build_automaton(config)
+        rate, alpha_a = auto.rate, auto.alpha_a
+        tables = auto.next_state, auto.settled, auto.attacker, auto.bribe, auto.orphans
+        cdf = np.tile(auto.cdf, (auto.n_states, 1))
+    names = ("next_state", "settled", "attacker", "bribe", "orphans")
+    return SimpleNamespace(cdf=cdf, rate=rate, alpha_a=alpha_a, n_states=len(cdf), **dict(zip(names, tables)))
+
+
+def unfold_visits(visits, cdf, rows):
+    """Per-state winner visits from visits counted in the columns of one shared cdf.
+
+    Shared column k is the interval [cdf[k-1], cdf[k]); in state s it
+    belongs to the winner that bisect_right on rows[s] gives its lower end.
+    """
+    n_states, n_win = rows.shape
+    out = np.zeros((n_states, n_win), dtype=visits.dtype)
+    for s in range(n_states):
+        edges = rows[s, :-1].tolist()
+        for k in range(len(cdf)):
+            w = 0 if k == 0 else bisect_right(edges, cdf[k - 1])
+            out[s, w] += visits[s, k]
+    return out
+
+
+def exact_automaton(cdf, next_state, settled, reward):
+    """Exact (share, occupancy) of an automaton's state chain, by a dense stationary solve.
+
+    cdf is one winner row or one row per state; reward is the adversary's
+    net reward table (attacker blocks minus bribes).  The share is the
+    stationary reward per event over the stationary blocks settled per
+    event; occupancy is the stationary distribution over states.
+    """
+    n_states, n_win = next_state.shape
+    p = np.broadcast_to(np.diff(cdf, prepend=0.0, axis=-1), (n_states, n_win))
+    P = np.zeros((n_states, n_states))
+    np.add.at(P, (np.repeat(np.arange(n_states), n_win), next_state.ravel()), p.ravel())
+    A = P.T - np.eye(n_states)
+    A[-1] = 1.0  # the balance equations are dependent; one is replaced by normalisation
+    b = np.zeros(n_states)
+    b[-1] = 1.0
+    occupancy = np.linalg.solve(A, b)
+    share = occupancy @ (p * reward).sum(axis=1) / (occupancy @ (p * settled).sum(axis=1))
+    return float(share), occupancy
+
+
 # -- the lockstep Monte Carlo loops ------------------------------------------------
 #
 # One gather of every table per step, as the three engines ran before they
@@ -704,9 +772,8 @@ def solve_reward_share_bisection(model, tol=1e-6, max_sweeps=500_000):
 
 def reward_share_mc_loop(config, transitions=10_000_000, replicas=1024, burn_in=300):
     """Reward share over lockstep replicas, summed one step at a time."""
-    auto = build_automaton(config)
-    cdf = np.cumsum(auto.winner_p, axis=1)
-    cdf[:, -1] = 1.0
+    auto = per_state_automaton(config)
+    cdf = auto.cdf
     steps = max(1, math.ceil(transitions / replicas))
     rng = np.random.default_rng(config.seed)
     state = np.zeros(replicas, dtype=np.int64)
@@ -739,10 +806,9 @@ def distraction_occupancy_loop(
     dparams, choice="mini_pow", events=1_000_000, replicas=1024, burn_in=300, seed=DEFAULT_SEED
 ):
     """Per-event (quiet, live, racing) occupancy, counted one step at a time."""
-    auto = _distraction_automaton(dparams, choice)
-    cdf = np.cumsum(auto.winner_p, axis=1)
-    cdf[:, -1] = 1.0
-    S = auto.n_states
+    winner_p, _, (next_state, *_), _ = _distraction_rows(dparams, choice)
+    cdf = row_cdfs(winner_p)
+    S = len(cdf)
     steps = max(1, math.ceil(events / replicas))
     rng = np.random.default_rng(seed)
     state = np.zeros(replicas, dtype=np.int64)
@@ -752,7 +818,7 @@ def distraction_occupancy_loop(
             counts += np.bincount(state, minlength=S)
         u = rng.random(replicas)
         w = (cdf[state] < u[:, None]).sum(axis=1)
-        state = auto.next_state[state, w]
+        state = next_state[state, w]
     total = counts.sum()
     return np.array(
         [counts[0] / total, counts[1] / total, counts[2:].sum() / total]
@@ -795,7 +861,10 @@ def policy_rollout_loop(model, policy, seed=0, horizon=1_000_000, replicas=1_024
 
 
 def lockstep_visits_loop(next_state, cdf, rng, replicas, burn_in, steps, side="left"):
-    """(state, winner) visit counts with one searchsorted per visited state per step."""
+    """(state, winner) visit counts with one searchsorted per visited state per step.
+
+    cdf holds one winner row per state.
+    """
     n_states, n_win = next_state.shape
     state = np.zeros(replicas, dtype=np.int64)
     visits = np.zeros((n_states, n_win), dtype=np.int64)
@@ -816,7 +885,7 @@ def lockstep_visits_loop(next_state, cdf, rng, replicas, burn_in, steps, side="l
 
 def simulate_sequential(config):
     """One seeded clocked run, one event at a time, as sim.simulate ran it before lockstep."""
-    auto = build_automaton(config)
+    auto = per_state_automaton(config)
     ep = config.epoch
     L = ep.blocks_per_epoch
     lam = ep.block_rate
@@ -825,7 +894,7 @@ def simulate_sequential(config):
     # the inner loop runs once per event; plain lists plus bisect beat numpy
     # row indexing at this granularity, so visited-state rows are converted
     # lazily (MDP automata have too many states to convert up front)
-    cdf = _winner_cdf(auto.winner_p)
+    cdf = auto.cdf
     rows: dict[int, tuple] = {}
 
     def row(s: int) -> tuple:

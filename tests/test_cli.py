@@ -457,6 +457,20 @@ def test_tol_that_is_not_positive_and_finite_exits_1(argv, tiny_pool_file, capsy
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["mdp", "solve", "--adversary", "A", "--tol", "0"], ["reproduce", "table2", "--tol", "0"]],
+                         ids=["mdp-solve", "reproduce-table2"])
+def test_bad_tol_exits_1_before_any_model_is_built(argv, tiny_pool_file, monkeypatch, capsys):
+    def build_mdp(*args, **kwargs):
+        raise AssertionError("a model was built for a tolerance that is rejected")
+
+    monkeypatch.setattr("powplay.cli.build_mdp", build_mdp)
+    monkeypatch.setattr("powplay.experiments.build_mdp", build_mdp)
+    if argv[0] == "mdp":
+        argv = [*argv, "--pools", tiny_pool_file]
+    assert main(argv) == 1
+    assert "tol must be a positive finite number" in capsys.readouterr().err
+
+
 def test_reproduce_json_format(tmp_path, capsys):
     out = tmp_path / "t2.json"
     rc = main(["reproduce", "table2", "--rows", "0", "--format", "json", "--out", str(out)])

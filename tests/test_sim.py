@@ -5,14 +5,17 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     distraction_occupancy_loop,
+    exact_automaton,
     lockstep_visits_loop,
+    per_state_automaton,
     reward_share_mc_loop,
     simulate_sequential,
+    unfold_visits,
 )
 from powplay.bribery import TargetPartition, bribery_reward_share, undercut_reward_share
 from powplay.distraction import DistractionParams, PowerSplit, distraction_reward_share, scenario_rates
@@ -33,8 +36,8 @@ from powplay.sim import (
     HorizonWarning,
     SimConfig,
     SimStats,
+    _fold_rows,
     _lockstep_visits,
-    _winner_cdf,
     build_automaton,
     dam_update,
     distraction_occupancy_mc,
@@ -210,7 +213,7 @@ def test_mdp_policy_runs_with_a_zero_share_rival():
     cfg = SimConfig(pools, strategy="mdp_policy", fork_cap=4, horizon=2,
                     epoch=EpochModel(blocks_per_epoch=400), seed=5)
     auto = build_automaton(cfg)
-    visits = _lockstep_visits(auto.next_state, _winner_cdf(auto.winner_p), np.random.default_rng(1), 256, 10, 400)
+    visits = _lockstep_visits(auto.next_state, auto.cdf, np.random.default_rng(1), 256, 10, 400)
     assert visits[:, 2].sum() == 0 and visits.sum() == 256 * 400
     _assert_same_stats(simulate(cfg), simulate_sequential(cfg))
     solved = solve_reward_share(build_mdp(pools, AttackParams(), fork_cap=4)).reward_share
@@ -281,9 +284,34 @@ def kernel_case(request):
 
 
 def test_only_the_distraction_automaton_has_more_than_one_winner_row(kernel_case):
+    # before its rows are folded into one cdf, that is, as the oracles walk it
+    cfg, _ = kernel_case
+    rows = per_state_automaton(cfg).cdf
+    assert bool((rows == rows[0]).all()) == (cfg.strategy != "distraction")
+
+
+def test_every_automaton_has_one_cdf_row(kernel_case):
+    _, auto = kernel_case
+    assert auto.cdf.ndim == 1 and auto.cdf[-1] == 1.0
+    assert auto.next_state.shape == (auto.n_states, auto.cdf.size)
+
+
+def _state_count(cfg: SimConfig) -> int:
+    """States of cfg's automaton, from the layout each builder documents."""
+    if cfg.strategy == "distraction":
+        return {"mini_pow": 3, "bitcoin": 4}[cfg.puzzle_choice]
+    if cfg.strategy == "mdp_policy":
+        return build_mdp(cfg.pools, cfg.params, fork_cap=cfg.fork_cap).state_count
+    targets = len(TargetPartition.auto(cfg.pools, cfg.params.epsilon).targets)
+    counts = {"honest": 1, "pi_selfish": 2 + len(cfg.pools), "bribery": 1 + 2 * targets, "undercut": 1 + 2 * targets}
+    return counts[cfg.strategy]
+
+
+def test_automaton_n_states_counts_states_not_winner_columns(kernel_case):
+    # perfbench/spans.py records n_states as sim.automaton_states and its runs
+    # compare it between passes; folding the distraction rows widens the cdf only
     cfg, auto = kernel_case
-    one_row = bool((auto.winner_p == auto.winner_p[0]).all())
-    assert one_row == (cfg.strategy != "distraction")
+    assert auto.n_states == _state_count(cfg) == len(auto.rate)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -292,12 +320,13 @@ def test_kernel_visits_equal_the_searchsorted_loop(kernel_case, side, replicas, 
     # the kernel breaks ties as side="right"; no uniform of these seeded
     # walks sits on a cdf entry, so the loop counts the same visits under
     # either rule, which is why the one rule moved no seeded result
-    # 5,000 replicas make blocks of 13 steps, so burn-in ends inside a block
-    _, auto = kernel_case
-    cdf = _winner_cdf(auto.winner_p)
-    got = _lockstep_visits(auto.next_state, cdf, np.random.default_rng(3), replicas, burn_in, steps)
-    want = lockstep_visits_loop(auto.next_state, cdf, np.random.default_rng(3), replicas, burn_in, steps, side)
-    np.testing.assert_array_equal(got, want)
+    # 5,000 replicas make blocks of 13 steps, so burn-in ends inside a block;
+    # the loop walks per-state rows, the kernel the one (folded) cdf
+    cfg, auto = kernel_case
+    rows = per_state_automaton(cfg)
+    got = _lockstep_visits(auto.next_state, auto.cdf, np.random.default_rng(3), replicas, burn_in, steps)
+    want = lockstep_visits_loop(rows.next_state, rows.cdf, np.random.default_rng(3), replicas, burn_in, steps, side)
+    np.testing.assert_array_equal(unfold_visits(got, auto.cdf, rows.cdf), want)
     assert got.sum() == replicas * steps
 
 
@@ -313,13 +342,15 @@ class _UniformsOnTheCdf:
 @pytest.mark.parametrize("rows", [[[0.25, 0.5, 1.0]] * 2, [[0.25, 0.5, 1.0], [0.5, 0.75, 1.0]]],
                          ids=["one-row", "per-state"])
 def test_kernel_breaks_ties_as_bisect_right(rows):
+    # the kernel walks the rows folded into one cdf, the loop each state's own row
     next_state = np.array([[0, 1, 0], [1, 0, 1]])
-    cdf = np.array(rows)
-    got = _lockstep_visits(next_state, cdf, _UniformsOnTheCdf(), 8, 3, 40)
-    want = lockstep_visits_loop(next_state, cdf, _UniformsOnTheCdf(), 8, 3, 40, side="right")
+    rows = np.array(rows)
+    auto = _fold_rows(np.diff(rows, prepend=0.0), np.ones(2), [next_state, *np.zeros((4, 2, 3))], 0.5)
+    got = unfold_visits(_lockstep_visits(auto.next_state, auto.cdf, _UniformsOnTheCdf(), 8, 3, 40), auto.cdf, rows)
+    want = lockstep_visits_loop(next_state, rows, _UniformsOnTheCdf(), 8, 3, 40, side="right")
     np.testing.assert_array_equal(got, want)
     # these uniforms do tell the rules apart
-    left = lockstep_visits_loop(next_state, cdf, _UniformsOnTheCdf(), 8, 3, 40, side="left")
+    left = lockstep_visits_loop(next_state, rows, _UniformsOnTheCdf(), 8, 3, 40, side="left")
     assert not np.array_equal(got, left)
 
 
@@ -427,9 +458,79 @@ class _GeneratorOnTheCdf:
 ], ids=["one-row", "per-state"])
 def test_simulate_breaks_ties_as_bisect_right(monkeypatch, case):
     cfg = replace(case, epoch=EpochModel(blocks_per_epoch=100), horizon=3)
-    values = np.unique(np.append(_winner_cdf(build_automaton(cfg).winner_p)[:, :-1], 0.0))
+    # every entry of every state's own row, which the folded cdf must split at
+    values = np.unique(np.append(per_state_automaton(cfg).cdf[:, :-1], 0.0))
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _GeneratorOnTheCdf(values))
     _assert_same_stats(simulate(cfg), simulate_sequential(cfg))
+
+
+_WEIGHTS = st.integers(0, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _WEIGHTS, _WEIGHTS, _WEIGHTS, _WEIGHTS,
+    st.floats(1.0, 8.0), st.sampled_from([0.0, 0.02, 0.1]), st.sampled_from([0.0, 0.01, 0.05]),
+    st.sampled_from(["mini_pow", "bitcoin"]), st.integers(0, 2**32 - 1),
+)
+# no adversary power: the quiet row's entries sum to 1.0000000000000002 before its last column
+@example(0, 1, 2, 2, 3.0, 0.02, 0.0, "mini_pow", 1)
+def test_folded_distraction_walk_equals_the_per_state_rows(wa, wi, wc, wnc, d_ratio, br2, br3, choice, seed):
+    # whole-number weights put zero categories and coinciding row entries in reach
+    total = wa + wi + wc + wnc
+    assume(total > 0)
+    split = PowerSplit(wa / total, wi / total, wc / total, wnc / total)
+    cfg = SimConfig(None, strategy="distraction", distraction=DistractionParams(split, d_ratio, br2, br3),
+                    puzzle_choice=choice, epoch=EpochModel(blocks_per_epoch=100), horizon=2, seed=seed)
+    _assert_same_stats(simulate(cfg), simulate_sequential(cfg))
+
+
+# -- exact evaluation of the automata --------------------------------------------------
+
+
+def _criterion_06_pool_sets():
+    """The 20 random (pools, epsilon) cases of acceptance criterion 06."""
+    rng = np.random.default_rng(20260814)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        alpha = float(rng.uniform(0.12, 0.42))
+        eps = float(rng.uniform(0.0, 0.15))
+        rivals = tuple(float(v) for v in (1.0 - alpha) * rng.dirichlet(np.ones(n)))
+        yield PoolSet.from_shares(alpha, rivals), eps
+
+
+def _exact(auto):
+    return exact_automaton(auto.cdf, auto.next_state, auto.settled, auto.attacker - auto.bribe)
+
+
+def test_exact_automata_equal_the_closed_forms():
+    for pools, eps in _criterion_06_pool_sets():
+        a = pools.adversary_share
+        partition = TargetPartition.auto(pools, eps)
+        closed = {
+            "honest": a,
+            "pi_selfish": selfish_profit(a, residual_centralization_factor(pools), eps),
+            "bribery": bribery_reward_share(pools, partition, eps),
+            "undercut": undercut_reward_share(pools, partition, eps),
+        }
+        for strategy, want in closed.items():
+            auto = build_automaton(SimConfig(pools, strategy=strategy, params=AttackParams(epsilon=eps)))
+            assert _exact(auto)[0] == pytest.approx(want, abs=1e-12), (strategy, pools.shares, eps)
+
+
+@pytest.mark.parametrize("choice", ["mini_pow", "bitcoin"])
+@pytest.mark.parametrize("split", [PowerSplit(0.4, 0.1, 0.3, 0.2), PowerSplit(0.3, 0.2, 0.5, 0.0),
+                                   PowerSplit(0.25, 0.0, 0.5, 0.25)])
+def test_folding_keeps_the_exact_distraction_chain(split, choice):
+    cfg = SimConfig(None, strategy="distraction", distraction=DistractionParams(split, 5.0, 0.04, 0.02),
+                    puzzle_choice=choice)
+    folded, rows = build_automaton(cfg), per_state_automaton(cfg)
+    share, occupancy = _exact(folded)
+    want_share, want_occupancy = _exact(rows)
+    assert share == pytest.approx(want_share, abs=1e-14)
+    np.testing.assert_allclose(occupancy, want_occupancy, rtol=0, atol=1e-14)
+    # the quiet and live rows differ, so the fold has work to do
+    assert rows.cdf.shape == (folded.n_states, 4) and not np.array_equal(rows.cdf[0], rows.cdf[1])
 
 
 # -- clocked engine ------------------------------------------------------------------
@@ -631,6 +732,14 @@ def test_stats_shape_contract(merged_foundry):
     assert stats.epoch_durations.shape == (0,)
     assert stats.revenue_advantage.shape == (0, 2)
     assert stats.rng_draws >= 50_000
+
+
+def test_configs_holding_policies_compare_by_value():
+    pools = PoolSet.from_shares(0.35, [0.35, 0.3])
+    a, b, c = (SimConfig(pools, strategy="mdp_policy", policy=np.array(p)) for p in ([0, 1], [0, 1], [0, 2]))
+    assert (a == b) is True and hash(a) == hash(b)
+    assert (a == c) is False and a != c
+    assert a != replace(a, policy=None) and replace(a, policy=None) == replace(c, policy=None)
 
 
 def test_default_seed_is_pinned():
