@@ -36,6 +36,7 @@ from .experiments import (
     Artifact,
     ExperimentSpec,
     _downsample,
+    artifact_meta,
     emit_artifact,
     render_csv,
     render_json,
@@ -96,12 +97,6 @@ def _common() -> _Parser:
     return p
 
 
-def _meta(kind: str, args, **extra) -> dict:
-    out = {"artifact": kind, "seed": args.seed, "fork_cap": "n/a", "tolerance": "n/a"}
-    out.update(extra)
-    return out
-
-
 def _load_pools(args) -> PoolSet:
     return load_pool_file(args.pools, adversary=args.adversary)
 
@@ -140,7 +135,7 @@ def _cmd_selfish_threshold(args):
         f"withholding beats honest mining for a {args.alpha:g} attacker against "
         f"any rival mix with residual centralization factor below {thr:.6f}"
     )
-    meta = _meta("selfish_threshold", args, alpha=args.alpha, epsilon=args.epsilon, verdict=verdict)
+    meta = artifact_meta("selfish_threshold", args.seed, alpha=args.alpha, epsilon=args.epsilon, verdict=verdict)
     return Artifact(
         "selfish_threshold",
         meta,
@@ -159,7 +154,7 @@ def _cmd_selfish_dominant(args):
     ) + f"(threshold {verdict.threshold:.6f}, residual factor {verdict.residual_factor:.6f})"
     if not verdict.assumptions_ok:
         line += " [a rival pool is large enough to fight back; verdict is outside its assumptions]"
-    meta = _meta("selfish_dominant", args, pools=str(args.pools), adversary=args.adversary, verdict=line)
+    meta = artifact_meta("selfish_dominant", args.seed, pools=str(args.pools), adversary=args.adversary, verdict=line)
     columns = ("adversary", "adversary_share", "epsilon", "residual_factor", "threshold", "margin", "dominant")
     row = (
         args.adversary,
@@ -183,9 +178,8 @@ def _share_artifact(args, attack: str, fn) -> Artifact:
         f"{attack} moves {args.adversary!r} from reward share {honest:.4f} to "
         f"{share:.4f} ({share - honest:+.4f}) against targets: {target_names}"
     )
-    meta = _meta(
-        f"{attack}_share",
-        args,
+    meta = artifact_meta(
+        f"{attack}_share", args.seed,
         pools=str(args.pools),
         adversary=args.adversary,
         epsilon=args.epsilon,
@@ -215,7 +209,7 @@ def _cmd_mdp_solve(args):
     doc = {
         "reward_share": result.reward_share,
         "iterations": result.iterations,
-        "state_count": len(model.states),
+        "state_count": model.state_count,
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.out is not None:
@@ -224,22 +218,18 @@ def _cmd_mdp_solve(args):
     else:
         sys.stdout.write(text)
     if args.policy_csv is not None:
-        rows = []
-        for key, acts, slot in zip(model.states, model.actions, result.policy - model.state_ptr[:-1]):
-            action = acts[slot]
-            label = action.kind if action.kind != "match" else f"match:{action.level}"
-            rows.append((str(key), label))
-        meta = {
-            "artifact": "mdp_policy",
-            "seed": "n/a (deterministic solver)",
-            "fork_cap": args.fork_cap,
-            "tolerance": args.tol,
-            "pools": str(args.pools),
-            "adversary": args.adversary,
-            "epsilon": args.epsilon,
-            "max_bribe": args.max_bribe,
-            "reward_share": result.reward_share,
-        }
+        names = np.array(["wait", "adopt", "override"] + [f"match:{i}" for i in range(model.max_bribe + 1)])
+        m = len(model.shares)  # a row is (fork[0..m-1], lbar, a, match_active, level)
+        labels = [str((tuple(r[:m]), r[m], r[m + 1], bool(r[m + 2]), r[m + 3])) for r in model.states.tolist()]
+        rows = list(zip(labels, names[model.actions[result.policy]].tolist()))
+        meta = artifact_meta(
+            "mdp_policy", "n/a (deterministic solver)", args.fork_cap, args.tol,
+            pools=str(args.pools),
+            adversary=args.adversary,
+            epsilon=args.epsilon,
+            max_bribe=args.max_bribe,
+            reward_share=result.reward_share,
+        )
         emit_artifact(Artifact("mdp_policy", meta, ("state", "action"), rows), out=args.policy_csv)
         print(f"wrote {len(rows)} policy rows -> {args.policy_csv}")
     return None
@@ -358,16 +348,15 @@ def _cmd_sim_run(args):
     else:
         total_time = float("nan")
         final_advantage = float("nan")
-    meta = _meta(
+    meta = artifact_meta(
         "sim_run",
-        args,
+        cfg.seed,  # the config file wins over --seed when it sets one
+        cfg.fork_cap,
         config=str(args.config),
         strategy=cfg.strategy,
         dam_mode=cfg.dam_mode,
         horizon=f"{cfg.horizon} {cfg.horizon_unit}",
     )
-    meta["seed"] = cfg.seed  # the config file wins over --seed when it sets one
-    meta["fork_cap"] = cfg.fork_cap
     columns = (
         "strategy",
         "adversary_reward_share",
@@ -402,9 +391,8 @@ def _cmd_sim_profit_lag(args):
     )
     traj = revenue_advantage_trajectory(cfg, replicas=args.replicas)
     points = _downsample(traj.points, args.points)
-    meta = _meta(
-        "profit_lag",
-        args,
+    meta = artifact_meta(
+        "profit_lag", args.seed,
         attack=args.attack,
         pools=str(args.pools),
         adversary=args.adversary,
@@ -426,7 +414,7 @@ def _cmd_walk_threshold(args):
         f"chasing a fork {args.d} blocks behind pays only for a pool with "
         f"share above {thr:.4f}"
     )
-    meta = _meta("walk_threshold", args, tolerance=args.tol, verdict=verdict)
+    meta = artifact_meta("walk_threshold", args.seed, tolerance=args.tol, verdict=verdict)
     return Artifact("walk_threshold", meta, ("d", "abandon_threshold"), [(args.d, thr)])
 
 
@@ -461,9 +449,8 @@ def _cmd_distraction_delta(args):
         )
     else:
         verdict = f"the puzzle dominates chain mining for every deciding share on the grid ({len(rows)} points)"
-    meta = _meta(
-        "distraction_delta",
-        args,
+    meta = artifact_meta(
+        "distraction_delta", args.seed,
         alpha_a=args.alpha_a,
         br2=args.br2,
         epsilon=args.epsilon,
@@ -483,9 +470,8 @@ def _cmd_distraction_min_d(args):
         f"a puzzle {ratio:.4f}x easier than the chain is the cheapest one that "
         f"distracts every deciding share on the grid"
     )
-    meta = _meta(
-        "distraction_min_d",
-        args,
+    meta = artifact_meta(
+        "distraction_min_d", args.seed,
         grid=args.grid or f"default up to {grid[-1]:g}",
         verdict=verdict,
     )

@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the one positive-number check.
+"""Exception types shared across the package, and the positive-number and integer checks.
 
 The CLI maps these onto exit codes (validation 1, convergence 2, I/O 3), so
 library code should raise one of them rather than bare ValueError/RuntimeError
 whenever the failure belongs to one of those classes.
 """
+
+import numbers
 
 
 class ValidationError(ValueError):
@@ -30,3 +32,9 @@ def require_positive_finite(name: str, value) -> None:
     """Raise ValidationError unless value is a positive finite number (NaN is not)."""
     if not 0.0 < value < float("inf"):
         raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ValidationError unless value is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")

@@ -137,15 +137,13 @@ def _downsample(points: np.ndarray, keep: int) -> np.ndarray:
     return points[idx]
 
 
-def _base_meta(kind: str, seed, fork_cap, tolerance) -> dict:
-    # every artifact names these three even when a runner ignores one, so
-    # downstream readers never have to guess which knobs existed
-    return {
-        "artifact": kind,
-        "seed": seed,
-        "fork_cap": fork_cap,
-        "tolerance": tolerance,
-    }
+def artifact_meta(kind: str, seed="n/a", fork_cap="n/a", tolerance="n/a", **extra) -> dict:
+    """An artifact's metadata: the four keys validate_artifact requires, then extra.
+
+    Every artifact names these even when a runner ignores one, so
+    downstream readers never have to guess which knobs existed.
+    """
+    return {"artifact": kind, "seed": seed, "fork_cap": fork_cap, "tolerance": tolerance, **extra}
 
 
 # -- solver tables --------------------------------------------------------------
@@ -170,8 +168,8 @@ def _run_table(kind, spec, *, fork_cap, tol, rows, seed):
         )
 
     out = [solve_one(idx) for idx in take]
-    meta = _base_meta(kind, seed, fork_cap, TABLE_TOLERANCE)
-    meta.update(
+    meta = artifact_meta(
+        kind, seed, fork_cap, TABLE_TOLERANCE,
         adversary_share=alpha_a,
         epsilon=epsilon,
         max_bribe=params.max_bribe,
@@ -221,8 +219,8 @@ def run_table4(*, fork_cap=8, tol=1e-6, rows=None, seed=DEFAULT_SEED, pool_file=
         )
 
     out = [solve_one(idx) for idx in take]
-    meta = _base_meta("table4", seed, fork_cap, TABLE_TOLERANCE)
-    meta.update(
+    meta = artifact_meta(
+        "table4", seed, fork_cap, TABLE_TOLERANCE,
         pool_file=pool_file or BITCOIN_POOLS_MERGED,
         epsilon=params.epsilon,
         max_bribe=params.max_bribe,
@@ -268,8 +266,8 @@ def run_fig3(*, fork_cap=6, tol=1e-6, rows=None, seed=DEFAULT_SEED, pool_file=No
         )
 
     out = [eval_one(idx) for idx in take]
-    meta = _base_meta("fig3", seed, fork_cap, tol)
-    meta.update(
+    meta = artifact_meta(
+        "fig3", seed, fork_cap, tol,
         pool_file=pool_file or BITCOIN_POOLS_MERGED,
         epsilon=epsilon,
         ordering="bribery_share > undercut_share > withholding_mdp_share at small adversary_share",
@@ -314,8 +312,8 @@ def run_fig4(
         crossings[name] = traj.zero_crossing_time
         for t, v in _downsample(traj.points, points):
             out.append((name, float(t), float(v)))
-    meta = _base_meta("fig4", seed, "n/a", "n/a")
-    meta.update(
+    meta = artifact_meta(
+        "fig4", seed,
         pool_file=pool_file or BITCOIN_POOLS_MERGED,
         attack="bribery",
         epsilon=epsilon,
@@ -352,8 +350,8 @@ def run_fig5(
     )
     traj = revenue_advantage_trajectory(cfg, replicas=replicas)
     out = [(float(t), float(v)) for t, v in _downsample(traj.points, points)]
-    meta = _base_meta("fig5", seed, "n/a", "n/a")
-    meta.update(
+    meta = artifact_meta(
+        "fig5", seed,
         pool_file=pool_file or BITCOIN_POOLS_MERGED,
         attack="pi_selfish",
         adversary=adversary,
@@ -398,8 +396,9 @@ def run_fig6(
             continue
         sub = grid[grid <= s + step / 2]
         rows.append(("min_d", float(s), min_difficulty_ratio(alpha_a, br2, epsilon, sub)))
-    meta = _base_meta("fig6", seed, "n/a", epsilon)
-    meta.update(
+    meta = artifact_meta(
+        "fig6", seed,
+        tolerance=epsilon,
         alpha_a=alpha_a,
         br2=br2,
         epsilon=epsilon,

@@ -9,10 +9,12 @@ at most i mines on the attacker's fork; a pool that extends the attacker's
 fork collects i plus the sweetener, otherwise the attacker recollects the
 deposit.
 
-A state is the key (fork, lbar, a, match_active, level): fork[j] is pool
-j's block count on the public fork, lbar the public fork's length, a the
-attacker's secret length, and match_active/level whether a match is live
-and at which bribe level.  The chain is lumped exactly (Kemeny & Snell,
+A state is one int16 row (fork[0..m-1], lbar, a, match_active, level):
+fork[j] is rival pool j's block count on the public fork, lbar the public
+fork's length, a the attacker's secret length, and match_active/level
+whether a match is live and at which bribe level (-1 when none is).  An
+action is one int16 code: WAIT, ADOPT, OVERRIDE, or MATCH + i for a match
+at bribe level i.  The chain is lumped exactly (Kemeny & Snell,
 *Finite Markov Chains*; Givan, Dean & Greig 2003): a petty pool's count is
 only compared with a bribe level, so it is clipped at max_bribe + 1, and the
 honest pool's count, never read, stays 0; within each group of pools with
@@ -22,10 +24,11 @@ pool position.
 
 The graph does not depend on the share values or on epsilon, only on which
 pools mine, which take bribes, which are interchangeable and on the
-truncation.  It is enumerated once per such signature and cached (one at a
-time), so every pool of a snapshot turned adversary in turn reuses one
-enumeration.  Models of one signature share those structures, read-only;
-only the edge probabilities and bribe amounts are filled per model.
+truncation.  It is enumerated once per such signature, a breadth-first
+layer of states at a time, and cached (one at a time), so every pool of a
+snapshot turned adversary in turn reuses one enumeration.  Models of one
+signature share its arrays, read-only; only the edge probabilities and
+bribe amounts are filled per model.
 
 The objective is the long-run reward share net of bribes:
 (expected attacker blocks settled - expected bribes paid) divided by
@@ -38,17 +41,27 @@ and the distribution carry over between steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from powplay.errors import CapacityError, ConvergenceError, ValidationError, require_positive_finite
+from powplay.errors import (
+    CapacityError,
+    ConvergenceError,
+    ValidationError,
+    require_integer,
+    require_positive_finite,
+)
 from powplay.model import AttackParams, PoolSet
 
 __all__ = [
     "ADVERSARY",
-    "MdpAction",
+    "WAIT",
+    "ADOPT",
+    "OVERRIDE",
+    "MATCH",
     "MdpModel",
     "SolveResult",
     "build_mdp",
@@ -59,26 +72,13 @@ __all__ = [
 ]
 
 ADVERSARY = -1  # winner code for the attacker
+WAIT, ADOPT, OVERRIDE, MATCH = range(4)  # action codes; a match at bribe level i is MATCH + i
 _SPAN_START = 1e-3  # value-iteration span tolerance of the first outer step
 _SPAN_SHRINK = 1e-2  # later spans: this times the step times the settled rate
 _SPAN_FLOOR = 1e-10  # no span tolerance below this
 _STATIONARY_TOL = 1e-13  # L1 move that ends the stationary power iteration
 _STATIONARY_MAX = 100_000  # power iterations before ConvergenceError
 _STAY = 0.1  # laziness of the power-iterated chain
-
-
-@dataclass(frozen=True)
-class MdpAction:
-    """One attacker move; level is meaningful only for kind "match"."""
-
-    kind: str  # "wait" | "adopt" | "override" | "match"
-    level: int = -1
-
-    def __post_init__(self):
-        if self.kind not in ("wait", "adopt", "override", "match"):
-            raise ValidationError(f"unknown action kind {self.kind!r}")
-        if self.kind == "match" and self.level < 0:
-            raise ValidationError("match actions carry a bribe level >= 0")
 
 
 @dataclass
@@ -88,12 +88,13 @@ class MdpModel:
     Edge arrays are grouped by action and actions by state, so one value
     sweep is a gather + segmented sum + segmented max.  Rewards are stored
     gross; bribes separately; blocks settled separately, so the
-    share-transformed reward is assembled per solver step.  The graph
-    fields (states, actions, the pointers and every edge array but
-    edge_prob and edge_bribe) are shared with every model of the same
-    topology signature (see build_mdp): the arrays are read-only, and the
-    lists must not be mutated.  A policy is an int64 array of each state's
-    chosen action slot: state s takes actions[s][slot - state_ptr[s]].
+    share-transformed reward is assembled per solver step.  states holds
+    each state's row and actions each action slot's code (see the module
+    docstring).  The graph fields (states, actions, the pointers and every
+    edge array but edge_prob and edge_bribe) are read-only arrays shared
+    with every model of the same topology signature (see build_mdp).  A
+    policy is an int64 array of each state's chosen action slot: state s
+    takes the action actions[policy[s]].
     """
 
     pools: PoolSet
@@ -103,8 +104,8 @@ class MdpModel:
     shares: np.ndarray  # non-adversarial shares, order = pools.others()
     alpha_a: float
     petty: tuple[bool, ...]
-    states: list
-    actions: list  # per state, list of MdpAction
+    states: np.ndarray  # int16, one row per state
+    actions: np.ndarray  # int16, one code per action slot
     # flat layout
     state_ptr: np.ndarray  # state -> first action slot
     action_ptr: np.ndarray  # action slot -> first edge
@@ -121,158 +122,121 @@ class MdpModel:
         return len(self.states)
 
 
-def _grow(fork, j, clip, groups):
-    """fork with pool j's count raised by one, clipped, in canonical order."""
-    grown = list(fork)
-    if grown[j] < clip[j]:
-        grown[j] += 1
-    for group in groups:
-        for k, v in zip(group, sorted((grown[k] for k in group), reverse=True)):
-            grown[k] = v
-    return tuple(grown)
-
-
-def _successors(key, action, live, adversary_live, petty, clip, groups):
-    """Yield (winner, level, settled, reward, orphans, next_key) per edge.
-
-    level is the bribe level a bribed pool collects on the edge, -1 on edges
-    that pay no bribe; probabilities and bribe amounts are filled per model.
-    """
-    fork, lbar, a, m_active, level = key
-    zeros = (0,) * len(fork)
-
-    def draws(base_fork, base_lbar, base_a, settled, reward, orphans):
-        # race flags are clear in every state this helper produces
-        out = []
-        if adversary_live:
-            out.append(
-                (ADVERSARY, -1, settled, reward, orphans,
-                 (base_fork, base_lbar, base_a + 1, False, -1))
-            )
-        for j, alive in enumerate(live):
-            if not alive:
-                continue
-            grown = _grow(base_fork, j, clip, groups)
-            out.append(
-                (j, -1, settled, reward, orphans,
-                 (grown, base_lbar + 1, base_a, False, -1))
-            )
-        return out
-
-    if action.kind == "adopt":
-        # concede: the public fork settles, the secret fork is thrown away
-        return draws(zeros, 0, 0, lbar, 0, a)
-    if action.kind == "override":
-        # publish lbar+1 attacker blocks; they settle and orphan the fork
-        rest = a - lbar - 1
-        return draws(zeros, 0, rest, lbar + 1, lbar + 1, lbar)
-
-    # wait or match: set the race flags, then let the next block decide
-    if action.kind == "match":
-        m_active, level = True, action.level
-    if not m_active:
-        return draws(fork, lbar, a, 0, 0, 0)
-
-    out = []
-    if adversary_live:
-        out.append((ADVERSARY, -1, 0, 0, 0, (fork, lbar, a + 1, True, level)))
-    for j, alive in enumerate(live):
-        if not alive:
-            continue
-        if petty[j] and fork[j] <= level:
-            # bribed pool extends the attacker's published fork: the race
-            # resolves, the public fork is orphaned, the bribe is collected
-            if a == lbar:
-                nxt = (zeros, 0, 0, False, -1)
-                out.append((j, level, lbar + 1, lbar, lbar, nxt))
-            else:
-                one = _grow(zeros, j, clip, groups)
-                nxt = (one, 1, a - lbar, False, -1)
-                out.append((j, level, lbar, lbar, lbar, nxt))
-        else:
-            # the public fork outgrows the published match; deposit returns
-            grown = _grow(fork, j, clip, groups)
-            out.append((j, -1, 0, 0, 0, (grown, lbar + 1, a, False, -1)))
-    return out
-
-
-def _feasible_actions(key, fork_cap, max_bribe):
-    _, lbar, a, m_active, level = key
-    if a >= fork_cap or lbar >= fork_cap:
-        # truncation boundary: cash in if ahead, concede otherwise
-        return [MdpAction("override") if a > lbar else MdpAction("adopt")]
-    acts = [MdpAction("wait")]
-    if lbar >= 1:
-        acts.append(MdpAction("adopt"))
-    if a > lbar:
-        acts.append(MdpAction("override"))
-    if a >= lbar >= 1:
-        lowest = level + 1 if m_active else 0
-        acts.extend(
-            MdpAction("match", i) for i in range(lowest, max_bribe + 1)
-        )
-    return acts
-
-
 @lru_cache(maxsize=1)
 def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ceiling):
     """Enumerate every reachable lumped state with its actions and edges.
 
     The arguments are build_mdp's topology signature.  Returns (states,
-    actions, edge_level, arrays): arrays maps the MdpModel graph
-    fields to read-only arrays, and edge_level is the bribe level collected
-    on each edge, -1 where none is.
+    actions, edge_level, arrays): arrays maps the MdpModel pointer and graph
+    edge fields, and edge_level is the bribe level collected on each edge,
+    -1 where none is; all are read-only.
+
+    Breadth-first, a layer of states at a time: each state takes its
+    feasible actions in code order, each action has one edge per live
+    winner (the adversary first, then the pools in order), and the states
+    first reached on a layer's edges are numbered in order of first
+    appearance, as a first-in first-out search numbers them.
     """
+    m = len(live)
     # a petty pool's count is only compared with a bribe level <= max_bribe,
-    # and the honest pool's is never read
-    clip = tuple(max_bribe + 1 if p else 0 for p in petty)
+    # and the honest pool's is never read; no count exceeds lbar <= fork_cap
+    clip = [min(max_bribe + 1, fork_cap) if p else 0 for p in petty]
+    # a state's key is its row as a mixed-radix number, level + 1 the last digit
+    radix = [c + 1 for c in clip] + [fork_cap + 1, fork_cap + 1, 2, max_bribe + 2]
+    if math.prod(radix) > np.iinfo(np.int64).max or MATCH + max_bribe > np.iinfo(np.int16).max:
+        raise CapacityError(f"fork_cap {fork_cap} and max_bribe {max_bribe} overflow the state encoding")
+    weight = np.array([math.prod(radix[k + 1:]) for k in range(m + 4)], dtype=np.int64)
+    radix = np.array(radix, dtype=np.int64)
+    group_of = {j: list(g) for g in groups for j in g}
+    winners = ([ADVERSARY] if adversary_live else []) + [j for j in range(m) if live[j]]
+    match_levels = np.arange(max_bribe + 1)
 
-    # breadth-first: a state is numbered when first reached and expanded in
-    # that order, so its actions and their edges are flattened as it goes
-    root = ((0,) * len(live), 0, 0, False, -1)
-    index = {root: 0}
-    states = [root]
-    actions = []
-    state_ptr = [0]
-    action_ptr = []
-    dst, winner, level, settled, reward, orphans = [], [], [], [], [], []
-    head = 0
-    while head < len(states):
-        key = states[head]
-        head += 1
-        acts = _feasible_actions(key, fork_cap, max_bribe)
-        for act in acts:
-            action_ptr.append(len(dst))
-            edges = _successors(key, act, live, adversary_live, petty, clip, groups)
-            for w, lv, st, rw, orp, nxt in edges:
-                to = index.get(nxt)
-                if to is None:
-                    if len(states) >= state_ceiling:
-                        raise CapacityError(
-                            f"state count exceeded the ceiling {state_ceiling}"
-                        )
-                    to = index[nxt] = len(states)
-                    states.append(nxt)
-                dst.append(to)
-                winner.append(w)
-                level.append(lv)
-                settled.append(st)
-                reward.append(rw)
-                orphans.append(orp)
-        actions.append(acts)
-        state_ptr.append(state_ptr[-1] + len(acts))
+    layer = np.array([[0] * (m + 3) + [-1]], dtype=np.int16)  # the root
+    known, known_id = layer @ weight + 1, np.zeros(1, dtype=np.int64)  # keys sorted, their states
+    rows, codes, counts = [layer], [], []
+    names = ("edge_dst", "edge_level", "edge_settled", "edge_reward", "edge_orphans")
+    pieces = {name: [] for name in names}
+    while layer.size:
+        fork = layer[:, :m].astype(np.int64)
+        lbar, a, flag, level = layer[:, m:].T.astype(np.int64)
+        inner = (a < fork_cap) & (lbar < fork_cap)  # at the cap: override if ahead, else adopt
+        feasible = np.column_stack([
+            inner, np.where(inner, lbar >= 1, a <= lbar), a > lbar,
+            (inner & (a >= lbar) & (lbar >= 1))[:, None] & (match_levels > level[:, None]),
+        ])
+        s, c = np.nonzero(feasible)
+        counts.append(feasible.sum(axis=1))
+        codes.append(c.astype(np.int16))
+        fork, lbar, a, flag, level = fork[s], lbar[s], a[s], flag[s], level[s]
+        # adopt concedes and override publishes lbar + 1 blocks: either way
+        # the public fork settles and the next block starts a new one
+        adopt, override = c == ADOPT, c == OVERRIDE
+        base_fork = np.where((adopt | override)[:, None], 0, fork)
+        base_lbar = np.where(adopt | override, 0, lbar)
+        base_a = np.where(adopt, 0, np.where(override, a - lbar - 1, a))
+        settled = np.where(adopt, lbar, np.where(override, lbar + 1, 0))
+        reward = np.where(override, lbar + 1, 0)
+        orphans = np.where(adopt, a, np.where(override, lbar, 0))
+        # a match, or a wait while one is live, races at its bribe level
+        race = (c >= MATCH) | (c == WAIT) & (flag == 1)
+        level = np.where(c >= MATCH, c - MATCH, level)
+        tie = a == lbar
+        grid = np.empty((len(names), s.size, len(winners)), dtype=np.int64)
+        for k, j in enumerate(winners):
+            if j == ADVERSARY:
+                bribed = np.zeros(s.size, dtype=bool)
+                key = base_fork @ weight[:m] + base_lbar * weight[m] + (base_a + 1) * weight[m + 1]
+                key += race * weight[m + 2] + np.where(race, level, -1) + 1
+            else:
+                # a bribed pool extends the attacker's published fork: the
+                # race resolves, the public fork is orphaned, the bribe paid
+                bribed = race & petty[j] & (fork[:, j] <= level)
+                grown = np.where(bribed[:, None], 0, base_fork)
+                grown[:, j] += grown[:, j] < clip[j]
+                if j in group_of:
+                    grown[:, group_of[j]] = -np.sort(-grown[:, group_of[j]], axis=1)
+                grown[bribed & tie] = 0
+                key = grown @ weight[:m] + np.where(bribed, ~tie, base_lbar + 1) * weight[m]
+                key += np.where(bribed, a - lbar, base_a) * weight[m + 1]
+            grid[:, :, k] = (
+                key,
+                np.where(bribed, level, -1),
+                np.where(bribed, lbar + tie, settled),
+                np.where(bribed, lbar, reward),
+                np.where(bribed, lbar, orphans),
+            )
+        keys, first, inverse = np.unique(grid[0].ravel(), return_index=True, return_inverse=True)
+        pos = np.searchsorted(known, keys)
+        seen = known[np.minimum(pos, known.size - 1)] == keys
+        fresh = np.flatnonzero(~seen)[np.argsort(first[~seen])]
+        n = len(known)
+        if n + fresh.size > state_ceiling:
+            raise CapacityError(f"state count exceeded the ceiling {state_ceiling}")
+        ids = np.empty(keys.size, dtype=np.int64)
+        ids[seen] = known_id[pos[seen]]
+        ids[fresh] = n + np.arange(fresh.size)
+        known = np.insert(known, pos[~seen], keys[~seen])
+        known_id = np.insert(known_id, pos[~seen], ids[~seen])
+        pieces["edge_dst"].append(ids[inverse.ravel()])
+        for name, values in zip(names[1:], grid[1:]):
+            pieces[name].append(values.ravel().astype(np.int16))
+        del grid  # before the next layer's temporaries
+        digits = keys[fresh, None] // weight % radix
+        digits[:, -1] -= 1
+        layer = digits.astype(np.int16)
+        rows.append(layer)
 
+    actions = np.concatenate(codes)
     arrays = {
-        "state_ptr": np.array(state_ptr, dtype=np.int64),
-        "action_ptr": np.array(action_ptr, dtype=np.int64),
-        "edge_dst": np.array(dst, dtype=np.int64),
-        "edge_winner": np.array(winner, dtype=np.int32),
-        "edge_settled": np.array(settled, dtype=float),
-        "edge_reward": np.array(reward, dtype=float),
-        "edge_orphans": np.array(orphans, dtype=np.int32),
+        "state_ptr": np.concatenate([[0], np.cumsum(np.concatenate(counts))]).astype(np.int64),
+        "action_ptr": np.arange(actions.size, dtype=np.int64) * len(winners),
+        "edge_winner": np.tile(np.array(winners, dtype=np.int32), actions.size),
     }
-    edge_level = np.array(level, dtype=np.int32)
-    for arr in (*arrays.values(), edge_level):
+    for name, dtype in zip(names, (np.int64, np.int32, float, float, np.int32)):
+        arrays[name] = np.concatenate(pieces.pop(name)).astype(dtype, copy=False)
+    states = np.concatenate(rows)
+    edge_level = arrays.pop("edge_level")
+    for arr in (states, actions, edge_level, *arrays.values()):
         arr.flags.writeable = False
     return states, actions, edge_level, arrays
 
@@ -295,9 +259,8 @@ def build_mdp(
     once per signature and cached: the number of rival pools, which of them
     have a positive share, whether the adversary does, which are petty, the
     groups of pools with equal (share, petty), fork_cap, max_bribe and
-    state_ceiling.  Models with one signature share those structures; their
-    arrays are read-only and the lists must not be mutated.  Only
-    edge_prob and edge_bribe are computed per call.
+    state_ceiling.  Models with one signature share those read-only arrays;
+    only edge_prob and edge_bribe are computed per call.
 
     The default fork_cap of 8 is a calibration point, not a convergence
     point: the solved share still grows slowly with the cap (roughly +0.018
@@ -310,6 +273,7 @@ def build_mdp(
     others = pools.others()
     if not 2 <= len(pools) <= 10:
         raise ValidationError("pool count must be between 2 and 10")
+    require_integer("fork_cap", fork_cap)
     if fork_cap < 2:
         raise ValidationError("fork_cap must be >= 2")
     max_bribe = int(params.max_bribe)
@@ -333,7 +297,7 @@ def build_mdp(
         alpha_a > 0,
         petty,
         groups,
-        fork_cap,
+        int(fork_cap),
         max_bribe,
         state_ceiling,
     )
@@ -511,14 +475,15 @@ def solve_reward_share(
     return SolveResult(rho, slots, sum(per_step), abs(g), len(per_step), tuple(per_step))
 
 
+def _slots(model: MdpModel, codes: np.ndarray) -> np.ndarray:
+    """The policy taking action codes[s] in each state s; each must be feasible there."""
+    return np.flatnonzero(model.actions == np.repeat(codes, np.diff(model.state_ptr)))
+
+
 def honest_policy(model: MdpModel) -> np.ndarray:
     """Publish immediately, concede otherwise: reproduces honest mining."""
-    override, adopt, wait = MdpAction("override"), MdpAction("adopt"), MdpAction("wait")
-    first = [
-        acts.index(override if a > lbar else adopt if lbar >= 1 else wait)
-        for (_, lbar, a, _, _), acts in zip(model.states, model.actions)
-    ]
-    return model.state_ptr[:-1] + np.array(first, dtype=np.int64)
+    lbar, a = model.states[:, -4], model.states[:, -3]
+    return _slots(model, np.where(a > lbar, OVERRIDE, np.where(lbar >= 1, ADOPT, WAIT)))
 
 
 def policy_tables(model: MdpModel, policy: np.ndarray):

@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from powplay.errors import ValidationError
+from powplay.errors import ValidationError, require_integer
 
 __all__ = [
     "Pool",
@@ -210,6 +210,7 @@ class AttackParams:
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValidationError("epsilon must be >= 0")
+        require_integer("max_bribe", self.max_bribe)
         if self.max_bribe < 0:
             raise ValidationError("max_bribe must be >= 0")
 

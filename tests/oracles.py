@@ -5,9 +5,10 @@ by a different route: exact lattice-path enumeration with integer DP, exact
 Taylor expansion of the closed forms over Fractions, and small Monte Carlo
 models written directly from the process definitions.  The fork-race MDP
 builder is kept here in its unlumped form, as the reference for the lumped
-one, greedy-policy extraction as the per-state loop it replaced, freezing
-a policy into tables as the walk over a {state: action} dict it replaced,
-the share solver as the bisection that the Dinkelbach iteration replaced, the
+one, the lumped topology as the search over state tuples and action objects
+that the layered integer build replaced, greedy-policy extraction as the
+per-state loop it replaced, freezing a policy into tables as the walk over
+a {state: action} dict it replaced, the share solver as the bisection that the Dinkelbach iteration replaced, the
 three lockstep Monte Carlo loops that the visit-count kernel replaced, and
 the per-event clocked simulator that the lockstep clocked engine replaced.
 The Monte Carlo loops draw the distraction automaton's winners from its
@@ -17,6 +18,7 @@ an exact stationary solve evaluates any automaton without sampling.
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -24,8 +26,11 @@ import numpy as np
 
 from powplay.errors import CapacityError, ConvergenceError, ValidationError
 from powplay.mdp import (
+    ADOPT,
     ADVERSARY,
-    MdpAction,
+    MATCH,
+    OVERRIDE,
+    WAIT,
     MdpModel,
     SolveResult,
     _greedy_slots,
@@ -404,6 +409,198 @@ def distraction_share_exact(alpha_a, alpha_i, alpha_c, alpha_nc, d, br2):
     return (attacker_blocks - br2 * solutions) / canonical
 
 
+# -- the fork-race topology as a search over single states ------------------------
+#
+# The lumped builder as it was before it expanded a layer of states at a time
+# on integer rows: a first-in first-out search over state tuples, each state's
+# actions a list of MdpAction objects.  `topology_bfs` takes `mdp._topology`'s
+# signature and returns its (states, actions, edge_level, arrays) in that old
+# form; `bfs_rows` and `bfs_codes` turn the tuples and actions into the rows
+# and action codes the layered builder stores.
+
+@dataclass(frozen=True)
+class MdpAction:
+    """One attacker move; level is meaningful only for kind "match"."""
+
+    kind: str  # "wait" | "adopt" | "override" | "match"
+    level: int = -1
+
+    def __post_init__(self):
+        if self.kind not in ("wait", "adopt", "override", "match"):
+            raise ValidationError(f"unknown action kind {self.kind!r}")
+        if self.kind == "match" and self.level < 0:
+            raise ValidationError("match actions carry a bribe level >= 0")
+
+
+def _grow(fork, j, clip, groups):
+    """fork with pool j's count raised by one, clipped, in canonical order."""
+    grown = list(fork)
+    if grown[j] < clip[j]:
+        grown[j] += 1
+    for group in groups:
+        for k, v in zip(group, sorted((grown[k] for k in group), reverse=True)):
+            grown[k] = v
+    return tuple(grown)
+
+
+def _successors(key, action, live, adversary_live, petty, clip, groups):
+    """Yield (winner, level, settled, reward, orphans, next_key) per edge.
+
+    level is the bribe level a bribed pool collects on the edge, -1 on edges
+    that pay no bribe; probabilities and bribe amounts are filled per model.
+    """
+    fork, lbar, a, m_active, level = key
+    zeros = (0,) * len(fork)
+
+    def draws(base_fork, base_lbar, base_a, settled, reward, orphans):
+        # race flags are clear in every state this helper produces
+        out = []
+        if adversary_live:
+            out.append(
+                (ADVERSARY, -1, settled, reward, orphans,
+                 (base_fork, base_lbar, base_a + 1, False, -1))
+            )
+        for j, alive in enumerate(live):
+            if not alive:
+                continue
+            grown = _grow(base_fork, j, clip, groups)
+            out.append(
+                (j, -1, settled, reward, orphans,
+                 (grown, base_lbar + 1, base_a, False, -1))
+            )
+        return out
+
+    if action.kind == "adopt":
+        # concede: the public fork settles, the secret fork is thrown away
+        return draws(zeros, 0, 0, lbar, 0, a)
+    if action.kind == "override":
+        # publish lbar+1 attacker blocks; they settle and orphan the fork
+        rest = a - lbar - 1
+        return draws(zeros, 0, rest, lbar + 1, lbar + 1, lbar)
+
+    # wait or match: set the race flags, then let the next block decide
+    if action.kind == "match":
+        m_active, level = True, action.level
+    if not m_active:
+        return draws(fork, lbar, a, 0, 0, 0)
+
+    out = []
+    if adversary_live:
+        out.append((ADVERSARY, -1, 0, 0, 0, (fork, lbar, a + 1, True, level)))
+    for j, alive in enumerate(live):
+        if not alive:
+            continue
+        if petty[j] and fork[j] <= level:
+            # bribed pool extends the attacker's published fork: the race
+            # resolves, the public fork is orphaned, the bribe is collected
+            if a == lbar:
+                nxt = (zeros, 0, 0, False, -1)
+                out.append((j, level, lbar + 1, lbar, lbar, nxt))
+            else:
+                one = _grow(zeros, j, clip, groups)
+                nxt = (one, 1, a - lbar, False, -1)
+                out.append((j, level, lbar, lbar, lbar, nxt))
+        else:
+            # the public fork outgrows the published match; deposit returns
+            grown = _grow(fork, j, clip, groups)
+            out.append((j, -1, 0, 0, 0, (grown, lbar + 1, a, False, -1)))
+    return out
+
+
+def _feasible_actions(key, fork_cap, max_bribe):
+    _, lbar, a, m_active, level = key
+    if a >= fork_cap or lbar >= fork_cap:
+        # truncation boundary: cash in if ahead, concede otherwise
+        return [MdpAction("override") if a > lbar else MdpAction("adopt")]
+    acts = [MdpAction("wait")]
+    if lbar >= 1:
+        acts.append(MdpAction("adopt"))
+    if a > lbar:
+        acts.append(MdpAction("override"))
+    if a >= lbar >= 1:
+        lowest = level + 1 if m_active else 0
+        acts.extend(
+            MdpAction("match", i) for i in range(lowest, max_bribe + 1)
+        )
+    return acts
+
+
+def topology_bfs(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ceiling):
+    """Enumerate every reachable lumped state with its actions and edges.
+
+    The arguments are build_mdp's topology signature.  Returns (states,
+    actions, edge_level, arrays): arrays maps the MdpModel graph
+    fields to read-only arrays, and edge_level is the bribe level collected
+    on each edge, -1 where none is.
+    """
+    # a petty pool's count is only compared with a bribe level <= max_bribe,
+    # and the honest pool's is never read
+    clip = tuple(max_bribe + 1 if p else 0 for p in petty)
+
+    # breadth-first: a state is numbered when first reached and expanded in
+    # that order, so its actions and their edges are flattened as it goes
+    root = ((0,) * len(live), 0, 0, False, -1)
+    index = {root: 0}
+    states = [root]
+    actions = []
+    state_ptr = [0]
+    action_ptr = []
+    dst, winner, level, settled, reward, orphans = [], [], [], [], [], []
+    head = 0
+    while head < len(states):
+        key = states[head]
+        head += 1
+        acts = _feasible_actions(key, fork_cap, max_bribe)
+        for act in acts:
+            action_ptr.append(len(dst))
+            edges = _successors(key, act, live, adversary_live, petty, clip, groups)
+            for w, lv, st, rw, orp, nxt in edges:
+                to = index.get(nxt)
+                if to is None:
+                    if len(states) >= state_ceiling:
+                        raise CapacityError(
+                            f"state count exceeded the ceiling {state_ceiling}"
+                        )
+                    to = index[nxt] = len(states)
+                    states.append(nxt)
+                dst.append(to)
+                winner.append(w)
+                level.append(lv)
+                settled.append(st)
+                reward.append(rw)
+                orphans.append(orp)
+        actions.append(acts)
+        state_ptr.append(state_ptr[-1] + len(acts))
+
+    arrays = {
+        "state_ptr": np.array(state_ptr, dtype=np.int64),
+        "action_ptr": np.array(action_ptr, dtype=np.int64),
+        "edge_dst": np.array(dst, dtype=np.int64),
+        "edge_winner": np.array(winner, dtype=np.int32),
+        "edge_settled": np.array(settled, dtype=float),
+        "edge_reward": np.array(reward, dtype=float),
+        "edge_orphans": np.array(orphans, dtype=np.int32),
+    }
+    edge_level = np.array(level, dtype=np.int32)
+    for arr in (*arrays.values(), edge_level):
+        arr.flags.writeable = False
+    return states, actions, edge_level, arrays
+
+
+def bfs_rows(states):
+    """State tuples (fork, lbar, a, match_active, level) as int16 rows."""
+    return np.array([(*fork, *rest) for fork, *rest in states], dtype=np.int16)
+
+
+def bfs_codes(actions):
+    """Per-state MdpAction lists as one int16 action code per slot."""
+    codes = {"wait": WAIT, "adopt": ADOPT, "override": OVERRIDE}
+    return np.array(
+        [MATCH + act.level if act.kind == "match" else codes[act.kind] for acts in actions for act in acts],
+        dtype=np.int16,
+    )
+
+
 # -- the fork-race MDP before lumping ---------------------------------------------
 #
 # The builder as it was before the state space was lumped: every state keeps
@@ -615,17 +812,18 @@ def greedy_policy_loop(model, q_act):
 
 
 def policy_tables_loop(model, policy):
-    """policy_tables of a {state key: MdpAction} policy, walked state by state."""
+    """policy_tables of a {state row tuple: action code} policy, walked state by state."""
     n = model.state_count
     n_win = len(model.shares) + 1
     bounds = np.append(model.action_ptr, len(model.edge_prob))
     rows, edges = [], []
-    for s, key in enumerate(model.states):
+    for s, key in enumerate(map(tuple, model.states.tolist())):
         act = policy.get(key)
         if act is None:
             raise ValidationError(f"policy does not cover state {key}")
+        first, end = int(model.state_ptr[s]), int(model.state_ptr[s + 1])
         try:
-            slot = int(model.state_ptr[s]) + model.actions[s].index(act)
+            slot = first + model.actions[first:end].tolist().index(act)
         except ValueError:
             raise ValidationError(f"action {act} infeasible in state {key}")
         chosen = range(int(bounds[slot]), int(bounds[slot + 1]))

@@ -1,23 +1,34 @@
 """Optimal fork-race withholding: model construction, ratio solver, rollouts."""
 
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    bfs_codes,
+    bfs_rows,
     build_mdp_unlumped,
     greedy_policy_loop,
     policy_rollout_loop,
     policy_tables_loop,
     solve_reward_share_bisection,
+    topology_bfs,
 )
+from powplay import mdp
 from powplay.errors import CapacityError, ConvergenceError, ValidationError
+from powplay.experiments import TABLE2, TABLE3
 from powplay.mdp import (
+    ADOPT,
     ADVERSARY,
-    MdpAction,
+    MATCH,
+    OVERRIDE,
+    WAIT,
     _greedy_slots,
+    _policy_ratio,
+    _slots,
     _stationary,
     _sweeps,
     _topology,
@@ -33,7 +44,9 @@ from powplay.model import (
     PoolSet,
     bundled_pool_file,
     load_pool_file,
+    residual_centralization_factor,
 )
+from powplay.selfish import STAY_SHARE_THRESHOLD, selfish_profit
 from powplay.sim import SimConfig, SimStats, reward_share_mc
 
 EPS01 = AttackParams(epsilon=0.1)
@@ -55,9 +68,8 @@ def two_pool_solved(two_pool_model):
 
 
 def _as_actions(model, slots):
-    """A slot policy as the {state key: MdpAction} dict the oracles walk."""
-    first = (slots - model.state_ptr[:-1]).tolist()
-    return {key: acts[i] for key, acts, i in zip(model.states, model.actions, first)}
+    """A slot policy as the {state row: action code} dict the oracles walk."""
+    return dict(zip(map(tuple, model.states.tolist()), model.actions[slots].tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -94,15 +106,12 @@ def test_state_ceiling_trips():
 
 def test_cap_states_force_resolution(two_pool_model):
     """At the truncation boundary only Override (if ahead) or Adopt remain."""
-    cap = two_pool_model.fork_cap
-    boundary_seen = 0
-    for s, key in enumerate(two_pool_model.states):
-        _, lbar, a, _, _ = key
-        if a == cap or lbar == cap:
-            boundary_seen += 1
-            kinds = {act.kind for act in two_pool_model.actions[s]}
-            assert kinds == ({"override"} if a > lbar else {"adopt"})
-    assert boundary_seen > 0
+    m = two_pool_model
+    lbar, a = m.states[:, -4], m.states[:, -3]
+    boundary = (a == m.fork_cap) | (lbar == m.fork_cap)
+    assert boundary.any()
+    assert np.all(np.diff(m.state_ptr)[boundary] == 1)
+    assert np.array_equal(m.actions[m.state_ptr[:-1][boundary]], np.where(a > lbar, OVERRIDE, ADOPT)[boundary])
 
 
 def test_probabilities_sum_per_action(two_pool_model):
@@ -156,8 +165,8 @@ def test_model_without_lumping_is_the_oracle_edge_for_edge():
     assert models[1].edge_dst is models[0].edge_dst
     for lumped, (pools, params) in zip(models, cases):
         full = build_mdp_unlumped(pools, params, fork_cap=5)
-        assert [(f, sum(f), *rest) for f, *rest in full.states] == lumped.states
-        assert lumped.actions == full.actions
+        assert np.array_equal(bfs_rows([(f, sum(f), *rest) for f, *rest in full.states]), lumped.states)
+        assert np.array_equal(bfs_codes(full.actions), lumped.actions)
         for name in ("edge_prob", "edge_bribe") + TOPOLOGY_ARRAYS:
             assert np.array_equal(getattr(lumped, name), getattr(full, name)), name
 
@@ -172,14 +181,12 @@ def test_equal_or_zero_shares_get_their_own_topology(rivals):
     assert model.edge_dst is not distinct.edge_dst
     _topology.cache_clear()
     fresh = build_mdp(pools, params, fork_cap=5)
-    assert model.states == fresh.states
-    assert model.actions == fresh.actions
-    for name in ("edge_prob", "edge_bribe") + TOPOLOGY_ARRAYS:
+    for name in ("edge_prob", "edge_bribe", "states", "actions") + TOPOLOGY_ARRAYS:
         assert np.array_equal(getattr(model, name), getattr(fresh, name)), name
 
 
 def test_shared_topology_arrays_are_read_only(two_pool_model):
-    for name in TOPOLOGY_ARRAYS:
+    for name in ("states", "actions") + TOPOLOGY_ARRAYS:
         with pytest.raises(ValueError):
             getattr(two_pool_model, name)[0] = 0
 
@@ -194,6 +201,92 @@ def test_symmetric_table_row_lumps_to_730_states():
     assert model.state_count == 730
     res = solve_reward_share(model)
     assert res.reward_share == pytest.approx(0.5967590648244, abs=1e-9)
+
+
+# -- the layered topology against the state-by-state search it replaced -------------
+
+
+def _build_against_the_search(pools, params, fork_cap, honest=None):
+    """build_mdp, with the topology it asks for checked against topology_bfs."""
+    layered = mdp._topology
+
+    def checked(*signature):
+        got = layered(*signature)
+        states, actions, edge_level, arrays = topology_bfs(*signature)
+        assert got[0].dtype == got[1].dtype == np.int16
+        assert np.array_equal(got[0], bfs_rows(states))
+        assert np.array_equal(got[1], bfs_codes(actions))
+        have, want = {"edge_level": got[2], **got[3]}, {"edge_level": edge_level, **arrays}
+        assert have.keys() == want.keys()
+        for name, w in want.items():
+            assert have[name].dtype == w.dtype and np.array_equal(have[name], w), name
+        return got
+
+    with mock.patch.object(mdp, "_topology", checked):
+        return build_mdp(pools, params, fork_cap=fork_cap, honest=honest)
+
+
+def _snapshot(adversary):
+    return load_pool_file(bundled_pool_file("bitcoin_pools_2024_merged.json"), adversary=adversary)
+
+
+NAMED_ROWS = {
+    "fig3 Foundry USA": (lambda: _snapshot("Foundry USA"), EPS0, 6),
+    "table2 row 2": (lambda: PoolSet.from_shares(TABLE2[0], TABLE2[2][2]), AttackParams(epsilon=TABLE2[1]), 8),
+    "table2 row 3": (lambda: PoolSet.from_shares(TABLE2[0], TABLE2[2][3]), AttackParams(epsilon=TABLE2[1]), 8),
+    "table3 row 0": (lambda: PoolSet.from_shares(TABLE3[0], TABLE3[2][0]), AttackParams(epsilon=TABLE3[1]), 8),
+    "table4 Unknown": (lambda: _snapshot("Unknown"), EPS0, 8),
+}
+
+
+@pytest.mark.parametrize("row", list(NAMED_ROWS))
+def test_topology_equals_the_search_on_named_rows(row):
+    pools, params, cap = NAMED_ROWS[row]
+    _build_against_the_search(pools(), params, cap)
+
+
+@st.composite
+def _topology_cases(draw):
+    """Zero-share pools (the adversary's too), equal-share groups, an honest pool."""
+    n = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    alpha = draw(st.sampled_from([0.0, 0.1, 0.25, 0.4]))
+    rivals = [(1.0 - alpha) * w / sum(weights) for w in weights]
+    honest = draw(st.one_of(st.none(), st.integers(1, n)))
+    params = AttackParams(max_bribe=draw(st.integers(0, 3)))
+    return PoolSet.from_shares(alpha, rivals), params, draw(st.integers(2, 6)), honest
+
+
+@settings(max_examples=60, deadline=None)
+@given(_topology_cases())
+def test_topology_equals_the_search_on_drawn_models(case):
+    _build_against_the_search(*case)
+
+
+def test_numpy_shares_build_the_model_of_python_shares():
+    # numpy shares make the adversary's liveness a numpy bool
+    rivals = np.array([0.3, 0.2, 0.1])
+    got = build_mdp(PoolSet.from_shares(np.float64(0.4), tuple(rivals)), EPS01, fork_cap=4)
+    want = build_mdp(PoolSet.from_shares(0.4, rivals.tolist()), EPS01, fork_cap=4)
+    for name in ("edge_prob", "edge_bribe", "states", "actions") + TOPOLOGY_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_fork_cap_must_be_an_integer():
+    # a cap of 4.5 must not build the cap-5 model and report fork_cap 4.5
+    pools = PoolSet.from_shares(0.4, [0.3, 0.3])
+    for cap in (4.5, 5.0, True):
+        with pytest.raises(ValidationError, match="fork_cap must be an integer"):
+            build_mdp(pools, EPS01, fork_cap=cap)
+    assert build_mdp(pools, EPS01, fork_cap=np.int64(5)).state_count == build_mdp(pools, EPS01, fork_cap=5).state_count
+
+
+def test_state_keys_that_overflow_int64_are_refused():
+    """9 distinct petty rivals at cap and bribe 1,000: the fork counts alone
+    span 1001**9 > 2**63 keys, so the build stops before it enumerates."""
+    pools = PoolSet.from_shares(0.1, [0.9 * k / 45 for k in range(1, 10)])
+    with pytest.raises(CapacityError, match="overflow"):
+        build_mdp(pools, AttackParams(max_bribe=1_000), fork_cap=1_000)
 
 
 # -- the ratio solver against the bisection it replaced ---------------------------
@@ -348,6 +441,63 @@ def test_monotone_in_adversary_share():
     assert shares[0] <= shares[1] + 1e-9 <= shares[2] + 2e-9
 
 
+# -- exact policy values -----------------------------------------------------------
+
+
+def _from_root(model):
+    pi = np.zeros(model.state_count)
+    pi[0] = 1.0
+    return pi
+
+
+def _selfish_slots(model):
+    """pi_selfish as a policy: wait while lbar == 0 and a < 3, override
+    (trickle) at lbar == 0 and a >= 3, match at level 0 at a == lbar == 1
+    with no live match, override when ahead and adopt otherwise."""
+    lbar, a, live = model.states[:, -4], model.states[:, -3], model.states[:, -2] == 1
+    code = np.where(a > lbar, OVERRIDE, ADOPT)
+    code = np.where((a == 1) & (lbar == 1) & ~live, MATCH, code)
+    return _slots(model, np.where(lbar == 0, np.where(a < 3, WAIT, OVERRIDE), code))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lumping_cases())
+def test_honest_policy_ratio_is_the_adversary_share_on_drawn_models(case):
+    pools, params, cap, honest = case
+    model = build_mdp(pools, params, fork_cap=cap, honest=honest)
+    ratio = _policy_ratio(model, honest_policy(model), _from_root(model))[0]
+    assert ratio == pytest.approx(model.alpha_a, abs=1e-12)
+
+
+def test_honest_policy_ratio_is_the_adversary_share_on_fig3_row(fig3_row_model):
+    model = fig3_row_model
+    ratio = _policy_ratio(model, honest_policy(model), _from_root(model))[0]
+    assert ratio == pytest.approx(model.alpha_a, abs=1e-12)
+
+
+def _selfish_pool_sets():
+    """Acceptance criterion 06's random pool sets with every rival below STAY_SHARE_THRESHOLD."""
+    rng = np.random.default_rng(20260814)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        alpha = float(rng.uniform(0.12, 0.42))
+        eps = float(rng.uniform(0.0, 0.15))
+        rivals = (1.0 - alpha) * rng.dirichlet(np.ones(n))
+        if rivals.max() < STAY_SHARE_THRESHOLD:
+            yield PoolSet.from_shares(alpha, rivals.tolist()), eps
+
+
+def test_selfish_policy_ratio_is_the_closed_form_and_the_optimum_beats_it():
+    sets = list(_selfish_pool_sets())
+    assert len(sets) >= 10
+    for pools, eps in sets:
+        model = build_mdp(pools, AttackParams(epsilon=eps), fork_cap=5)
+        ratio = _policy_ratio(model, _selfish_slots(model), _from_root(model))[0]
+        closed = selfish_profit(pools.adversary_share, residual_centralization_factor(pools), eps)
+        assert ratio == pytest.approx(closed, abs=1e-12), (pools.shares, eps)
+        assert solve_reward_share(model).reward_share >= ratio
+
+
 # -- rollouts ------------------------------------------------------------------------
 
 
@@ -468,8 +618,8 @@ def _assert_tables_match_the_dict_walk(model, slots):
 
 
 def _assert_honest(model, slots):
-    for (_, lbar, a, _, _), act in _as_actions(model, slots).items():
-        assert act.kind == ("override" if a > lbar else "adopt" if lbar >= 1 else "wait")
+    for (*_, lbar, a, _, _), code in _as_actions(model, slots).items():
+        assert code == (OVERRIDE if a > lbar else ADOPT if lbar >= 1 else WAIT)
 
 
 def test_policy_tables_match_the_dict_walk_on_fig3_row():
@@ -497,14 +647,6 @@ def test_policy_tables_match_the_dict_walk_on_drawn_models(case, seed):
 
 
 # -- action plumbing -----------------------------------------------------------------
-
-
-def test_action_validation():
-    with pytest.raises(ValidationError):
-        MdpAction("publish")
-    with pytest.raises(ValidationError):
-        MdpAction("match")
-    assert MdpAction("match", 0).level == 0
 
 
 def test_winner_codes_cover_all_pools(two_pool_model):

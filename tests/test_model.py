@@ -71,6 +71,10 @@ def test_attack_params_validation():
         AttackParams(epsilon=-0.1)
     with pytest.raises(ValidationError):
         AttackParams(max_bribe=-1)
+    # a bribe cap of 1.7 must not be truncated to 1
+    for bad in (1.7, 1.0, True):
+        with pytest.raises(ValidationError, match="max_bribe must be an integer"):
+            AttackParams(max_bribe=bad)
 
 
 def test_epoch_model_defaults():
