@@ -209,6 +209,8 @@ def _cmd_mdp_solve(args):
     doc = {
         "reward_share": result.reward_share,
         "iterations": result.iterations,
+        "sweeps_per_step": result.sweeps_per_step,
+        "stationary_per_step": result.stationary_per_step,
         "state_count": model.state_count,
     }
     text = json.dumps(doc, indent=2) + "\n"

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the positive-number and integer checks.
+"""Exception types shared across the package, and the finite-number and integer checks.
 
 The CLI maps these onto exit codes (validation 1, convergence 2, I/O 3), so
 library code should raise one of them rather than bare ValueError/RuntimeError
@@ -32,6 +32,12 @@ def require_positive_finite(name: str, value) -> None:
     """Raise ValidationError unless value is a positive finite number (NaN is not)."""
     if not 0.0 < value < float("inf"):
         raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def require_nonnegative_finite(name: str, value) -> None:
+    """Raise ValidationError unless value is a finite number >= 0 (NaN is not)."""
+    if not 0.0 <= value < float("inf"):
+        raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def require_integer(name: str, value) -> None:

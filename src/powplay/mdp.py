@@ -36,7 +36,14 @@ The objective is the long-run reward share net of bribes:
 steps on the share: a relative value iteration solves the fixed-share
 average reward problem, and the exact ratio of its greedy policy, read off
 that policy's stationary distribution, is the next share.  The value table
-and the distribution carry over between steps.
+and the distribution carry over between steps.  Every action slot has one
+edge per live winner, in one order and with one probability each, so the
+edges form a slot x winner grid: a value sweep adds each winner column's
+gathered next values to the slot's expected reward, in winner order, and
+takes each state's max over its slots as a padded column max.  A greedy
+policy's stationary distribution lives on few states (10 to 1,082 of
+the 21,701 of a fig3 row), so its power iteration runs only over the
+states the policy reaches from the carried distribution's support.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,10 +93,14 @@ _STAY = 0.1  # laziness of the power-iterated chain
 class MdpModel:
     """Enumerated fork-race MDP with flat transition arrays.
 
-    Edge arrays are grouped by action and actions by state, so one value
-    sweep is a gather + segmented sum + segmented max.  Rewards are stored
-    gross; bribes separately; blocks settled separately, so the
-    share-transformed reward is assembled per solver step.  states holds
+    Edge arrays are grouped by action and actions by state, and every
+    action slot has one edge per live winner, in the same order and with
+    the same probabilities: the edges are a slot x winner grid, and
+    solve_reward_share sweeps it a winner column at a time (a gather and an
+    add per column, then a column max over each state's slots; it refuses a
+    model that is not a grid).  Rewards are stored gross; bribes
+    separately; blocks settled separately, so the share-transformed reward
+    is assembled per solver step.  states holds
     each state's row and actions each action slot's code (see the module
     docstring).  The graph fields (states, actions, the pointers and every
     edge array but edge_prob and edge_bribe) are read-only arrays shared
@@ -324,8 +336,9 @@ class SolveResult:
 
     policy holds each state's action slot (see MdpModel).  iterations
     counts value sweeps over all outer steps, sweeps_per_step splits them by
-    step, and residual is |g|, the average transformed reward of the last
-    step's value iteration.
+    step, stationary_per_step counts each step's power iterations, and
+    residual is |g|, the average transformed reward of the last step's value
+    iteration.
     """
 
     reward_share: float
@@ -334,21 +347,69 @@ class SolveResult:
     residual: float
     outer_steps: int
     sweeps_per_step: tuple[int, ...]
+    stationary_per_step: tuple[int, ...]
 
 
-def _sweeps(model, rho, V, span_tol, max_sweeps):
-    """Relative value iteration at a fixed candidate share rho."""
+class _Grid(NamedTuple):
+    """A model's action slots as a slot x winner grid, for one solve.
+
+    Slot a has one edge per live winner k, edges action_ptr[a] + k, with
+    probability p[k].  dst[k] holds every slot's destination under winner k
+    (a contiguous copy).  cols[j] holds every state's j-th action slot, its
+    last repeated past its end, so a column max is the state's max and the
+    first maximal column its first maximal slot.  gain and settled are each
+    slot's expected reward net of bribes and expected blocks settled.
+    """
+
+    p: np.ndarray
+    dst: np.ndarray
+    cols: np.ndarray
+    gain: np.ndarray
+    settled: np.ndarray
+
+
+def _expected(p: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_k p[k] * values[:, k], added in winner order whatever the BLAS build."""
+    total = p[0] * values[:, 0]
+    for k in range(1, p.size):
+        total += p[k] * values[:, k]
+    return total
+
+
+def _grid(model: MdpModel) -> _Grid:
+    """The model's slot x winner grid; ValidationError if it is not one."""
+    slots = model.action_ptr.size
+    width, rest = divmod(model.edge_prob.size, slots)
+    prob = model.edge_prob.reshape(-1, width) if width and not rest else None
+    if (prob is None or not np.array_equal(model.action_ptr, np.arange(slots) * width)
+            or not np.all(prob == prob[0])):
+        raise ValidationError("the model is not a slot x winner grid: every action slot needs "
+                              "one edge per winner, with one probability per winner")
+    p, ptr = prob[0], model.state_ptr
+    count = np.diff(ptr)
+    return _Grid(
+        p,
+        model.edge_dst.reshape(-1, width).T.copy(),
+        ptr[:-1] + np.minimum(np.arange(count.max())[:, None], count - 1),
+        _expected(p, (model.edge_reward - model.edge_bribe).reshape(-1, width)),
+        _expected(p, model.edge_settled.reshape(-1, width)),
+    )
+
+
+def _slot_values(grid: _Grid, r: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Each slot's r plus its expected next value under V, added in winner order."""
+    q = r.copy()
+    for pk, dst in zip(grid.p, grid.dst):
+        q += (pk * V).take(dst)
+    return q
+
+
+def _sweeps(grid, r, V, span_tol, max_sweeps):
+    """Relative value iteration with slot rewards r (one candidate share)."""
     if max_sweeps < 1:
         return None, V, 0, np.inf
-    base = model.edge_prob * (model.edge_reward - model.edge_bribe - rho * model.edge_settled)
-    pv = model.edge_prob
-    dst = model.edge_dst
-    a_ptr = model.action_ptr
-    s_ptr = model.state_ptr[:-1]
     for sweep in range(1, max_sweeps + 1):
-        q_edge = base + pv * V[dst]
-        q_act = np.add.reduceat(q_edge, a_ptr)
-        v_new = np.maximum.reduceat(q_act, s_ptr)
+        v_new = _slot_values(grid, r, V)[grid.cols].max(axis=0)
         diff = v_new - V
         hi = float(diff.max())
         lo = float(diff.min())
@@ -358,31 +419,42 @@ def _sweeps(model, rho, V, span_tol, max_sweeps):
     return None, V, max_sweeps, hi - lo
 
 
-def _greedy_slots(model: MdpModel, q_act: np.ndarray) -> np.ndarray:
+def _greedy_slots(cols: np.ndarray, q_act: np.ndarray) -> np.ndarray:
     """Each state's best action slot; ties go to the first, as with np.argmax."""
-    s_ptr = model.state_ptr[:-1]
-    best = np.maximum.reduceat(q_act, s_ptr)
-    slots = np.arange(q_act.size)
-    at_best = q_act == np.repeat(best, np.diff(model.state_ptr))
-    return np.minimum.reduceat(np.where(at_best, slots, q_act.size), s_ptr)
+    return cols[q_act[cols].argmax(axis=0), np.arange(cols.shape[1])]
 
 
-def _stationary(count, dst, prob, pi, max_iterations=_STATIONARY_MAX):
-    """Stationary distribution of a chain, by power iteration from pi.
+def _stationary(dst, p, pi, max_iterations=_STATIONARY_MAX):
+    """Stationary distribution of a chain by power iteration from pi, and
+    the iterations that took.
 
-    State s has count[s] consecutive edges, to dst with probability prob.
-    Iterates the lazy chain _STAY*pi + (1 - _STAY)*pi P, which has the same
-    stationary distribution and is aperiodic, until an iteration moves pi
-    by less than _STATIONARY_TOL in L1.
+    State s moves to dst[k, s] with probability p[k].  Iterates the lazy
+    chain _STAY*pi + (1 - _STAY)*pi P, which has the same stationary
+    distribution and is aperiodic, until an iteration moves pi by less than
+    _STATIONARY_TOL in L1.  Only the states reachable from pi's support can
+    gain mass, so only they are iterated, in state order with each state's
+    edges in winner order: every state's inflow is summed in the order of
+    the whole chain's iteration, which adds only zeros besides.
     """
-    n = pi.size
-    for _ in range(max_iterations):
-        moved = np.bincount(dst, weights=np.repeat(pi, count) * prob, minlength=n)
-        nxt = _STAY * pi + (1.0 - _STAY) * moved
-        change = float(np.abs(nxt - pi).sum())
-        pi = nxt
+    reached = pi > 0
+    fresh = reached.copy()
+    while fresh.any():
+        hit = np.zeros_like(reached)
+        hit[dst[:, fresh]] = True
+        fresh = hit & ~reached
+        reached |= fresh
+    live = np.flatnonzero(reached)
+    to = (np.cumsum(reached) - 1)[dst[:, live].T].ravel()
+    x = pi[live]
+    for iteration in range(1, max_iterations + 1):
+        moved = np.bincount(to, weights=(x[:, None] * p).ravel(), minlength=live.size)
+        nxt = _STAY * x + (1.0 - _STAY) * moved
+        change = float(np.abs(nxt - x).sum())
+        x = nxt
         if change < _STATIONARY_TOL:
-            return pi / pi.sum()
+            pi = np.zeros(pi.size)
+            pi[live] = x / x.sum()
+            return pi, iteration
     raise ConvergenceError(
         f"stationary distribution moved {change:.3g} after {max_iterations} iterations",
         residual=change,
@@ -404,21 +476,16 @@ def _policy_edges(model: MdpModel, policy: np.ndarray):
     return first, count, np.repeat(start - first, count) + np.arange(first[-1] + count[-1])
 
 
-def _policy_ratio(model: MdpModel, slots: np.ndarray, pi: np.ndarray):
+def _policy_ratio(grid: _Grid, slots: np.ndarray, pi: np.ndarray):
     """Exact long-run (reward - bribes) / settled of the policy taking slots.
 
-    Returns the ratio, the settled blocks per transition and the policy's
-    stationary distribution, found from pi.
+    Returns the ratio, the settled blocks per transition, the policy's
+    stationary distribution, found from pi, and the power iterations that
+    took.
     """
-    first, count, edges = _policy_edges(model, slots)
-    prob = model.edge_prob[edges]
-    settled = np.add.reduceat(prob * model.edge_settled[edges], first)
-    gain = np.add.reduceat(prob * (model.edge_reward[edges] - model.edge_bribe[edges]), first)
-    dst = model.edge_dst[edges]
-    del edges  # the power iteration needs only count, dst and prob
-    pi = _stationary(count, dst, prob, pi)
-    rate = float(pi @ settled)
-    return float(pi @ gain) / rate, rate, pi
+    pi, iterations = _stationary(grid.dst[:, slots], grid.p, pi)
+    rate = float(pi @ grid.settled[slots])
+    return float(pi @ grid.gain[slots]) / rate, rate, pi, iterations
 
 
 def solve_reward_share(
@@ -426,18 +493,21 @@ def solve_reward_share(
 ) -> SolveResult:
     """Maximize (attacker blocks settled - bribes) / (blocks settled).
 
-    Dinkelbach iteration on the share.  At a candidate rho the transformed
-    edge reward is reward - bribe - rho*settled; relative value iteration
-    finds its greedy policy, whose exact ratio (from the policy's stationary
-    distribution) is the next rho.  Every iterate is a share a policy
-    attains, starting from the honest share, and the iterates rise to the
-    optimum superlinearly.  The value iteration's span tolerance shrinks
-    with the step, so the greedy policy of the last steps is optimal to well
-    within tol.  Stops when a step moves the share by less than tol at a
-    span tight for tol, and returns that step's policy and its ratio.  The
-    value table and the stationary distribution carry over between steps.
+    Dinkelbach iteration on the share.  At a candidate rho each action
+    slot's transformed reward is its expected reward - bribe - rho*settled;
+    relative value iteration finds its greedy policy, whose exact ratio
+    (from the policy's stationary distribution) is the next rho.  Every
+    iterate is a share a policy attains, starting from the honest share,
+    and the iterates rise to the optimum superlinearly.  The value
+    iteration's span tolerance shrinks with the step, so the greedy policy
+    of the last steps is optimal to well within tol.  Stops when a step
+    moves the share by less than tol at a span tight for tol, and returns
+    that step's policy and its ratio.  The value table and the stationary
+    distribution carry over between steps.  Raises ValidationError unless
+    the model is a slot x winner grid, as build_mdp's models are.
     """
     require_positive_finite("tol", tol)
+    grid = _grid(model)
     n = model.state_count
     V = np.zeros(n)
     pi = np.zeros(n)
@@ -445,23 +515,18 @@ def solve_reward_share(
     rho = model.alpha_a  # the honest policy's share
     span_tol = _SPAN_START
     end_span = 0.0  # a span tight enough to stop at, set after the first step
-    per_step = []
+    per_step, stationary = [], []
     while True:
-        g, V, used, span = _sweeps(model, rho, V, span_tol, max_sweeps - sum(per_step))
+        r = grid.gain - rho * grid.settled
+        g, V, used, span = _sweeps(grid, r, V, span_tol, max_sweeps - sum(per_step))
         per_step.append(used)
         if g is None:
             raise ConvergenceError(
                 f"value iteration exhausted {max_sweeps} sweeps", residual=span
             )
-        q_act = np.add.reduceat(
-            model.edge_prob * (
-                model.edge_reward - model.edge_bribe - rho * model.edge_settled
-                + V[model.edge_dst]
-            ),
-            model.action_ptr,
-        )
-        slots = _greedy_slots(model, q_act)
-        ratio, settled, pi = _policy_ratio(model, slots, pi)
+        slots = _greedy_slots(grid.cols, _slot_values(grid, r, V))
+        ratio, settled, pi, iterations = _policy_ratio(grid, slots, pi)
+        stationary.append(iterations)
         step = ratio - rho
         rho = ratio
         if abs(step) < tol and span_tol <= end_span:
@@ -472,7 +537,9 @@ def solve_reward_share(
         span_tol = min(span_tol, max(end_span, abs(step) * settled * _SPAN_SHRINK))
     if not 0.0 <= rho <= 1.0:
         raise ConvergenceError(f"share {rho} escaped [0,1]", residual=abs(g))
-    return SolveResult(rho, slots, sum(per_step), abs(g), len(per_step), tuple(per_step))
+    return SolveResult(
+        rho, slots, sum(per_step), abs(g), len(per_step), tuple(per_step), tuple(stationary)
+    )
 
 
 def _slots(model: MdpModel, codes: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from powplay.errors import ValidationError, require_integer
+from powplay.errors import ValidationError, require_integer, require_nonnegative_finite
 
 __all__ = [
     "Pool",
@@ -61,10 +61,8 @@ class Pool:
     def __post_init__(self):
         if not isinstance(self.share, (int, float)) or isinstance(self.share, bool):
             raise ValidationError(f"pool {self.name!r}: share must be a number")
-        if self.share < 0:
-            raise ValidationError(f"pool {self.name!r}: share must be >= 0")
-        if self.cost < 0:
-            raise ValidationError(f"pool {self.name!r}: cost must be >= 0")
+        require_nonnegative_finite(f"pool {self.name!r}: share", self.share)
+        require_nonnegative_finite(f"pool {self.name!r}: cost", self.cost)
 
 
 @dataclass(frozen=True)
@@ -208,8 +206,7 @@ class AttackParams:
     max_bribe: int = 1
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be >= 0")
+        require_nonnegative_finite("epsilon", self.epsilon)
         require_integer("max_bribe", self.max_bribe)
         if self.max_bribe < 0:
             raise ValidationError("max_bribe must be >= 0")

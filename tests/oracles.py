@@ -8,7 +8,10 @@ builder is kept here in its unlumped form, as the reference for the lumped
 one, the lumped topology as the search over state tuples and action objects
 that the layered integer build replaced, greedy-policy extraction as the
 per-state loop it replaced, freezing a policy into tables as the walk over
-a {state: action} dict it replaced, the share solver as the bisection that the Dinkelbach iteration replaced, the
+a {state: action} dict it replaced, the share solver as the bisection that
+the Dinkelbach iteration replaced and as the Dinkelbach steps on the flat
+edge arrays (a reduceat sweep, a power iteration over the whole chain)
+that the slot x winner grid sweep replaced, the
 three lockstep Monte Carlo loops that the visit-count kernel replaced, and
 the per-event clocked simulator that the lockstep clocked engine replaced.
 The Monte Carlo loops draw the distraction automaton's winners from its
@@ -33,8 +36,7 @@ from powplay.mdp import (
     WAIT,
     MdpModel,
     SolveResult,
-    _greedy_slots,
-    _sweeps,
+    _policy_edges,
     policy_tables,
 )
 from powplay.model import AttackParams, PoolSet
@@ -841,6 +843,127 @@ def policy_tables_loop(model, policy):
     return tuple(tables)
 
 
+# -- the share solver on the per-edge arrays ----------------------------------------
+#
+# Dinkelbach steps as the package took them before it swept the slot x winner
+# grid: a value sweep gathers, sums and maxes over the flat edge arrays with
+# reduceat, and a policy's stationary distribution is power-iterated over
+# every state of the chain.  The power iteration also counts its iterations.
+
+
+def sweeps_per_edge(model, rho, V, span_tol, max_sweeps):
+    """Relative value iteration at a fixed candidate share rho."""
+    if max_sweeps < 1:
+        return None, V, 0, np.inf
+    base = model.edge_prob * (model.edge_reward - model.edge_bribe - rho * model.edge_settled)
+    pv = model.edge_prob
+    dst = model.edge_dst
+    a_ptr = model.action_ptr
+    s_ptr = model.state_ptr[:-1]
+    for sweep in range(1, max_sweeps + 1):
+        q_edge = base + pv * V[dst]
+        q_act = np.add.reduceat(q_edge, a_ptr)
+        v_new = np.maximum.reduceat(q_act, s_ptr)
+        diff = v_new - V
+        hi = float(diff.max())
+        lo = float(diff.min())
+        V = v_new - v_new[0]
+        if hi - lo < span_tol:
+            return 0.5 * (hi + lo), V, sweep, hi - lo
+    return None, V, max_sweeps, hi - lo
+
+
+def greedy_slots_reduceat(model, q_act):
+    """Each state's best action slot; ties go to the first, as with np.argmax."""
+    s_ptr = model.state_ptr[:-1]
+    best = np.maximum.reduceat(q_act, s_ptr)
+    slots = np.arange(q_act.size)
+    at_best = q_act == np.repeat(best, np.diff(model.state_ptr))
+    return np.minimum.reduceat(np.where(at_best, slots, q_act.size), s_ptr)
+
+
+def stationary_full_chain(count, dst, prob, pi, max_iterations=100_000):
+    """Stationary distribution of a chain, by power iteration from pi, and
+    the iterations that took.
+
+    State s has count[s] consecutive edges, to dst with probability prob.
+    Iterates the lazy chain 0.1*pi + 0.9*pi P, which has the same stationary
+    distribution and is aperiodic, until an iteration moves pi by less than
+    1e-13 in L1.
+    """
+    n = pi.size
+    for iteration in range(1, max_iterations + 1):
+        moved = np.bincount(dst, weights=np.repeat(pi, count) * prob, minlength=n)
+        nxt = 0.1 * pi + 0.9 * moved
+        change = float(np.abs(nxt - pi).sum())
+        pi = nxt
+        if change < 1e-13:
+            return pi / pi.sum(), iteration
+    raise ConvergenceError(
+        f"stationary distribution moved {change:.3g} after {max_iterations} iterations",
+        residual=change,
+    )
+
+
+def policy_ratio_full_chain(model, slots, pi):
+    """Exact long-run (reward - bribes) / settled of the policy taking slots.
+
+    Returns the ratio, the settled blocks per transition, the policy's
+    stationary distribution, found from pi, and the power iterations.
+    """
+    first, count, edges = _policy_edges(model, slots)
+    prob = model.edge_prob[edges]
+    settled = np.add.reduceat(prob * model.edge_settled[edges], first)
+    gain = np.add.reduceat(prob * (model.edge_reward[edges] - model.edge_bribe[edges]), first)
+    dst = model.edge_dst[edges]
+    del edges  # the power iteration needs only count, dst and prob
+    pi, iterations = stationary_full_chain(count, dst, prob, pi)
+    rate = float(pi @ settled)
+    return float(pi @ gain) / rate, rate, pi, iterations
+
+
+def solve_reward_share_per_edge(model, tol=1e-6, max_sweeps=500_000):
+    """solve_reward_share as Dinkelbach steps on the per-edge arrays."""
+    n = model.state_count
+    V = np.zeros(n)
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    rho = model.alpha_a  # the honest policy's share
+    span_tol = 1e-3
+    end_span = 0.0  # a span tight enough to stop at, set after the first step
+    per_step, stationary = [], []
+    while True:
+        g, V, used, span = sweeps_per_edge(model, rho, V, span_tol, max_sweeps - sum(per_step))
+        per_step.append(used)
+        if g is None:
+            raise ConvergenceError(
+                f"value iteration exhausted {max_sweeps} sweeps", residual=span
+            )
+        q_act = np.add.reduceat(
+            model.edge_prob * (
+                model.edge_reward - model.edge_bribe - rho * model.edge_settled
+                + V[model.edge_dst]
+            ),
+            model.action_ptr,
+        )
+        slots = greedy_slots_reduceat(model, q_act)
+        ratio, settled, pi, iterations = policy_ratio_full_chain(model, slots, pi)
+        stationary.append(iterations)
+        step = ratio - rho
+        rho = ratio
+        if abs(step) < tol and span_tol <= end_span:
+            break
+        # a greedy policy is optimal to within the span in average reward,
+        # hence to within span / settled in share
+        end_span = max(1e-10, tol * settled * 1e-2)
+        span_tol = min(span_tol, max(end_span, abs(step) * settled * 1e-2))
+    if not 0.0 <= rho <= 1.0:
+        raise ConvergenceError(f"share {rho} escaped [0,1]", residual=abs(g))
+    return SolveResult(
+        rho, slots, sum(per_step), abs(g), len(per_step), tuple(per_step), tuple(stationary)
+    )
+
+
 # -- the share solver by bisection -------------------------------------------------
 
 
@@ -862,7 +985,7 @@ def solve_reward_share_bisection(model, tol=1e-6, max_sweeps=500_000):
         rho = 0.5 * (lo + hi)
         span_tol = max(1e-12, (hi - lo) * 1e-3)
         while True:
-            g, V, used, span = _sweeps(model, rho, V, span_tol, max_sweeps - spent)
+            g, V, used, span = sweeps_per_edge(model, rho, V, span_tol, max_sweeps - spent)
             spent += used
             per_step.append(used)
             if g is None:
@@ -879,7 +1002,7 @@ def solve_reward_share_bisection(model, tol=1e-6, max_sweeps=500_000):
         else:
             hi = rho
     rho_star = 0.5 * (lo + hi)
-    g, V, used, span = _sweeps(
+    g, V, used, span = sweeps_per_edge(
         model, rho_star, V, 1e-12, max(1, max_sweeps - spent)
     )
     spent += used
@@ -891,10 +1014,11 @@ def solve_reward_share_bisection(model, tol=1e-6, max_sweeps=500_000):
         model.edge_reward - model.edge_bribe - rho_star * model.edge_settled
     )
     q_edge = base + model.edge_prob * V[model.edge_dst]
-    policy = _greedy_slots(model, np.add.reduceat(q_edge, model.action_ptr))
+    policy = greedy_slots_reduceat(model, np.add.reduceat(q_edge, model.action_ptr))
     if not 0.0 <= rho_star <= 1.0:
         raise ConvergenceError(f"share {rho_star} escaped [0,1]", residual=residual)
-    return SolveResult(rho_star, policy, spent, residual, len(per_step), tuple(per_step))
+    # bisection reads no stationary distribution: no power iterations to count
+    return SolveResult(rho_star, policy, spent, residual, len(per_step), tuple(per_step), ())
 
 
 # -- automata with one winner row per state ------------------------------------------

@@ -185,9 +185,11 @@ def test_mdp_solve_json_contract(tiny_pool_file, tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     doc = json.loads(out.read_text())
-    assert set(doc) == {"reward_share", "iterations", "state_count"}
+    assert set(doc) == {"reward_share", "iterations", "sweeps_per_step", "stationary_per_step", "state_count"}
     assert 0.4 <= doc["reward_share"] < 1.0
-    assert doc["iterations"] >= 1
+    assert doc["iterations"] == sum(doc["sweeps_per_step"]) >= 1
+    assert len(doc["stationary_per_step"]) == len(doc["sweeps_per_step"])
+    assert min(doc["stationary_per_step"]) >= 1
     art = read_artifact(pol)
     assert art.columns == ("state", "action")
     assert len(art.rows) == doc["state_count"]
@@ -469,6 +471,17 @@ def test_bad_tol_exits_1_before_any_model_is_built(argv, tiny_pool_file, monkeyp
         argv = [*argv, "--pools", tiny_pool_file]
     assert main(argv) == 1
     assert "tol must be a positive finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_non_finite_epsilon_exits_1_before_any_model_is_built(epsilon, tiny_pool_file, monkeypatch, capsys):
+    def build_mdp(*args, **kwargs):
+        raise AssertionError("a model was built for an epsilon that is rejected")
+
+    monkeypatch.setattr("powplay.cli.build_mdp", build_mdp)
+    argv = ["mdp", "solve", "--pools", tiny_pool_file, "--adversary", "A", "--fork-cap", "3", "--epsilon", epsilon]
+    assert main(argv) == 1
+    assert "epsilon must be a finite number >= 0" in capsys.readouterr().err
 
 
 def test_reproduce_json_format(tmp_path, capsys):

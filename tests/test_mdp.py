@@ -1,6 +1,6 @@
 """Optimal fork-race withholding: model construction, ratio solver, rollouts."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -13,8 +13,10 @@ from oracles import (
     build_mdp_unlumped,
     greedy_policy_loop,
     policy_rollout_loop,
+    policy_ratio_full_chain,
     policy_tables_loop,
     solve_reward_share_bisection,
+    solve_reward_share_per_edge,
     topology_bfs,
 )
 from powplay import mdp
@@ -27,7 +29,9 @@ from powplay.mdp import (
     OVERRIDE,
     WAIT,
     _greedy_slots,
+    _grid,
     _policy_ratio,
+    _slot_values,
     _slots,
     _stationary,
     _sweeps,
@@ -230,6 +234,9 @@ def _snapshot(adversary):
     return load_pool_file(bundled_pool_file("bitcoin_pools_2024_merged.json"), adversary=adversary)
 
 
+_SNAPSHOT_NAMES = [p.name for p in load_pool_file(bundled_pool_file("bitcoin_pools_2024_merged.json")).pools]
+
+
 NAMED_ROWS = {
     "fig3 Foundry USA": (lambda: _snapshot("Foundry USA"), EPS0, 6),
     "table2 row 2": (lambda: PoolSet.from_shares(TABLE2[0], TABLE2[2][2]), AttackParams(epsilon=TABLE2[1]), 8),
@@ -318,12 +325,112 @@ def test_share_matches_tight_bisection_oracle_on_fig3_row_and_at_cap_40():
         assert res.outer_steps <= 6 < oracle.outer_steps
 
 
-def test_solve_result_counts_steps_and_sweeps(two_pool_solved):
+def _assert_matches_the_per_edge_oracle(model):
+    """The grid sweep against the per-edge solver it replaced: one share and
+    one sweep count per step, and policies of one exact ratio.
+
+    Rounding may settle a tie between two actions of equal value either
+    way.  Where neither policy has stationary mass the choice changes
+    nothing the ratio reads, so the ratios agree to rounding.  A tie can
+    also fall where a policy has mass: at epsilon 0 and max_bribe 0 a match
+    pays a bribe of 0, and WAIT and MATCH 0 are then worth the same in some
+    states; there the two policies are different chains whose stationary
+    distributions are power-iterated to 1e-13, and their ratios agree to
+    the share tolerance.
+    """
+    got = solve_reward_share(model)
+    want = solve_reward_share_per_edge(model)
+    assert got.reward_share == pytest.approx(want.reward_share, abs=1e-12)
+    assert got.sweeps_per_step == want.sweeps_per_step
+    differ = got.policy != want.policy
+    if differ.any():
+        grid = _grid(model)
+        ours = _policy_ratio(grid, got.policy, _from_root(model))
+        theirs = _policy_ratio(grid, want.policy, _from_root(model))
+        with_mass = differ & ((ours[2] > 0) | (theirs[2] > 0))
+        assert ours[0] == pytest.approx(theirs[0], abs=1e-12 if with_mass.any() else 1e-15)
+
+
+ORACLE_ROWS = {
+    **{f"fig3 {name}": (lambda name=name: _snapshot(name), EPS0, 6) for name in _SNAPSHOT_NAMES},
+    **{f"table2 row {i}": (lambda i=i: PoolSet.from_shares(TABLE2[0], TABLE2[2][i]), AttackParams(epsilon=TABLE2[1]), 8)
+       for i in range(len(TABLE2[2]))},
+    "table4 Unknown": (lambda: _snapshot("Unknown"), EPS0, 8),
+    "two pools at cap 40": (lambda: PoolSet((Pool("adversary", 0.4), Pool("honest", 0.6)), adversary=0),
+                            AttackParams(max_bribe=0), 40),
+}
+
+
+@pytest.mark.parametrize("row", list(ORACLE_ROWS))
+def test_grid_solver_matches_the_per_edge_oracle_on_named_rows(row):
+    pools, params, cap = ORACLE_ROWS[row]
+    honest = "honest" if row.endswith("cap 40") else None
+    _assert_matches_the_per_edge_oracle(build_mdp(pools(), params, fork_cap=cap, honest=honest))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lumping_cases())
+def test_grid_solver_matches_the_per_edge_oracle_on_drawn_models(case):
+    pools, params, cap, honest = case
+    _assert_matches_the_per_edge_oracle(build_mdp(pools, params, fork_cap=cap, honest=honest))
+
+
+def _assert_stationary_matches_the_full_chain(model, slots, pi):
+    ratio, rate, got, iterations = _policy_ratio(_grid(model), slots, pi.copy())
+    want = policy_ratio_full_chain(model, slots, pi.copy())
+    np.testing.assert_allclose(got, want[2], rtol=0, atol=1e-15)
+    assert ratio == pytest.approx(want[0], abs=1e-15)
+    assert rate == pytest.approx(want[1], abs=1e-15)
+    assert iterations == want[3]
+
+
+def _random_slots(model, seed):
+    count = np.diff(model.state_ptr)
+    return model.state_ptr[:-1] + np.random.default_rng(seed).integers(0, count)
+
+
+def test_reachable_stationary_matches_the_full_chain_on_fig3_row(fig3_row_model):
+    model = fig3_row_model
+    solved = solve_reward_share(model).policy
+    carried = _policy_ratio(_grid(model), solved, _from_root(model))[2]
+    for slots in (honest_policy(model), solved, _random_slots(model, 1), _random_slots(model, 2)):
+        for pi in (_from_root(model), carried):
+            _assert_stationary_matches_the_full_chain(model, slots, pi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lumping_cases(), st.integers(0, 2**32 - 1))
+def test_reachable_stationary_matches_the_full_chain_on_drawn_models(case, seed):
+    pools, params, cap, honest = case
+    model = build_mdp(pools, params, fork_cap=cap, honest=honest)
+    for slots in (honest_policy(model), solve_reward_share(model).policy, _random_slots(model, seed)):
+        _assert_stationary_matches_the_full_chain(model, slots, _from_root(model))
+
+
+def test_solver_refuses_a_model_that_is_not_the_grid(two_pool_model):
+    model = two_pool_model
+    width = model.edge_prob.size // model.action_ptr.size
+    ptr = model.action_ptr.copy()
+    ptr[5] += 1  # slot 4 takes one edge of slot 5
+    prob = model.edge_prob.copy()
+    prob[5 * width + 1] += 1e-3  # slot 5 alone draws its winners otherwise
+    prob[5 * width + 2] -= 1e-3
+    for bad in (replace(model, action_ptr=ptr), replace(model, edge_prob=prob)):
+        with pytest.raises(ValidationError, match="grid"):
+            solve_reward_share(bad)
+
+
+def test_solve_result_counts_steps_and_sweeps(two_pool_model, two_pool_solved):
     res = two_pool_solved
-    assert res.outer_steps == len(res.sweeps_per_step) >= 2
+    assert res.outer_steps == len(res.sweeps_per_step) == len(res.stationary_per_step) >= 2
     assert sum(res.sweeps_per_step) == res.iterations
     assert min(res.sweeps_per_step) >= 1
+    assert min(res.stationary_per_step) >= 1
     assert 0.0 <= res.residual < 1e-6
+    # counts, no clock readings: two solves of one model agree field by field
+    again = solve_reward_share(two_pool_model)
+    for f in fields(mdp.SolveResult):
+        np.testing.assert_array_equal(getattr(again, f.name), getattr(res, f.name), err_msg=f.name)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -341,11 +448,13 @@ def test_solver_out_of_sweeps_raises_with_residual(two_pool_model):
 
 def test_stationary_iteration_is_bounded():
     """A two-state flip-flop: the lazy chain converges, but not in 5 steps."""
-    count, dst, prob = np.array([1, 1]), np.array([1, 0]), np.ones(2)
+    dst, p = np.array([[1, 0]]), np.ones(1)
     start = np.array([1.0, 0.0])
-    assert _stationary(count, dst, prob, start) == pytest.approx([0.5, 0.5], abs=1e-13)
+    pi, iterations = _stationary(dst, p, start)
+    assert pi == pytest.approx([0.5, 0.5], abs=1e-13)
+    assert iterations > 5
     with pytest.raises(ConvergenceError) as err:
-        _stationary(count, dst, prob, start, max_iterations=5)
+        _stationary(dst, p, start, max_iterations=5)
     assert err.value.residual > 0
 
 
@@ -465,13 +574,13 @@ def _selfish_slots(model):
 def test_honest_policy_ratio_is_the_adversary_share_on_drawn_models(case):
     pools, params, cap, honest = case
     model = build_mdp(pools, params, fork_cap=cap, honest=honest)
-    ratio = _policy_ratio(model, honest_policy(model), _from_root(model))[0]
+    ratio = _policy_ratio(_grid(model), honest_policy(model), _from_root(model))[0]
     assert ratio == pytest.approx(model.alpha_a, abs=1e-12)
 
 
 def test_honest_policy_ratio_is_the_adversary_share_on_fig3_row(fig3_row_model):
     model = fig3_row_model
-    ratio = _policy_ratio(model, honest_policy(model), _from_root(model))[0]
+    ratio = _policy_ratio(_grid(model), honest_policy(model), _from_root(model))[0]
     assert ratio == pytest.approx(model.alpha_a, abs=1e-12)
 
 
@@ -492,7 +601,7 @@ def test_selfish_policy_ratio_is_the_closed_form_and_the_optimum_beats_it():
     assert len(sets) >= 10
     for pools, eps in sets:
         model = build_mdp(pools, AttackParams(epsilon=eps), fork_cap=5)
-        ratio = _policy_ratio(model, _selfish_slots(model), _from_root(model))[0]
+        ratio = _policy_ratio(_grid(model), _selfish_slots(model), _from_root(model))[0]
         closed = selfish_profit(pools.adversary_share, residual_centralization_factor(pools), eps)
         assert ratio == pytest.approx(closed, abs=1e-12), (pools.shares, eps)
         assert solve_reward_share(model).reward_share >= ratio
@@ -586,15 +695,13 @@ def test_rollout_rejects_sizes_that_walk_or_count_nothing(two_pool_model, two_po
 
 def test_greedy_policy_matches_argmax_loop_on_fig3_row(fig3_row_model):
     model = fig3_row_model
-    rho = 0.08
-    _, V, _, _ = _sweeps(model, rho, np.zeros(model.state_count), 0.0, 50)
-    q_edge = model.edge_prob * (
-        model.edge_reward - model.edge_bribe - rho * model.edge_settled + V[model.edge_dst]
-    )
-    q_act = np.add.reduceat(q_edge, model.action_ptr)
+    grid = _grid(model)
+    r = grid.gain - 0.08 * grid.settled
+    _, V, _, _ = _sweeps(grid, r, np.zeros(model.state_count), 0.0, 50)
+    q_act = _slot_values(grid, r, V)
     tied = np.round(q_act, 2)  # ties between actions, settled by the first
     for q in (q_act, tied):
-        assert np.array_equal(_greedy_slots(model, q), greedy_policy_loop(model, q))
+        assert np.array_equal(_greedy_slots(grid.cols, q), greedy_policy_loop(model, q))
 
 
 @settings(max_examples=30, deadline=None)
@@ -603,7 +710,7 @@ def test_greedy_policy_matches_argmax_loop_on_drawn_models(case, seed):
     pools, params, cap, honest = case
     model = build_mdp(pools, params, fork_cap=cap, honest=honest)
     q_act = np.random.default_rng(seed).integers(0, 3, model.action_ptr.size).astype(float)
-    assert np.array_equal(_greedy_slots(model, q_act), greedy_policy_loop(model, q_act))
+    assert np.array_equal(_greedy_slots(_grid(model).cols, q_act), greedy_policy_loop(model, q_act))
 
 
 # -- freezing a policy into tables --------------------------------------------------
@@ -642,7 +749,7 @@ def test_policy_tables_match_the_dict_walk_on_drawn_models(case, seed):
     q_act = np.random.default_rng(seed).integers(0, 3, model.action_ptr.size).astype(float)
     honest_slots = honest_policy(model)
     _assert_honest(model, honest_slots)
-    for slots in (_greedy_slots(model, q_act), honest_slots):
+    for slots in (_greedy_slots(_grid(model).cols, q_act), honest_slots):
         _assert_tables_match_the_dict_walk(model, slots)
 
 

@@ -77,6 +77,27 @@ def test_attack_params_validation():
             AttackParams(max_bribe=bad)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_attack_params_reject_a_non_finite_epsilon(epsilon):
+    # nan < 0 is False: a NaN epsilon once reached the solver as NaN bribes
+    with pytest.raises(ValidationError, match="epsilon must be a finite number >= 0"):
+        AttackParams(epsilon=epsilon)
+
+
+@pytest.mark.parametrize("field", ["share", "cost"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_pool_rejects_a_non_finite_share_or_cost(field, value):
+    kwargs = {"share": 0.5, "cost": 0.0, field: value}
+    with pytest.raises(ValidationError, match=f"{field} must be a finite number >= 0"):
+        Pool("p", **kwargs)
+
+
+def test_from_shares_rejects_a_nan_share():
+    # a NaN share once made every share NaN: their sum passed the sum check
+    with pytest.raises(ValidationError, match="share must be a finite number >= 0"):
+        PoolSet.from_shares(0.4, [math.nan, 0.3])
+
+
 def test_epoch_model_defaults():
     em = EpochModel()
     assert em.blocks_per_epoch == 2016
