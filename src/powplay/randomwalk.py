@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from powplay.errors import ConvergenceError, ValidationError, require_positive_finite
+from powplay.errors import ConvergenceError, ValidationError, require_integer, require_positive_finite
 
 __all__ = [
     "SeriesResult",
@@ -211,14 +211,25 @@ def walk_never_reach_mc(
     unbiased while bounding runtime); walks still alive at ``step_cap`` are
     likewise closed out analytically.  Work is split into fixed chunks with
     independently spawned sub-seeds and reduced in chunk order, so the result
-    depends only on (seed, walks).
+    depends only on (seed, walks).  ``r``, ``walks`` and ``band`` must be
+    integers of at least 1 and ``step_cap`` an integer of at least 0.
+
+    A walk is stored as x = lead - (r - band) - 1 in the narrowest signed
+    integer type that holds the band, so it is alive while 0 <= x < band - 1,
+    one unsigned compare, and a step adds 2 * (u < share) - 1 in place.  Hit
+    and sunk masses are summed step by step in the walks' order.
     """
     _check_share(share)
-    if r < 1:
-        raise ValidationError(f"r must be a positive integer, got {r!r}")
-    if walks < 1:
-        raise ValidationError("walks must be positive")
+    for name, value, least in (("r", r, 1), ("walks", walks, 1), ("step_cap", step_cap, 0), ("band", band, 1)):
+        require_integer(name, value)
+        if value < least:
+            raise ValidationError(f"{name} must be at least {least}, got {value!r}")
     q = share / (1.0 - share)
+    top = band - 1  # x of a walk at r; a walk below r - band + 1 has x < 0
+    # x runs from top down to -1, or to band - r - 2 when the walks start
+    # below the floor; a signed type holds top = band - 1 when it holds -band
+    dtype = np.min_scalar_type(min(band - r - 2, -band))
+    unsigned = np.dtype(f"u{dtype.itemsize}")
 
     chunk = 1 << 16
     starts = list(range(0, walks, chunk))
@@ -227,24 +238,25 @@ def walk_never_reach_mc(
     def run_chunk(i: int) -> float:
         n = min(chunk, walks - starts[i])
         rng = np.random.default_rng(seeds[i])
-        lead = np.zeros(n, dtype=np.int64)
+        x = np.full(n, band - r - 1, dtype=dtype)  # every walk starts at lead 0
+        u = np.empty(n)
+        up = np.empty(n, dtype=bool)
         hit_mass = 0.0
-        floor = r - band
         for _ in range(step_cap):
-            lead += np.where(rng.random(lead.shape[0]) < share, 1, -1)
-            hits = lead >= r
-            sunk = lead <= floor
-            if hits.any():
+            m = x.size
+            np.less(rng.random(out=u[:m]), share, out=up[:m])
+            x += up[:m].view(np.int8) * 2 - 1
+            alive = x.view(unsigned) < top
+            if np.count_nonzero(alive) < m:
+                gone = x[~alive]
+                hits = gone == top
                 hit_mass += float(np.count_nonzero(hits))
-            if sunk.any():
-                hit_mass += float(np.sum(_hit_from(q, r - lead[sunk])))
-            keep = ~(hits | sunk)
-            if not keep.all():
-                lead = lead[keep]
-            if lead.shape[0] == 0:
-                break
-        if lead.shape[0]:
-            hit_mass += float(np.sum(_hit_from(q, r - lead)))
+                hit_mass += float(np.sum(_hit_from(q, top - gone[~hits].astype(np.int64))))
+                x = x[alive]
+                if x.size == 0:
+                    break
+        if x.size:
+            hit_mass += float(np.sum(_hit_from(q, top - x.astype(np.int64))))
         return hit_mass
 
     masses = [run_chunk(i) for i in range(len(starts))]

@@ -20,7 +20,9 @@ Two engines share the automata and one path walker, _walk(), which steps
 every replica through the automaton in lockstep.  All states of an automaton
 draw winners from one cdf row (the distraction automaton's state-dependent
 rows are folded into one, _fold_rows), so a block of steps has its winners
-counted at once.  Every engine breaks ties by one rule: a uniform u picks
+counted at once, and k consecutive winners form one code: a k-step jump
+table (_Jumps, built per run while it fits _JUMP_ENTRIES) then advances a
+chain k steps with one add and one take.  Every engine breaks ties by one rule: a uniform u picks
 the winner whose cdf interval [cdf[w-1], cdf[w]) holds it, as bisect_right
 and rng.choice do, so a winner of probability 0 is never drawn.  A fork-race
 MDP policy becomes an automaton in one place, _policy_automaton(), for the
@@ -73,6 +75,10 @@ STRATEGIES = (
 # replica; the size is a constant so chunking can never change a seeded run
 _CHUNK = 4096
 _LOCKSTEP_BLOCK = 1 << 16  # lockstep uniforms per block of steps: ~1 MB buffers at any horizon
+_JUMP_ENTRIES = 4096  # a walk takes k steps per lookup while states * winners**k fits this table
+# clocked walks at least this wide take one step per lookup: expanding the
+# k-step indices into events there costs more than the numpy calls it saves
+_CLOCKED_JUMP_WIDTH = 256
 
 
 class HorizonWarning(UserWarning):
@@ -552,25 +558,102 @@ def build_automaton(config: SimConfig) -> _Automaton:
 # -- the path walker ---------------------------------------------------------------
 
 
-def _walk(next_offset, cdf, u, offset, idx) -> None:
-    """Walk every chain len(u) steps; the one path walker of both engines.
+@dataclass(frozen=True)
+class _Jumps:
+    """An automaton's k-step jump table: k steps of every chain per lookup.
+
+    A k-step index is state * n_win**k + code, code the k winners as a
+    base-n_win number, the first winner most significant.  table maps it to
+    the state after the k steps times n_win**k, so adding the next code
+    gives the next index; steps[j] maps it to the flat (state, winner)
+    index of its step j.  next_offset is the one-step table, next_state *
+    n_win; with k = 1 it equals table and steps[0] is the identity.
+    """
+
+    k: int
+    n_win: int
+    table: np.ndarray
+    next_offset: np.ndarray
+    steps: np.ndarray
+
+
+def _jump_steps(n_states: int, n_win: int) -> int:
+    """The most steps k, at least 1, whose table of n_states * n_win**k entries fits _JUMP_ENTRIES."""
+    k = 1
+    while n_win > 1 and n_states * n_win ** (k + 1) <= _JUMP_ENTRIES:
+        k += 1
+    return k
+
+
+def _jumps(next_state: np.ndarray, k: int) -> _Jumps:
+    """The k-step jump table of next_state, built with k gathers of it."""
+    n_states, n_win = next_state.shape
+    state = np.arange(n_states)[:, None]  # state before step j, per (start, first j winners)
+    steps = []
+    for j in range(k):
+        flat = (state[:, :, None] * n_win + np.arange(n_win)).reshape(n_states, -1)
+        steps.append(np.repeat(flat, n_win ** (k - 1 - j), axis=1).ravel())
+        state = next_state.ravel().take(flat)
+    return _Jumps(k, n_win, (state * n_win**k).ravel(), (next_state * n_win).ravel(), np.array(steps))
+
+
+def _follow(table, codes, offset, out) -> None:
+    """Advance every chain's offset once per row of codes through table; out[t] gets row t's indices."""
+    for code, row in zip(codes, out):
+        np.add(offset, code, out=row)
+        # every index is in range; "clip" skips the copy of out that "raise" makes
+        table.take(row, out=offset, mode="clip")
+
+
+def _walk(jumps: _Jumps, cdf, u, offset, out) -> None:
+    """Walk every chain len(u) steps, jumps.k per lookup; the one path walker of both engines.
 
     Row t of u holds step t's uniform for each chain.  Its winner, counted
     for all steps at once, is the count of cdf's entries at most u, the one
     tie rule of every engine: bisect_right's, searchsorted's side="right"
-    and rng.choice's, so a winner of probability 0 is never drawn.  offset
-    holds state * n_win per chain and is advanced in place through
-    next_offset; idx[t] receives the flat (state, winner) index each chain
-    visits at step t.
+    and rng.choice's, so a winner of probability 0 is never drawn.  Each k
+    consecutive rows of winners form one k-step code, made with k - 1
+    multiply-adds in the smallest type that holds it.  offset holds state *
+    n_win**k per chain and is advanced in place, k steps per add and take;
+    out[g] receives group g's k-step index.  The len(u) % k rows left over
+    take one step per lookup through jumps.next_offset, by the same loop,
+    their flat (state, winner) indices going to the rows of out after the
+    groups.  With k = 1 every row is a group of one.
     """
-    wins = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size))
+    k, n_win = jumps.k, jumps.n_win
+    wins = np.zeros(u.shape, dtype=np.min_scalar_type(n_win**k))
     for c in cdf[:-1]:
         wins += c <= u
     del u  # callers pass u as a temporary, so the walk runs without it
-    for w, row in zip(wins, idx):
-        np.add(offset, w, out=row)
-        # every index is in range; "clip" skips the copy of out that "raise" makes
-        next_offset.take(row, out=offset, mode="clip")
+    g = len(wins) // k
+    groups = wins[: g * k].reshape(g, k, wins.shape[1])
+    code = groups[:, 0]
+    for j in range(1, k):
+        code = code * n_win
+        code += groups[:, j]
+    _follow(jumps.table, code, offset, out[:g])
+    if len(wins) > g * k:
+        offset //= n_win ** (k - 1)
+        _follow(jumps.next_offset, wins[g * k :], offset, out[g:])
+        offset *= n_win ** (k - 1)
+
+
+def _events(jumps: _Jumps, out, n: int) -> np.ndarray:
+    """The flat (state, winner) index of each of the n steps whose _walk output is out, one row per step.
+
+    Row g * k + j is step j of group g, k gathers in all; the rows left
+    over are copied.  With k = 1 out already is that array.
+    """
+    k = jumps.k
+    if k == 1:
+        return out
+    g = n // k
+    idx = np.empty((n, out.shape[1]), dtype=np.int64)
+    events = idx[: g * k].reshape(g, k, idx.shape[1])
+    for j, step in enumerate(jumps.steps):
+        step.take(out[:g], out=events[:, j], mode="clip")
+    idx[g * k :] = out[g : g + n % k]
+    return idx
 
 
 # -- clocked engine ------------------------------------------------------------------
@@ -637,7 +720,9 @@ def _clocked_runs(config: SimConfig, seeds: list[int]) -> list[SimStats]:
     rng.standard_exponential(_CHUNK) from its own generator whenever it has
     used up its last chunk, as a run one event at a time would.  The clock
     never feeds back into the path, so a chunk's states and winners come
-    first (_walk), then one column-wise pass
+    first (_walk, k steps per lookup for walks narrower than
+    _CLOCKED_JUMP_WIDTH, then _events spreads each k-step index over its
+    events), then one column-wise pass
     gathers each event's blocks, orphans and net reward and accumulates
     them down each replica's column, and then each replica's times follow,
     one segment between difficulty retargets at a time.  Every float
@@ -650,7 +735,8 @@ def _clocked_runs(config: SimConfig, seeds: list[int]) -> list[SimStats]:
     L = ep.blocks_per_epoch
     target = config.horizon * L if config.horizon_unit == "epochs" else config.horizon
     n_win = auto.cdf.size
-    next_offset = (auto.next_state * n_win).ravel()
+    k = _jump_steps(auto.n_states, n_win) if len(seeds) < _CLOCKED_JUMP_WIDTH else 1
+    jumps = _jumps(auto.next_state, k)
     # flat (state, winner) tables; a chunk's running block and orphan counts
     # fit the smallest type that holds _CHUNK times the table's largest entry
     blocks, orphans = (
@@ -702,8 +788,9 @@ def _clocked_runs(config: SimConfig, seeds: list[int]) -> list[SimStats]:
     live = list(runs)
     offset = np.zeros(len(live), dtype=np.int64)
     while live:
-        idx = np.empty((_CHUNK, len(live)), dtype=np.int64)
-        _walk(next_offset, auto.cdf, _uniforms(live), offset, idx)
+        out = np.empty((_CHUNK // k + _CHUNK % k, len(live)), dtype=np.int64)
+        _walk(jumps, auto.cdf, _uniforms(live), offset, out)
+        idx = _events(jumps, out, _CHUNK)
         revenue = net.take(idx)
         revenue[0] += [run.revenue for run in live]
         np.add.accumulate(revenue, axis=0, out=revenue)
@@ -714,7 +801,7 @@ def _clocked_runs(config: SimConfig, seeds: list[int]) -> list[SimStats]:
         done = np.array(
             [advance(run, idx[:, j], revenue[:, j], canonical[:, j], orphaned[:, j]) for j, run in enumerate(live)]
         )
-        del idx, revenue, canonical, orphaned  # free this chunk's columns before the next is drawn
+        del out, idx, revenue, canonical, orphaned  # free this chunk's columns before the next is drawn
         if done.any():
             live = [run for run, d in zip(live, done) if not d]
             offset = offset[~done]
@@ -758,19 +845,32 @@ def _lockstep_visits(next_state, cdf, rng, replicas, burn_in, steps):
     np.searchsorted(cdf, u, side="right") picks (cdf, every state's one
     winner row, ends in 1.0) and moves it to next_state[state, winner];
     steps from burn_in on are counted.  Uniforms come a block of steps at a
-    time, which consumes the generator exactly as one draw per step.
+    time, the burn-in and the counted steps in blocks of their own, which
+    consumes the generator exactly as one draw per step.  The walk takes k
+    steps per lookup (_Jumps; k = 1 when even one step's table is over
+    _JUMP_ENTRIES), so the counted steps are bincounts of k-step indices
+    over the table's entries, plus one-step indices for the rows a block
+    leaves over, and each step j of a k-step index adds its count to the
+    (state, winner) pair jumps.steps[j] names: exact integer visits.
     """
     n_states, n_win = next_state.shape
-    next_offset = (next_state * n_win).ravel()  # successor's row start in the flat tables
-    rows = burn_in + steps
-    block = max(1, _LOCKSTEP_BLOCK // replicas)
-    offset = np.zeros(replicas, dtype=np.int64)  # state * n_win per chain
-    idx = np.empty((block, replicas), dtype=np.int64)
-    visits = np.zeros(n_states * n_win, dtype=np.int64)
-    for start in range(0, rows, block):
-        n = min(block, rows - start)
-        _walk(next_offset, cdf, rng.random((n, replicas)), offset, idx)
-        visits += np.bincount(idx[max(0, burn_in - start):n].ravel(), minlength=visits.size)
+    jumps = _jumps(next_state, _jump_steps(n_states, n_win))
+    k = jumps.k
+    block = max(1, _LOCKSTEP_BLOCK // (replicas * k)) * k
+    offset = np.zeros(replicas, dtype=np.int64)  # state * n_win**k per chain
+    out = np.empty((block, replicas), dtype=np.int64)
+    grouped = np.zeros(jumps.table.size, dtype=np.int64)  # counted k-step indices
+    visits = np.zeros(n_states * n_win, dtype=np.int64)  # counted one-step indices
+    for first, last in ((0, burn_in), (burn_in, burn_in + steps)):
+        for start in range(first, last, block):
+            n = min(block, last - start)
+            _walk(jumps, cdf, rng.random((n, replicas)), offset, out)
+            if first == burn_in:
+                grouped += np.bincount(out[: n // k].ravel(), minlength=grouped.size)
+                if n % k:
+                    visits += np.bincount(out[n // k : n // k + n % k].ravel(), minlength=visits.size)
+    for step in jumps.steps:
+        np.add.at(visits, step, grouped)
     return visits.reshape(n_states, n_win)
 
 

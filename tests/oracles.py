@@ -12,11 +12,13 @@ a {state: action} dict it replaced, the share solver as the bisection that
 the Dinkelbach iteration replaced and as the Dinkelbach steps on the flat
 edge arrays (a reduceat sweep, a power iteration over the whole chain)
 that the slot x winner grid sweep replaced, the
-three lockstep Monte Carlo loops that the visit-count kernel replaced, and
-the per-event clocked simulator that the lockstep clocked engine replaced.
-The Monte Carlo loops draw the distraction automaton's winners from its
-per-state rows, as they did before the rows were folded into one cdf, and
-an exact stationary solve evaluates any automaton without sampling.
+three lockstep Monte Carlo loops that the visit-count kernel replaced, the
+per-event clocked simulator that the lockstep clocked engine replaced, and
+the never-reach walk as the int64 step-at-a-time loop that the int8 walk
+replaced.  The Monte Carlo loops draw the distraction automaton's winners
+from its per-state rows, as they did before the rows were folded into one
+cdf, and an exact stationary solve evaluates any automaton without
+sampling.
 """
 
 import math
@@ -288,6 +290,51 @@ def never_reach_mc(share, r, walks=100_000, horizon=4_000, seed=0):
         tail = np.minimum(1.0, q ** (r - lead[alive]).astype(np.float64))
         hit += float(tail.sum())
     return 1.0 - hit / walks
+
+
+def _hit_from(q, gap):
+    """Exact probability of ever gaining ``gap`` more, clamped for q >= 1."""
+    return np.minimum(1.0, q ** gap.astype(np.float64))
+
+
+def walk_never_reach_mc_per_step(share, r, walks=1_000_000, seed=0, step_cap=100_000, band=30):
+    """powplay.randomwalk.walk_never_reach_mc as one int64 np.where step at a time, before int8 walks.
+
+    Same chunks, sub-seeds, absorption and analytic close-out; each step
+    adds np.where(u < share, 1, -1) to int64 leads and tests hits and sunk
+    walks with two compares.  Sizes are not validated.
+    """
+    q = share / (1.0 - share)
+
+    chunk = 1 << 16
+    starts = list(range(0, walks, chunk))
+    seeds = np.random.SeedSequence(seed).spawn(len(starts))
+
+    def run_chunk(i: int) -> float:
+        n = min(chunk, walks - starts[i])
+        rng = np.random.default_rng(seeds[i])
+        lead = np.zeros(n, dtype=np.int64)
+        hit_mass = 0.0
+        floor = r - band
+        for _ in range(step_cap):
+            lead += np.where(rng.random(lead.shape[0]) < share, 1, -1)
+            hits = lead >= r
+            sunk = lead <= floor
+            if hits.any():
+                hit_mass += float(np.count_nonzero(hits))
+            if sunk.any():
+                hit_mass += float(np.sum(_hit_from(q, r - lead[sunk])))
+            keep = ~(hits | sunk)
+            if not keep.all():
+                lead = lead[keep]
+            if lead.shape[0] == 0:
+                break
+        if lead.shape[0]:
+            hit_mass += float(np.sum(_hit_from(q, r - lead)))
+        return hit_mass
+
+    masses = [run_chunk(i) for i in range(len(starts))]
+    return 1.0 - sum(masses) / walks
 
 
 # -- Monte Carlo: walk an explicit reward chain ---------------------------------------

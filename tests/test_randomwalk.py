@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from powplay.errors import ConvergenceError, ValidationError
 from powplay.randomwalk import (
@@ -21,6 +21,7 @@ from oracles import (
     g_closed_taylor,
     lattice_counts,
     series_sum_numeric,
+    walk_never_reach_mc_per_step,
 )
 
 
@@ -63,6 +64,40 @@ def test_walk_mc_deterministic():
     one = walk_never_reach_mc(0.3, 2, walks=100_000, seed=5)
     two = walk_never_reach_mc(0.3, 2, walks=100_000, seed=5)
     assert one == two
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    share=st.floats(0.02, 0.98),
+    r=st.integers(1, 4),
+    walks=st.sampled_from([1, 7, 1_000, 65_536, 65_537, 70_001]),
+    seed=st.integers(0, 2**32 - 1),
+    step_cap=st.integers(0, 300),
+    band=st.integers(1, 12),
+)
+# the defaults, over the 65,536-walk chunk boundary
+@example(share=0.45, r=3, walks=70_001, seed=1, step_cap=100_000, band=30)
+# most walks are still alive at the cap and closed out analytically
+@example(share=0.3, r=2, walks=65_537, seed=2, step_cap=4, band=12)
+# bands below r start every walk under the floor, so it sinks on its first step
+@example(share=0.4, r=4, walks=1_000, seed=3, step_cap=100, band=2)
+# bands past 128 and starts far below the floor need int16 walks
+@example(share=0.45, r=2, walks=1_000, seed=4, step_cap=500, band=200)
+@example(share=0.6, r=300, walks=1_000, seed=5, step_cap=10, band=3)
+def test_walk_mc_equals_the_int64_per_step_loop(share, r, walks, seed, step_cap, band):
+    got = walk_never_reach_mc(share, r, walks=walks, seed=seed, step_cap=step_cap, band=band)
+    assert got == walk_never_reach_mc_per_step(share, r, walks=walks, seed=seed, step_cap=step_cap, band=band)
+
+
+_BAD_SIZES = [{"band": 0}, {"band": -3}, {"band": 2.5}, {"band": True}, {"step_cap": -1}, {"step_cap": 10.0},
+              {"walks": True}, {"walks": 1.5}, {"r": 1.5}, {"r": True}]
+
+
+@pytest.mark.parametrize("sizes", _BAD_SIZES, ids=[f"{k}={v}" for d in _BAD_SIZES for k, v in d.items()])
+def test_walk_mc_rejects_sizes_that_are_not_counts(sizes):
+    # at band 0 a walk reaching r was also counted as sunk (0.2732, exact 0.5714)
+    with pytest.raises(ValidationError, match=next(iter(sizes))):
+        walk_never_reach_mc(0.3, **{"r": 1, "walks": 1_000, "seed": 1, **sizes})
 
 
 # -- generating-function series -------------------------------------------------

@@ -1,5 +1,6 @@
 """Simulation engines: automata vs closed forms, difficulty retargets, trajectories."""
 
+import itertools
 import math
 from dataclasses import fields, replace
 
@@ -36,8 +37,14 @@ from powplay.sim import (
     HorizonWarning,
     SimConfig,
     SimStats,
+    _CLOCKED_JUMP_WIDTH,
+    _JUMP_ENTRIES,
+    _events,
     _fold_rows,
+    _jump_steps,
+    _jumps,
     _lockstep_visits,
+    _walk,
     build_automaton,
     dam_update,
     distraction_occupancy_mc,
@@ -314,13 +321,50 @@ def test_automaton_n_states_counts_states_not_winner_columns(kernel_case):
     assert auto.n_states == _state_count(cfg) == len(auto.rate)
 
 
+def test_jump_table_takes_k_steps_per_lookup(kernel_case):
+    _, auto = kernel_case
+    S, W = auto.n_states, auto.cdf.size
+    k = _jump_steps(S, W)
+    assert 2 <= k and S * W**k <= _JUMP_ENTRIES < S * W ** (k + 1)
+    jumps = _jumps(auto.next_state, k)
+    # walk every (state, k winners) one step at a time, first winner most significant
+    state = np.arange(S).repeat(W**k)
+    code = np.tile(np.arange(W**k), S)
+    for j in range(k):
+        w = code // W ** (k - 1 - j) % W
+        np.testing.assert_array_equal(jumps.steps[j], state * W + w)
+        state = auto.next_state[state, w]
+    np.testing.assert_array_equal(jumps.table, state * W**k)
+    np.testing.assert_array_equal(jumps.next_offset, (auto.next_state * W).ravel())
+
+
+def test_k_step_walk_visits_the_events_of_the_one_step_walk(kernel_case):
+    # neither slab's length is a multiple of any k from 3 to 5, so the
+    # second starts from offsets that the first ended on single steps
+    _, auto = kernel_case
+    W = auto.cdf.size
+    k = _jump_steps(auto.n_states, W)
+    jumps, single = _jumps(auto.next_state, k), _jumps(auto.next_state, 1)
+    offset, offset_1 = np.zeros(5, dtype=np.int64), np.zeros(5, dtype=np.int64)
+    for rows in (103, 62):
+        u = np.random.default_rng(rows).random((rows, 5))
+        out, want = np.empty((rows // k + rows % k, 5), dtype=np.int64), np.empty((rows, 5), dtype=np.int64)
+        _walk(jumps, auto.cdf, u.copy(), offset, out)
+        _walk(single, auto.cdf, u, offset_1, want)
+        np.testing.assert_array_equal(_events(jumps, out, rows), want)
+        np.testing.assert_array_equal(offset, offset_1 * W ** (k - 1))
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("replicas, burn_in, steps", [(64, 37, 150), (5_000, 20, 30)])
+@pytest.mark.parametrize("replicas, burn_in, steps",
+                         [(64, 37, 150), (5_000, 20, 30), (1, 41, 997), (3, 13, 409)])
 def test_kernel_visits_equal_the_searchsorted_loop(kernel_case, side, replicas, burn_in, steps):
     # the kernel breaks ties as side="right"; no uniform of these seeded
     # walks sits on a cdf entry, so the loop counts the same visits under
     # either rule, which is why the one rule moved no seeded result
-    # 5,000 replicas make blocks of 13 steps, so burn-in ends inside a block;
+    # the kernel walks k = 3 to 5 steps per lookup on these automata: 5,000
+    # replicas make blocks of 12 or 10 steps, so blocks leave rows over, and
+    # the prime sizes end the burn-in and the run inside a k-step group;
     # the loop walks per-state rows, the kernel the one (folded) cdf
     cfg, auto = kernel_case
     rows = per_state_automaton(cfg)
@@ -392,14 +436,20 @@ def _spawned(cfg: SimConfig, replicas: int) -> list[SimConfig]:
 
 
 @pytest.mark.parametrize("dam_mode", ["canonical_only", "active_power"])
-@pytest.mark.parametrize("horizon, unit", [(3, "epochs"), (700, "blocks")], ids=["epochs", "blocks"])
+@pytest.mark.parametrize("horizon, unit", [(3, "epochs"), (700, "blocks"), (5_000, "blocks")],
+                         ids=["epochs", "blocks", "two-chunks"])
 def test_simulate_equals_the_per_event_loop(kernel_case, dam_mode, horizon, unit):
+    # one replica walks k = 3 to 5 steps per lookup here; a chunk of 4,096
+    # events is not a multiple of k = 3 or 5, so those two-chunk runs carry
+    # a walk that ended on single steps into the next chunk
     cfg, _ = kernel_case
     cfg = replace(cfg, epoch=EpochModel(blocks_per_epoch=300), horizon=horizon, horizon_unit=unit, dam_mode=dam_mode)
     got = simulate(cfg)
     _assert_same_stats(got, simulate_sequential(cfg))
     assert got.events == len(got.revenue_advantage)
-    assert len(got.epoch_durations) == (horizon if unit == "epochs" else 2)
+    assert len(got.epoch_durations) == (horizon if unit == "epochs" else horizon // 300)
+    if horizon == 5_000:
+        assert got.events > _CHUNK
 
 
 def test_simulate_equals_the_per_event_loop_without_a_trajectory(merged_foundry):
@@ -431,6 +481,18 @@ def test_simulate_many_equals_the_per_event_loop_across_chunks(merged_foundry, r
     if replicas == 24:
         assert {math.ceil(r.events / _CHUNK) for r in runs} == {2, 3}
         assert {r.rng_draws for r in runs} == {4 * _CHUNK, 6 * _CHUNK}
+
+
+def test_simulate_many_wider_than_the_jump_gate_equals_the_per_event_loop(merged_foundry):
+    # this wide, the clocked walk takes one step per lookup; about 4,100
+    # events a run, so replicas finish in the first or the second chunk
+    replicas = _CLOCKED_JUMP_WIDTH + 1
+    cfg = SimConfig(merged_foundry, strategy="pi_selfish", epoch=EpochModel(blocks_per_epoch=1_000),
+                    horizon=3_354, horizon_unit="blocks", seed=replicas)
+    runs = simulate_many(cfg, replicas)
+    for got, alone in zip(runs, _spawned(cfg, replicas), strict=True):
+        _assert_same_stats(got, simulate_sequential(alone))
+    assert {math.ceil(r.events / _CHUNK) for r in runs} == {1, 2}
 
 
 class _GeneratorOnTheCdf:
@@ -501,6 +563,19 @@ def _criterion_06_pool_sets():
 
 def _exact(auto):
     return exact_automaton(auto.cdf, auto.next_state, auto.settled, auto.attacker - auto.bribe)
+
+
+def test_reward_share_mc_is_unbiased_against_the_exact_automata():
+    # 16 independently seeded runs per automaton; their spread gives sigma of the mean
+    runs = 16
+    for pools, eps in itertools.islice(_criterion_06_pool_sets(), 3):
+        for strategy in ("pi_selfish", "bribery", "undercut"):
+            cfg = SimConfig(pools, strategy=strategy, params=AttackParams(epsilon=eps))
+            exact = _exact(build_automaton(cfg))[0]
+            shares = [reward_share_mc(replace(cfg, seed=seed), transitions=250_000).adversary_reward_share
+                      for seed in range(runs)]
+            sigma = np.std(shares, ddof=1) / math.sqrt(runs)
+            assert 0 < sigma and abs(np.mean(shares) - exact) <= 5 * sigma, (strategy, pools.shares, eps)
 
 
 def test_exact_automata_equal_the_closed_forms():
