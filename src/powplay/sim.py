@@ -76,9 +76,6 @@ STRATEGIES = (
 _CHUNK = 4096
 _LOCKSTEP_BLOCK = 1 << 16  # lockstep uniforms per block of steps: ~1 MB buffers at any horizon
 _JUMP_ENTRIES = 4096  # a walk takes k steps per lookup while states * winners**k fits this table
-# clocked walks at least this wide take one step per lookup: expanding the
-# k-step indices into events there costs more than the numpy calls it saves
-_CLOCKED_JUMP_WIDTH = 256
 
 
 class HorizonWarning(UserWarning):
@@ -567,14 +564,15 @@ class _Jumps:
     the state after the k steps times n_win**k, so adding the next code
     gives the next index; steps[j] maps it to the flat (state, winner)
     index of its step j.  next_offset is the one-step table, next_state *
-    n_win; with k = 1 it equals table and steps[0] is the identity.
+    n_win.  With k = 1 table is next_offset itself and steps is empty: a
+    one-step index already is the flat (state, winner) index.
     """
 
     k: int
     n_win: int
     table: np.ndarray
     next_offset: np.ndarray
-    steps: np.ndarray
+    steps: tuple[np.ndarray, ...]
 
 
 def _jump_steps(n_states: int, n_win: int) -> int:
@@ -588,13 +586,16 @@ def _jump_steps(n_states: int, n_win: int) -> int:
 def _jumps(next_state: np.ndarray, k: int) -> _Jumps:
     """The k-step jump table of next_state, built with k gathers of it."""
     n_states, n_win = next_state.shape
+    next_offset = (next_state * n_win).ravel()
+    if k == 1:
+        return _Jumps(1, n_win, next_offset, next_offset, ())
     state = np.arange(n_states)[:, None]  # state before step j, per (start, first j winners)
     steps = []
     for j in range(k):
         flat = (state[:, :, None] * n_win + np.arange(n_win)).reshape(n_states, -1)
         steps.append(np.repeat(flat, n_win ** (k - 1 - j), axis=1).ravel())
         state = next_state.ravel().take(flat)
-    return _Jumps(k, n_win, (state * n_win**k).ravel(), (next_state * n_win).ravel(), np.array(steps))
+    return _Jumps(k, n_win, (state * n_win**k).ravel(), next_offset, tuple(steps))
 
 
 def _follow(table, codes, offset, out) -> None:
@@ -720,23 +721,22 @@ def _clocked_runs(config: SimConfig, seeds: list[int]) -> list[SimStats]:
     rng.standard_exponential(_CHUNK) from its own generator whenever it has
     used up its last chunk, as a run one event at a time would.  The clock
     never feeds back into the path, so a chunk's states and winners come
-    first (_walk, k steps per lookup for walks narrower than
-    _CLOCKED_JUMP_WIDTH, then _events spreads each k-step index over its
-    events), then one column-wise pass
-    gathers each event's blocks, orphans and net reward and accumulates
-    them down each replica's column, and then each replica's times follow,
-    one segment between difficulty retargets at a time.  Every float
-    operation of a replica happens in the order of a per-event loop, so
-    the results are bit-identical to one.  A replica leaves the lockstep at
-    the event that reaches its horizon.
+    first (_walk, k steps per lookup, then _events spreads each k-step
+    index over its events), then one column-wise pass gathers each
+    event's blocks, orphans and net reward and accumulates them down each
+    replica's column, and then each replica's times follow, one segment
+    between difficulty retargets at a time.  Every float operation of a
+    replica happens in the order of a per-event loop, so the results are
+    bit-identical to one.  A replica leaves the lockstep at the event that
+    reaches its horizon.
     """
     auto = build_automaton(config)
     ep = config.epoch
     L = ep.blocks_per_epoch
     target = config.horizon * L if config.horizon_unit == "epochs" else config.horizon
     n_win = auto.cdf.size
-    k = _jump_steps(auto.n_states, n_win) if len(seeds) < _CLOCKED_JUMP_WIDTH else 1
-    jumps = _jumps(auto.next_state, k)
+    jumps = _jumps(auto.next_state, _jump_steps(auto.n_states, n_win))
+    k = jumps.k
     # flat (state, winner) tables; a chunk's running block and orphan counts
     # fit the smallest type that holds _CHUNK times the table's largest entry
     blocks, orphans = (
@@ -851,16 +851,19 @@ def _lockstep_visits(next_state, cdf, rng, replicas, burn_in, steps):
     _JUMP_ENTRIES), so the counted steps are bincounts of k-step indices
     over the table's entries, plus one-step indices for the rows a block
     leaves over, and each step j of a k-step index adds its count to the
-    (state, winner) pair jumps.steps[j] names: exact integer visits.
+    (state, winner) pair jumps.steps[j] names: exact integer visits.  With
+    k = 1 the indices are (state, winner) pairs and are counted directly.
     """
     n_states, n_win = next_state.shape
     jumps = _jumps(next_state, _jump_steps(n_states, n_win))
     k = jumps.k
     block = max(1, _LOCKSTEP_BLOCK // (replicas * k)) * k
     offset = np.zeros(replicas, dtype=np.int64)  # state * n_win**k per chain
-    out = np.empty((block, replicas), dtype=np.int64)
-    grouped = np.zeros(jumps.table.size, dtype=np.int64)  # counted k-step indices
+    # n <= block steps fill n // k group rows and n % k single rows, fewer than block // k + k
+    out = np.empty((block // k + k - 1, replicas), dtype=np.int64)
     visits = np.zeros(n_states * n_win, dtype=np.int64)  # counted one-step indices
+    # counted k-step indices; with k = 1 they are one-step indices already
+    grouped = visits if k == 1 else np.zeros(jumps.table.size, dtype=np.int64)
     for first, last in ((0, burn_in), (burn_in, burn_in + steps)):
         for start in range(first, last, block):
             n = min(block, last - start)

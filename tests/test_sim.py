@@ -18,6 +18,7 @@ from oracles import (
     simulate_sequential,
     unfold_visits,
 )
+from powplay import sim
 from powplay.bribery import TargetPartition, bribery_reward_share, undercut_reward_share
 from powplay.distraction import DistractionParams, PowerSplit, distraction_reward_share, scenario_rates
 from powplay.errors import ValidationError
@@ -37,7 +38,6 @@ from powplay.sim import (
     HorizonWarning,
     SimConfig,
     SimStats,
-    _CLOCKED_JUMP_WIDTH,
     _JUMP_ENTRIES,
     _events,
     _fold_rows,
@@ -374,6 +374,18 @@ def test_kernel_visits_equal_the_searchsorted_loop(kernel_case, side, replicas, 
     assert got.sum() == replicas * steps
 
 
+def test_kernel_visits_over_the_table_budget_equal_the_searchsorted_loop(kernel_case, monkeypatch):
+    # with no room for a two-step table the walk takes one step per lookup
+    # and bincounts its (state, winner) indices straight into the visits
+    cfg, auto = kernel_case
+    monkeypatch.setattr(sim, "_JUMP_ENTRIES", 0)
+    assert _jumps(auto.next_state, _jump_steps(auto.n_states, auto.cdf.size)).steps == ()
+    rows = per_state_automaton(cfg)
+    got = _lockstep_visits(auto.next_state, auto.cdf, np.random.default_rng(4), 3, 13, 409)
+    want = lockstep_visits_loop(rows.next_state, rows.cdf, np.random.default_rng(4), 3, 13, 409, "right")
+    np.testing.assert_array_equal(unfold_visits(got, auto.cdf, rows.cdf), want)
+
+
 class _UniformsOnTheCdf:
     """Generator stand-in whose uniforms repeat values that sit exactly on cdf entries."""
 
@@ -483,10 +495,11 @@ def test_simulate_many_equals_the_per_event_loop_across_chunks(merged_foundry, r
         assert {r.rng_draws for r in runs} == {4 * _CHUNK, 6 * _CHUNK}
 
 
-def test_simulate_many_wider_than_the_jump_gate_equals_the_per_event_loop(merged_foundry):
-    # this wide, the clocked walk takes one step per lookup; about 4,100
-    # events a run, so replicas finish in the first or the second chunk
-    replicas = _CLOCKED_JUMP_WIDTH + 1
+def test_simulate_many_257_wide_equals_the_per_event_loop(merged_foundry):
+    # a walk wider than any experiment's, k steps per lookup as at every
+    # width; about 4,100 events a run, so replicas finish in the first or
+    # the second chunk and the walk narrows between them
+    replicas = 257
     cfg = SimConfig(merged_foundry, strategy="pi_selfish", epoch=EpochModel(blocks_per_epoch=1_000),
                     horizon=3_354, horizon_unit="blocks", seed=replicas)
     runs = simulate_many(cfg, replicas)
