@@ -38,9 +38,18 @@ average reward problem, and the exact ratio of its greedy policy, read off
 that policy's stationary distribution, is the next share.  The value table
 and the distribution carry over between steps.  Every action slot has one
 edge per live winner, in one order and with one probability each, so the
-edges form a slot x winner grid: a value sweep adds each winner column's
-gathered next values to the slot's expected reward, in winner order, and
-takes each state's max over its slots as a padded column max.  A greedy
+edges form a slot x winner grid.  Most slots repeat one another: a slot's
+row is its destination, settled blocks, reward and bribe level under each
+winner, and a fig3 row's 37,450 slots have 11,517 distinct rows (its
+17,920 adopts have 6, one per length of the public fork they concede).
+This is the exact-duplicate case of the minimisation above: slots of one
+row have equal expected rewards and add equal gathered values in one
+winner order, so their values agree to the last bit, and each row is swept
+once.  The rows are numbered with the topology; a value sweep adds each
+winner column's gathered next values to each row's expected reward, in
+winner order, and takes each state's max over its slots' rows as a padded
+column max, whose first maximal column is the state's first maximal slot.
+A greedy
 policy's stationary distribution lives on few states (10 to 1,082 of
 the 21,701 of a fig3 row), so its power iteration runs only over the
 states the policy reaches from the carried distribution's support.
@@ -95,18 +104,22 @@ class MdpModel:
 
     Edge arrays are grouped by action and actions by state, and every
     action slot has one edge per live winner, in the same order and with
-    the same probabilities: the edges are a slot x winner grid, and
-    solve_reward_share sweeps it a winner column at a time (a gather and an
-    add per column, then a column max over each state's slots; it refuses a
-    model that is not a grid).  Rewards are stored gross; bribes
+    the same probabilities: the edges are a slot x winner grid.  Slots
+    whose destinations, settled blocks, rewards and bribe levels agree
+    under every winner share a row: slot_row numbers each slot's row in
+    order of first appearance and row_slot gives each row's first slot.
+    solve_reward_share sweeps the rows a winner column at a time (a gather
+    and an add per column, then a column max over each state's slots'
+    rows); it refuses a model that is not a grid, or whose slots' edges
+    differ from their row's first slot's.  Rewards are stored gross; bribes
     separately; blocks settled separately, so the share-transformed reward
-    is assembled per solver step.  states holds
-    each state's row and actions each action slot's code (see the module
-    docstring).  The graph fields (states, actions, the pointers and every
-    edge array but edge_prob and edge_bribe) are read-only arrays shared
-    with every model of the same topology signature (see build_mdp).  A
-    policy is an int64 array of each state's chosen action slot: state s
-    takes the action actions[policy[s]].
+    is assembled per solver step.  states holds each state's row and
+    actions each action slot's code (see the module docstring).  The graph
+    fields (states, actions, the pointers, every edge array but edge_prob
+    and edge_bribe, and the rows) are read-only arrays shared with every
+    model of the same topology signature (see build_mdp).  A policy is an
+    int64 array of each state's chosen action slot: state s takes the
+    action actions[policy[s]].
     """
 
     pools: PoolSet
@@ -128,6 +141,8 @@ class MdpModel:
     edge_reward: np.ndarray  # attacker blocks settled on this edge
     edge_bribe: np.ndarray
     edge_orphans: np.ndarray
+    slot_row: np.ndarray  # action slot -> its row
+    row_slot: np.ndarray  # row -> its first action slot
 
     @property
     def state_count(self) -> int:
@@ -139,9 +154,10 @@ def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ce
     """Enumerate every reachable lumped state with its actions and edges.
 
     The arguments are build_mdp's topology signature.  Returns (states,
-    actions, edge_level, arrays): arrays maps the MdpModel pointer and graph
-    edge fields, and edge_level is the bribe level collected on each edge,
-    -1 where none is; all are read-only.
+    actions, edge_level, arrays, rows): arrays maps the MdpModel pointer and
+    graph edge fields, edge_level is the bribe level collected on each edge,
+    -1 where none is, and rows is (slot_row, row_slot), the action slots'
+    distinct rows (see _row_classes); all are read-only.
 
     Breadth-first, a layer of states at a time: each state takes its
     feasible actions in code order, each action has one edge per live
@@ -244,13 +260,49 @@ def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ce
         "action_ptr": np.arange(actions.size, dtype=np.int64) * len(winners),
         "edge_winner": np.tile(np.array(winners, dtype=np.int32), actions.size),
     }
+    flat = {name: np.concatenate(pieces.pop(name)) for name in names}
+    # a slot's row: its destination, settled blocks, reward and bribe level per winner
+    classes = _row_classes(len(winners), [flat[name] for name in names[:4]])
     for name, dtype in zip(names, (np.int64, np.int32, float, float, np.int32)):
-        arrays[name] = np.concatenate(pieces.pop(name)).astype(dtype, copy=False)
+        arrays[name] = flat.pop(name).astype(dtype, copy=False)
     states = np.concatenate(rows)
     edge_level = arrays.pop("edge_level")
-    for arr in (states, actions, edge_level, *arrays.values()):
+    for arr in (states, actions, edge_level, *arrays.values(), *classes):
         arr.flags.writeable = False
-    return states, actions, edge_level, arrays
+    return states, actions, edge_level, arrays, classes
+
+
+def _row_classes(width: int, columns: list[np.ndarray]):
+    """Number the action slots' distinct rows in order of first appearance.
+
+    A slot's row is its width edges' values in every array of columns
+    (integer-valued, width edges per slot).  Returns (slot_row, row_slot):
+    each slot's row, and each row's first slot.  The rows are ranked
+    exactly, one winner column at a time: the key so far times the
+    column's value range, plus the value above the column's minimum, and
+    whenever the next column would overflow int64 the keys are replaced by
+    their ranks among the distinct keys.  Small columns go first, while
+    the keys are few.
+    """
+    key = np.zeros(columns[0].size // width, dtype=np.int64)
+    bound = 1  # every key is below bound
+    for values in sorted(columns, key=lambda v: int(v.max()) - int(v.min())):
+        for k in range(width):
+            column = values[k::width]
+            low = int(column.min())
+            span = int(column.max()) - low + 1
+            if bound * span > np.iinfo(np.int64).max:
+                _, key = np.unique(key, return_inverse=True)
+                bound = int(key.max()) + 1
+            key *= span
+            key += column
+            key -= low
+            bound *= span
+    _, first, key = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[key], first[order]
 
 
 def build_mdp(
@@ -267,12 +319,13 @@ def build_mdp(
     profit-tracking); pass `honest` to pin one pool that never switches.
 
     The graph (states, actions, destinations, winners, settled, reward and
-    orphan counts) does not depend on the share values, so it is enumerated
-    once per signature and cached: the number of rival pools, which of them
-    have a positive share, whether the adversary does, which are petty, the
-    groups of pools with equal (share, petty), fork_cap, max_bribe and
-    state_ceiling.  Models with one signature share those read-only arrays;
-    only edge_prob and edge_bribe are computed per call.
+    orphan counts, the slots' rows) does not depend on the share values, so
+    it is enumerated once per signature and cached: the number of rival
+    pools, which of them have a positive share, whether the adversary does,
+    which are petty, the groups of pools with equal (share, petty),
+    fork_cap, max_bribe and state_ceiling.  Models with one signature share
+    those read-only arrays; only edge_prob and edge_bribe are computed per
+    call.
 
     The default fork_cap of 8 is a calibration point, not a convergence
     point: the solved share still grows slowly with the cap (roughly +0.018
@@ -304,7 +357,7 @@ def build_mdp(
     for j, kind in enumerate(zip(shares.tolist(), petty)):
         alike.setdefault(kind, []).append(j)
     groups = tuple(tuple(g) for g in alike.values() if len(g) > 1)
-    states, actions, edge_level, arrays = _topology(
+    states, actions, edge_level, arrays, (slot_row, row_slot) = _topology(
         tuple(bool(s > 0) for s in shares),
         alpha_a > 0,
         petty,
@@ -326,6 +379,8 @@ def build_mdp(
         actions=actions,
         edge_prob=np.where(winner == ADVERSARY, alpha_a, shares[winner]),
         edge_bribe=np.where(edge_level >= 0, edge_level + params.epsilon, 0.0),
+        slot_row=slot_row,
+        row_slot=row_slot,
         **arrays,
     )
 
@@ -351,14 +406,18 @@ class SolveResult:
 
 
 class _Grid(NamedTuple):
-    """A model's action slots as a slot x winner grid, for one solve.
+    """A model's action slots as a row x winner grid, for one solve.
 
     Slot a has one edge per live winner k, edges action_ptr[a] + k, with
-    probability p[k].  dst[k] holds every slot's destination under winner k
-    (a contiguous copy).  cols[j] holds every state's j-th action slot, its
-    last repeated past its end, so a column max is the state's max and the
-    first maximal column its first maximal slot.  gain and settled are each
-    slot's expected reward net of bribes and expected blocks settled.
+    probability p[k].  Slots with equal destinations, settled blocks,
+    rewards and bribes per winner share one row (slot_row[a]), whose values
+    are taken from its first slot: equal inputs added in one order give
+    every slot of a row the same value to the last bit.  dst[k] holds every
+    row's destination under winner k (a contiguous copy).  cols[j] holds the
+    row of every state's j-th action slot, its last repeated past its end,
+    so a column max is the state's max and the first maximal column j its
+    first maximal slot, state_ptr[s] + j.  gain and settled are each row's
+    expected reward net of bribes and expected blocks settled.
     """
 
     p: np.ndarray
@@ -366,6 +425,8 @@ class _Grid(NamedTuple):
     cols: np.ndarray
     gain: np.ndarray
     settled: np.ndarray
+    state_ptr: np.ndarray
+    slot_row: np.ndarray
 
 
 def _expected(p: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -377,7 +438,13 @@ def _expected(p: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _grid(model: MdpModel) -> _Grid:
-    """The model's slot x winner grid; ValidationError if it is not one."""
+    """The model's row x winner grid.
+
+    Raises ValidationError unless the model is a slot x winner grid and
+    every slot's edges equal those of its row's first slot, as they do in
+    build_mdp's models: a model whose edge arrays were swapped for others
+    is not solved with the rows of its old arrays.
+    """
     slots = model.action_ptr.size
     width, rest = divmod(model.edge_prob.size, slots)
     prob = model.edge_prob.reshape(-1, width) if width and not rest else None
@@ -385,19 +452,28 @@ def _grid(model: MdpModel) -> _Grid:
             or not np.all(prob == prob[0])):
         raise ValidationError("the model is not a slot x winner grid: every action slot needs "
                               "one edge per winner, with one probability per winner")
+    slot_row, first = model.slot_row, model.row_slot
+    edges = [a.reshape(-1, width)
+             for a in (model.edge_dst, model.edge_settled, model.edge_reward, model.edge_bribe)]
+    rep = first[slot_row]
+    if rep.shape != (slots,) or not all(np.array_equal(a.take(rep, axis=0), a) for a in edges):
+        raise ValidationError("an action slot's edges differ from those of its row's first slot")
+    dst, settled, reward, bribe = (a.take(first, axis=0) for a in edges)
     p, ptr = prob[0], model.state_ptr
     count = np.diff(ptr)
     return _Grid(
         p,
-        model.edge_dst.reshape(-1, width).T.copy(),
-        ptr[:-1] + np.minimum(np.arange(count.max())[:, None], count - 1),
-        _expected(p, (model.edge_reward - model.edge_bribe).reshape(-1, width)),
-        _expected(p, model.edge_settled.reshape(-1, width)),
+        dst.T.copy(),
+        slot_row[ptr[:-1] + np.minimum(np.arange(count.max())[:, None], count - 1)],
+        _expected(p, reward - bribe),
+        _expected(p, settled),
+        ptr,
+        slot_row,
     )
 
 
-def _slot_values(grid: _Grid, r: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Each slot's r plus its expected next value under V, added in winner order."""
+def _row_values(grid: _Grid, r: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Each row's r plus its expected next value under V, added in winner order."""
     q = r.copy()
     for pk, dst in zip(grid.p, grid.dst):
         q += (pk * V).take(dst)
@@ -405,11 +481,11 @@ def _slot_values(grid: _Grid, r: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def _sweeps(grid, r, V, span_tol, max_sweeps):
-    """Relative value iteration with slot rewards r (one candidate share)."""
+    """Relative value iteration with row rewards r (one candidate share)."""
     if max_sweeps < 1:
         return None, V, 0, np.inf
     for sweep in range(1, max_sweeps + 1):
-        v_new = _slot_values(grid, r, V)[grid.cols].max(axis=0)
+        v_new = _row_values(grid, r, V).take(grid.cols).max(axis=0)
         diff = v_new - V
         hi = float(diff.max())
         lo = float(diff.min())
@@ -419,9 +495,11 @@ def _sweeps(grid, r, V, span_tol, max_sweeps):
     return None, V, max_sweeps, hi - lo
 
 
-def _greedy_slots(cols: np.ndarray, q_act: np.ndarray) -> np.ndarray:
-    """Each state's best action slot; ties go to the first, as with np.argmax."""
-    return cols[q_act[cols].argmax(axis=0), np.arange(cols.shape[1])]
+def _greedy_slots(grid: _Grid, q: np.ndarray) -> np.ndarray:
+    """Each state's best action slot under row values q; ties go to the
+    first slot, as with np.argmax."""
+    ptr = grid.state_ptr
+    return ptr[:-1] + np.minimum(q.take(grid.cols).argmax(axis=0), np.diff(ptr) - 1)
 
 
 def _stationary(dst, p, pi, max_iterations=_STATIONARY_MAX):
@@ -483,9 +561,10 @@ def _policy_ratio(grid: _Grid, slots: np.ndarray, pi: np.ndarray):
     stationary distribution, found from pi, and the power iterations that
     took.
     """
-    pi, iterations = _stationary(grid.dst[:, slots], grid.p, pi)
-    rate = float(pi @ grid.settled[slots])
-    return float(pi @ grid.gain[slots]) / rate, rate, pi, iterations
+    rows = grid.slot_row[slots]
+    pi, iterations = _stationary(grid.dst[:, rows], grid.p, pi)
+    rate = float(pi @ grid.settled[rows])
+    return float(pi @ grid.gain[rows]) / rate, rate, pi, iterations
 
 
 def solve_reward_share(
@@ -503,8 +582,11 @@ def solve_reward_share(
     of the last steps is optimal to well within tol.  Stops when a step
     moves the share by less than tol at a span tight for tol, and returns
     that step's policy and its ratio.  The value table and the stationary
-    distribution carry over between steps.  Raises ValidationError unless
-    the model is a slot x winner grid, as build_mdp's models are.
+    distribution carry over between steps.  Each sweep runs over the
+    model's distinct slot rows, which gives every slot of a row its row's
+    value exactly.  Raises ValidationError unless the model is a slot x
+    winner grid whose slots' edges equal their rows' first slots', as
+    build_mdp's models are.
     """
     require_positive_finite("tol", tol)
     grid = _grid(model)
@@ -524,7 +606,7 @@ def solve_reward_share(
             raise ConvergenceError(
                 f"value iteration exhausted {max_sweeps} sweeps", residual=span
             )
-        slots = _greedy_slots(grid.cols, _slot_values(grid, r, V))
+        slots = _greedy_slots(grid, _row_values(grid, r, V))
         ratio, settled, pi, iterations = _policy_ratio(grid, slots, pi)
         stationary.append(iterations)
         step = ratio - rho

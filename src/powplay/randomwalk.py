@@ -64,6 +64,7 @@ def prob_never_reach(share: float, r: int) -> float:
     probability for shares above one half.
     """
     _check_share(share)
+    require_integer("r", r)
     if r < 1:
         raise ValidationError(f"r must be a positive integer, got {r!r}")
     q = share / (1.0 - share)
@@ -77,6 +78,7 @@ def g_series(share: float, d: int) -> SeriesResult:
     gets d blocks ahead before the pool ever gets 2 ahead.
     """
     _check_share(share, upper=0.5)
+    require_integer("d", d)
     if d < 1:
         raise ValidationError(f"d must be >= 1, got {d!r}")
     a = share
@@ -99,6 +101,7 @@ def f_series(share: float, d: int) -> float:
     two first-passage probabilities cover every walk.
     """
     _check_share(share, upper=0.5)
+    require_integer("d", d)
     if d < 1:
         raise ValidationError(f"d must be >= 1, got {d!r}")
     a = share
@@ -114,6 +117,7 @@ def f_series_weighted(share: float, d: int) -> float:
     chain rule turns that into a*(1-a)/(1-2a) times the alpha-derivative.
     """
     _check_share(share, upper=0.5)
+    require_integer("d", d)
     if d < 1:
         raise ValidationError(f"d must be >= 1, got {d!r}")
     a = share
@@ -143,6 +147,7 @@ def fork_abandon_returns(share: float, d: int) -> tuple[float, float]:
     fork immediately, counted over the same race window.  Staying pays iff
     r1 > r2.
     """
+    require_integer("d", d)
     if d < 2:
         raise ValidationError(f"d must be >= 2, got {d!r}")
     _check_share(share, upper=0.5)
@@ -162,6 +167,7 @@ def abandon_threshold(d: int, tol: float = 1e-6) -> float:
     Root of r1 - r2 in (0.01, 0.49) by bisection; below the root a
     profit-tracking pool abandons its own trailing fork.
     """
+    require_integer("d", d)
     if d < 2:
         raise ValidationError(f"d must be >= 2, got {d!r}")
     require_positive_finite("tol", tol)

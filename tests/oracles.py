@@ -11,7 +11,8 @@ per-state loop it replaced, freezing a policy into tables as the walk over
 a {state: action} dict it replaced, the share solver as the bisection that
 the Dinkelbach iteration replaced and as the Dinkelbach steps on the flat
 edge arrays (a reduceat sweep, a power iteration over the whole chain)
-that the slot x winner grid sweep replaced, the
+that the slot x winner grid sweep replaced and as the grid sweep over every
+action slot that the sweep over the slots' distinct rows replaced, the
 three lockstep Monte Carlo loops that the visit-count kernel replaced, the
 per-event clocked simulator that the lockstep clocked engine replaced, and
 the never-reach walk as the int64 step-at-a-time loop that the int8 walk
@@ -26,6 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from powplay.mdp import (
     MdpModel,
     SolveResult,
     _policy_edges,
+    _stationary,
     policy_tables,
 )
 from powplay.model import AttackParams, PoolSet
@@ -823,6 +826,11 @@ def build_mdp_unlumped(
                 orphans.append(orp)
         state_ptr.append(state_ptr[-1] + len(rows))
 
+    # a slot's row: its destination, settled, reward and bribe per winner
+    width = len(prob) // len(action_ptr)
+    slot_row, row_slot = row_classes_unique(
+        np.column_stack([np.reshape(v, (-1, width)) for v in (dst, settled, reward, bribe)])
+    )
     return MdpModel(
         pools=pools,
         params=params,
@@ -842,6 +850,8 @@ def build_mdp_unlumped(
         edge_reward=np.array(reward, dtype=float),
         edge_bribe=np.array(bribe, dtype=float),
         edge_orphans=np.array(orphans, dtype=np.int32),
+        slot_row=slot_row,
+        row_slot=row_slot,
     )
 
 
@@ -1009,6 +1019,136 @@ def solve_reward_share_per_edge(model, tol=1e-6, max_sweeps=500_000):
     return SolveResult(
         rho, slots, sum(per_step), abs(g), len(per_step), tuple(per_step), tuple(stationary)
     )
+
+
+# -- the share solver on every action slot ------------------------------------------
+#
+# Dinkelbach steps as the package took them before it swept the distinct
+# action-slot rows: the slot x winner grid holds every slot, a sweep gathers
+# every slot's next values, and the greedy policy reads every slot's value.
+
+
+class GridAllSlots(NamedTuple):
+    """Every action slot as a slot x winner grid: dst[k] holds each slot's
+    destination under winner k, cols[j] each state's j-th slot (its last
+    repeated past its end), gain and settled each slot's expectations."""
+
+    p: np.ndarray
+    dst: np.ndarray
+    cols: np.ndarray
+    gain: np.ndarray
+    settled: np.ndarray
+
+
+def _expected(p, values):
+    """sum_k p[k] * values[:, k], added in winner order."""
+    total = p[0] * values[:, 0]
+    for k in range(1, p.size):
+        total += p[k] * values[:, k]
+    return total
+
+
+def grid_all_slots(model):
+    """The model's slot x winner grid; ValidationError if it is not one."""
+    slots = model.action_ptr.size
+    width, rest = divmod(model.edge_prob.size, slots)
+    prob = model.edge_prob.reshape(-1, width) if width and not rest else None
+    if (prob is None or not np.array_equal(model.action_ptr, np.arange(slots) * width)
+            or not np.all(prob == prob[0])):
+        raise ValidationError("the model is not a slot x winner grid")
+    p, ptr = prob[0], model.state_ptr
+    count = np.diff(ptr)
+    return GridAllSlots(
+        p,
+        model.edge_dst.reshape(-1, width).T.copy(),
+        ptr[:-1] + np.minimum(np.arange(count.max())[:, None], count - 1),
+        _expected(p, (model.edge_reward - model.edge_bribe).reshape(-1, width)),
+        _expected(p, model.edge_settled.reshape(-1, width)),
+    )
+
+
+def slot_values_all_slots(grid, r, V):
+    """Each slot's r plus its expected next value under V, added in winner order."""
+    q = r.copy()
+    for pk, dst in zip(grid.p, grid.dst):
+        q += (pk * V).take(dst)
+    return q
+
+
+def sweeps_all_slots(grid, r, V, span_tol, max_sweeps):
+    """Relative value iteration with slot rewards r (one candidate share)."""
+    if max_sweeps < 1:
+        return None, V, 0, np.inf
+    for sweep in range(1, max_sweeps + 1):
+        v_new = slot_values_all_slots(grid, r, V)[grid.cols].max(axis=0)
+        diff = v_new - V
+        hi = float(diff.max())
+        lo = float(diff.min())
+        V = v_new - v_new[0]
+        if hi - lo < span_tol:
+            return 0.5 * (hi + lo), V, sweep, hi - lo
+    return None, V, max_sweeps, hi - lo
+
+
+def greedy_slots_all_slots(cols, q_act):
+    """Each state's best action slot; ties go to the first, as with np.argmax."""
+    return cols[q_act[cols].argmax(axis=0), np.arange(cols.shape[1])]
+
+
+def policy_ratio_all_slots(grid, slots, pi):
+    """Exact long-run (reward - bribes) / settled of the policy taking slots,
+    its settled rate, stationary distribution and power iterations."""
+    pi, iterations = _stationary(grid.dst[:, slots], grid.p, pi)
+    rate = float(pi @ grid.settled[slots])
+    return float(pi @ grid.gain[slots]) / rate, rate, pi, iterations
+
+
+def solve_reward_share_all_slots(model, tol=1e-6, max_sweeps=500_000):
+    """solve_reward_share as Dinkelbach steps sweeping every action slot."""
+    grid = grid_all_slots(model)
+    n = model.state_count
+    V = np.zeros(n)
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    rho = model.alpha_a  # the honest policy's share
+    span_tol = 1e-3
+    end_span = 0.0  # a span tight enough to stop at, set after the first step
+    per_step, stationary = [], []
+    while True:
+        r = grid.gain - rho * grid.settled
+        g, V, used, span = sweeps_all_slots(grid, r, V, span_tol, max_sweeps - sum(per_step))
+        per_step.append(used)
+        if g is None:
+            raise ConvergenceError(
+                f"value iteration exhausted {max_sweeps} sweeps", residual=span
+            )
+        slots = greedy_slots_all_slots(grid.cols, slot_values_all_slots(grid, r, V))
+        ratio, settled, pi, iterations = policy_ratio_all_slots(grid, slots, pi)
+        stationary.append(iterations)
+        step = ratio - rho
+        rho = ratio
+        if abs(step) < tol and span_tol <= end_span:
+            break
+        # a greedy policy is optimal to within the span in average reward,
+        # hence to within span / settled in share
+        end_span = max(1e-10, tol * settled * 1e-2)
+        span_tol = min(span_tol, max(end_span, abs(step) * settled * 1e-2))
+    if not 0.0 <= rho <= 1.0:
+        raise ConvergenceError(f"share {rho} escaped [0,1]", residual=abs(g))
+    return SolveResult(
+        rho, slots, sum(per_step), abs(g), len(per_step), tuple(per_step), tuple(stationary)
+    )
+
+
+def row_classes_unique(rows):
+    """(slot_row, row_slot) of a slots x values matrix: each slot's distinct
+    row by np.unique(axis=0), numbered in order of first appearance, and
+    each row's first slot."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.ravel()], first[order]
 
 
 # -- the share solver by bisection -------------------------------------------------

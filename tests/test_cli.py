@@ -185,7 +185,9 @@ def test_mdp_solve_json_contract(tiny_pool_file, tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     doc = json.loads(out.read_text())
-    assert set(doc) == {"reward_share", "iterations", "sweeps_per_step", "stationary_per_step", "state_count"}
+    assert set(doc) == {"reward_share", "iterations", "sweeps_per_step", "stationary_per_step", "state_count",
+                        "action_slots", "edge_count", "slot_rows"}
+    assert 1 <= doc["slot_rows"] <= doc["action_slots"] < doc["edge_count"]
     assert 0.4 <= doc["reward_share"] < 1.0
     assert doc["iterations"] == sum(doc["sweeps_per_step"]) >= 1
     assert len(doc["stationary_per_step"]) == len(doc["sweeps_per_step"])

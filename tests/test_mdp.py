@@ -15,6 +15,8 @@ from oracles import (
     policy_rollout_loop,
     policy_ratio_full_chain,
     policy_tables_loop,
+    row_classes_unique,
+    solve_reward_share_all_slots,
     solve_reward_share_bisection,
     solve_reward_share_per_edge,
     topology_bfs,
@@ -31,7 +33,7 @@ from powplay.mdp import (
     _greedy_slots,
     _grid,
     _policy_ratio,
-    _slot_values,
+    _row_values,
     _slots,
     _stationary,
     _sweeps,
@@ -375,6 +377,76 @@ def test_grid_solver_matches_the_per_edge_oracle_on_drawn_models(case):
     _assert_matches_the_per_edge_oracle(build_mdp(pools, params, fork_cap=cap, honest=honest))
 
 
+def _assert_matches_the_all_slots_oracle(model):
+    """The sweep over distinct slot rows against the sweep over every slot
+    it replaced: every output equal, bit for bit."""
+    got = solve_reward_share(model)
+    want = solve_reward_share_all_slots(model)
+    assert got.reward_share == want.reward_share
+    assert got.policy.dtype == want.policy.dtype and np.array_equal(got.policy, want.policy)
+    assert got.iterations == want.iterations
+    assert got.sweeps_per_step == want.sweeps_per_step
+    assert got.stationary_per_step == want.stationary_per_step
+    assert got.residual == want.residual
+
+
+@pytest.mark.parametrize("row", list(ORACLE_ROWS))
+def test_row_solver_matches_the_all_slots_oracle_on_named_rows(row):
+    pools, params, cap = ORACLE_ROWS[row]
+    honest = "honest" if row.endswith("cap 40") else None
+    _assert_matches_the_all_slots_oracle(build_mdp(pools(), params, fork_cap=cap, honest=honest))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lumping_cases())
+def test_row_solver_matches_the_all_slots_oracle_on_drawn_models(case):
+    pools, params, cap, honest = case
+    _assert_matches_the_all_slots_oracle(build_mdp(pools, params, fork_cap=cap, honest=honest))
+
+
+def _assert_row_classes_match_the_unique_partition(pools, params, cap, honest=None):
+    """The topology's slot rows against np.unique over the slots' full rows."""
+    layered, built = mdp._topology, []
+
+    def recorded(*signature):
+        built.append(layered(*signature))
+        return built[-1]
+
+    with mock.patch.object(mdp, "_topology", recorded):
+        model = build_mdp(pools, params, fork_cap=cap, honest=honest)
+    edge_level, (slot_row, row_slot) = built[0][2], built[0][4]
+    width = model.edge_prob.size // model.action_ptr.size
+    rows = np.column_stack([
+        np.reshape(v, (-1, width))
+        for v in (model.edge_dst, model.edge_settled, model.edge_reward, edge_level)
+    ])
+    want = row_classes_unique(rows)
+    assert np.array_equal(slot_row, want[0]) and np.array_equal(row_slot, want[1])
+    assert model.slot_row is slot_row and model.row_slot is row_slot
+
+
+@pytest.mark.parametrize("row", list(NAMED_ROWS))
+def test_row_classes_match_the_unique_partition_on_named_rows(row):
+    pools, params, cap = NAMED_ROWS[row]
+    _assert_row_classes_match_the_unique_partition(pools(), params, cap)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lumping_cases())
+def test_row_classes_match_the_unique_partition_on_drawn_models(case):
+    _assert_row_classes_match_the_unique_partition(*case)
+
+
+def test_fig3_row_has_11517_distinct_slot_rows(fig3_row_model):
+    model = fig3_row_model
+    assert (model.action_ptr.size, model.row_slot.size) == (37_450, 11_517)
+    # an adopt leads to one of few states and pays by the public fork's length
+    kinds = {WAIT: (8_974, 8_974), ADOPT: (17_920, 6), OVERRIDE: (5_910, 21)}
+    for code, (slots, rows) in kinds.items():
+        chosen = model.actions == code
+        assert (chosen.sum(), np.unique(model.slot_row[chosen]).size) == (slots, rows)
+
+
 def _assert_stationary_matches_the_full_chain(model, slots, pi):
     ratio, rate, got, iterations = _policy_ratio(_grid(model), slots, pi.copy())
     want = policy_ratio_full_chain(model, slots, pi.copy())
@@ -431,6 +503,23 @@ def test_solve_result_counts_steps_and_sweeps(two_pool_model, two_pool_solved):
     again = solve_reward_share(two_pool_model)
     for f in fields(mdp.SolveResult):
         np.testing.assert_array_equal(getattr(again, f.name), getattr(res, f.name), err_msg=f.name)
+
+
+def test_solver_refuses_a_model_whose_slots_left_their_rows(two_pool_model):
+    """Swapped edge arrays that no longer match the topology's slot rows."""
+    model = two_pool_model
+    width = model.edge_prob.size // model.action_ptr.size
+    # a slot that shares its row with an earlier one
+    slot = int(np.flatnonzero(model.row_slot[model.slot_row] != np.arange(model.action_ptr.size))[0])
+    edge = slot * width + 1
+    dst, reward, bribe = model.edge_dst.copy(), model.edge_reward.copy(), model.edge_bribe.copy()
+    dst[edge] = (dst[edge] + 1) % model.state_count
+    reward[edge] += 1.0
+    bribe[edge] += 0.5
+    for bad in (replace(model, edge_dst=dst), replace(model, edge_reward=reward), replace(model, edge_bribe=bribe)):
+        with pytest.raises(ValidationError, match="row"):
+            solve_reward_share(bad)
+    solve_reward_share(model)  # the model itself still solves
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -698,10 +787,10 @@ def test_greedy_policy_matches_argmax_loop_on_fig3_row(fig3_row_model):
     grid = _grid(model)
     r = grid.gain - 0.08 * grid.settled
     _, V, _, _ = _sweeps(grid, r, np.zeros(model.state_count), 0.0, 50)
-    q_act = _slot_values(grid, r, V)
-    tied = np.round(q_act, 2)  # ties between actions, settled by the first
-    for q in (q_act, tied):
-        assert np.array_equal(_greedy_slots(grid.cols, q), greedy_policy_loop(model, q))
+    q_row = _row_values(grid, r, V)
+    tied = np.round(q_row, 2)  # ties between actions, settled by the first
+    for q in (q_row, tied):
+        assert np.array_equal(_greedy_slots(grid, q), greedy_policy_loop(model, q[model.slot_row]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -709,8 +798,8 @@ def test_greedy_policy_matches_argmax_loop_on_fig3_row(fig3_row_model):
 def test_greedy_policy_matches_argmax_loop_on_drawn_models(case, seed):
     pools, params, cap, honest = case
     model = build_mdp(pools, params, fork_cap=cap, honest=honest)
-    q_act = np.random.default_rng(seed).integers(0, 3, model.action_ptr.size).astype(float)
-    assert np.array_equal(_greedy_slots(_grid(model).cols, q_act), greedy_policy_loop(model, q_act))
+    q_row = np.random.default_rng(seed).integers(0, 3, model.row_slot.size).astype(float)
+    assert np.array_equal(_greedy_slots(_grid(model), q_row), greedy_policy_loop(model, q_row[model.slot_row]))
 
 
 # -- freezing a policy into tables --------------------------------------------------
@@ -746,10 +835,10 @@ def test_policy_tables_match_the_dict_walk_on_fig3_row():
 def test_policy_tables_match_the_dict_walk_on_drawn_models(case, seed):
     pools, params, cap, honest = case
     model = build_mdp(pools, params, fork_cap=cap, honest=honest)
-    q_act = np.random.default_rng(seed).integers(0, 3, model.action_ptr.size).astype(float)
+    q_row = np.random.default_rng(seed).integers(0, 3, model.row_slot.size).astype(float)
     honest_slots = honest_policy(model)
     _assert_honest(model, honest_slots)
-    for slots in (_greedy_slots(_grid(model).cols, q_act), honest_slots):
+    for slots in (_greedy_slots(_grid(model), q_row), honest_slots):
         _assert_tables_match_the_dict_walk(model, slots)
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -43,6 +44,12 @@ def test_never_reach_domain_errors():
         prob_never_reach(1 / 3, 0)
     with pytest.raises(ValidationError):
         prob_never_reach(1.2, 1)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0, True, np.float64(2.0)])
+def test_never_reach_refuses_a_count_that_is_not_an_integer(r):
+    with pytest.raises(ValidationError, match="r must be an integer"):
+        prob_never_reach(0.3, r)
 
 
 def test_majority_share_always_reaches():
@@ -216,6 +223,19 @@ def test_abandon_threshold_no_root_beyond_two():
 def test_abandon_threshold_rejects_short_races():
     with pytest.raises(ValidationError):
         abandon_threshold(1)
+
+
+@pytest.mark.parametrize("d", [2.5, 3.0, True, np.float64(3.0)])
+def test_series_and_race_returns_refuse_a_depth_that_is_not_an_integer(d):
+    for call in (
+        lambda: g_series(0.3, d),
+        lambda: f_series(0.3, d),
+        lambda: f_series_weighted(0.3, d),
+        lambda: fork_abandon_returns(0.3, d),
+        lambda: abandon_threshold(d),
+    ):
+        with pytest.raises(ValidationError, match="d must be an integer"):
+            call()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
