@@ -476,7 +476,7 @@ def _row_values(grid: _Grid, r: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Each row's r plus its expected next value under V, added in winner order."""
     q = r.copy()
     for pk, dst in zip(grid.p, grid.dst):
-        q += (pk * V).take(dst)
+        q += pk * V.take(dst)
     return q
 
 

@@ -27,7 +27,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -1028,18 +1027,6 @@ def solve_reward_share_per_edge(model, tol=1e-6, max_sweeps=500_000):
 # every slot's next values, and the greedy policy reads every slot's value.
 
 
-class GridAllSlots(NamedTuple):
-    """Every action slot as a slot x winner grid: dst[k] holds each slot's
-    destination under winner k, cols[j] each state's j-th slot (its last
-    repeated past its end), gain and settled each slot's expectations."""
-
-    p: np.ndarray
-    dst: np.ndarray
-    cols: np.ndarray
-    gain: np.ndarray
-    settled: np.ndarray
-
-
 def _expected(p, values):
     """sum_k p[k] * values[:, k], added in winner order."""
     total = p[0] * values[:, 0]
@@ -1049,7 +1036,11 @@ def _expected(p, values):
 
 
 def grid_all_slots(model):
-    """The model's slot x winner grid; ValidationError if it is not one."""
+    """Every action slot of the model as a slot x winner grid: dst[k] holds
+    each slot's destination under winner k, cols[j] each state's j-th slot
+    (its last repeated past its end), gain and settled each slot's expected
+    reward net of bribes and settled blocks.  ValidationError if the model
+    is not a grid."""
     slots = model.action_ptr.size
     width, rest = divmod(model.edge_prob.size, slots)
     prob = model.edge_prob.reshape(-1, width) if width and not rest else None
@@ -1058,12 +1049,12 @@ def grid_all_slots(model):
         raise ValidationError("the model is not a slot x winner grid")
     p, ptr = prob[0], model.state_ptr
     count = np.diff(ptr)
-    return GridAllSlots(
-        p,
-        model.edge_dst.reshape(-1, width).T.copy(),
-        ptr[:-1] + np.minimum(np.arange(count.max())[:, None], count - 1),
-        _expected(p, (model.edge_reward - model.edge_bribe).reshape(-1, width)),
-        _expected(p, model.edge_settled.reshape(-1, width)),
+    return SimpleNamespace(
+        p=p,
+        dst=model.edge_dst.reshape(-1, width).T.copy(),
+        cols=ptr[:-1] + np.minimum(np.arange(count.max())[:, None], count - 1),
+        gain=_expected(p, (model.edge_reward - model.edge_bribe).reshape(-1, width)),
+        settled=_expected(p, model.edge_settled.reshape(-1, width)),
     )
 
 

@@ -425,10 +425,11 @@ def _assert_row_classes_match_the_unique_partition(pools, params, cap, honest=No
     assert model.slot_row is slot_row and model.row_slot is row_slot
 
 
-@pytest.mark.parametrize("row", list(NAMED_ROWS))
+@pytest.mark.parametrize("row", list(ORACLE_ROWS))
 def test_row_classes_match_the_unique_partition_on_named_rows(row):
-    pools, params, cap = NAMED_ROWS[row]
-    _assert_row_classes_match_the_unique_partition(pools(), params, cap)
+    pools, params, cap = ORACLE_ROWS[row]
+    honest = "honest" if row.endswith("cap 40") else None
+    _assert_row_classes_match_the_unique_partition(pools(), params, cap, honest)
 
 
 @settings(max_examples=30, deadline=None)
