@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .bribery import TargetPartition, bribery_reward_share, undercut_reward_share
 from .distraction import default_deciding_grid, delta_sweep, min_difficulty_ratio
 from .errors import ConvergenceError, ValidationError
@@ -138,12 +139,15 @@ def _downsample(points: np.ndarray, keep: int) -> np.ndarray:
 
 
 def artifact_meta(kind: str, seed="n/a", fork_cap="n/a", tolerance="n/a", **extra) -> dict:
-    """An artifact's metadata: the four keys validate_artifact requires, then extra.
+    """An artifact's metadata: the four keys validate_artifact requires, the
+    powplay version that made it, then extra.
 
     Every artifact names these even when a runner ignores one, so
-    downstream readers never have to guess which knobs existed.
+    downstream readers never have to guess which knobs existed.  No clock
+    reading is recorded, so a seeded artifact is the same file every run.
     """
-    return {"artifact": kind, "seed": seed, "fork_cap": fork_cap, "tolerance": tolerance, **extra}
+    return {"artifact": kind, "seed": seed, "fork_cap": fork_cap, "tolerance": tolerance,
+            "powplay_version": __version__, **extra}
 
 
 # -- solver tables --------------------------------------------------------------

@@ -154,10 +154,15 @@ def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ce
     """Enumerate every reachable lumped state with its actions and edges.
 
     The arguments are build_mdp's topology signature.  Returns (states,
-    actions, edge_level, arrays, rows): arrays maps the MdpModel pointer and
-    graph edge fields, edge_level is the bribe level collected on each edge,
-    -1 where none is, and rows is (slot_row, row_slot), the action slots'
-    distinct rows (see _row_classes); all are read-only.
+    actions, edge_level, arrays, rows, bribes): arrays maps the MdpModel
+    pointer and graph edge fields, edge_level is the bribe level collected
+    on each edge, -1 where none is, and rows is (slot_row, row_slot), the
+    action slots' distinct rows (see _row_classes); all are read-only.
+    bribes(epsilon) is each edge's bribe, level + epsilon and 0.0 where
+    edge_level is -1, as one read-only array kept for the last epsilon
+    asked, so models of one topology and epsilon share it.  Enumerating a
+    new topology drops the grid memo of the last one (see _grid_layout), so
+    neither cache keeps an evicted topology's arrays alive.
 
     Breadth-first, a layer of states at a time: each state takes its
     feasible actions in code order, each action has one edge per live
@@ -165,6 +170,7 @@ def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ce
     first reached on a layer's edges are numbered in order of first
     appearance, as a first-in first-out search numbers them.
     """
+    _grid_memo[0] = None
     m = len(live)
     # a petty pool's count is only compared with a bribe level <= max_bribe,
     # and the honest pool's is never read; no count exceeds lbar <= fork_cap
@@ -269,7 +275,16 @@ def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ce
     edge_level = arrays.pop("edge_level")
     for arr in (states, actions, edge_level, *arrays.values(), *classes):
         arr.flags.writeable = False
-    return states, actions, edge_level, arrays, classes
+
+    @lru_cache(maxsize=1)
+    def bribes(epsilon):
+        # the bribe of each level, -1 last so that edge_level indexes it
+        levels = np.append(np.arange(max_bribe + 1), -1).astype(edge_level.dtype)
+        bribe = np.where(levels >= 0, levels + epsilon, 0.0)[edge_level]
+        bribe.flags.writeable = False
+        return bribe
+
+    return states, actions, edge_level, arrays, classes, bribes
 
 
 def _row_classes(width: int, columns: list[np.ndarray]):
@@ -357,7 +372,7 @@ def build_mdp(
     for j, kind in enumerate(zip(shares.tolist(), petty)):
         alike.setdefault(kind, []).append(j)
     groups = tuple(tuple(g) for g in alike.values() if len(g) > 1)
-    states, actions, edge_level, arrays, (slot_row, row_slot) = _topology(
+    states, actions, _, arrays, (slot_row, row_slot), bribes = _topology(
         tuple(bool(s > 0) for s in shares),
         alpha_a > 0,
         petty,
@@ -366,7 +381,7 @@ def build_mdp(
         max_bribe,
         state_ceiling,
     )
-    winner = arrays["edge_winner"]
+    winner = arrays["edge_winner"][: arrays["edge_winner"].size // actions.size]  # one slot's
     return MdpModel(
         pools=pools,
         params=params,
@@ -377,8 +392,8 @@ def build_mdp(
         petty=petty,
         states=states,
         actions=actions,
-        edge_prob=np.where(winner == ADVERSARY, alpha_a, shares[winner]),
-        edge_bribe=np.where(edge_level >= 0, edge_level + params.epsilon, 0.0),
+        edge_prob=np.tile(np.where(winner == ADVERSARY, alpha_a, shares[winner]), actions.size),
+        edge_bribe=bribes(params.epsilon),
         slot_row=slot_row,
         row_slot=row_slot,
         **arrays,
@@ -417,7 +432,9 @@ class _Grid(NamedTuple):
     row of every state's j-th action slot, its last repeated past its end,
     so a column max is the state's max and the first maximal column j its
     first maximal slot, state_ptr[s] + j.  gain and settled are each row's
-    expected reward net of bribes and expected blocks settled.
+    expected reward net of bribes and expected blocks settled.  dst and
+    cols depend on the topology only and are shared between solves (see
+    _grid_layout); p, gain and settled are computed per solve.
     """
 
     p: np.ndarray
@@ -427,6 +444,11 @@ class _Grid(NamedTuple):
     settled: np.ndarray
     state_ptr: np.ndarray
     slot_row: np.ndarray
+
+
+_NOT_A_GRID = ("the model is not a slot x winner grid: every action slot needs "
+               "one edge per winner, with one probability per winner")
+_grid_memo: list = [None]  # (width, the arrays _grid_layout last kept, their layout), or None
 
 
 def _expected(p: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -443,33 +465,58 @@ def _grid(model: MdpModel) -> _Grid:
     Raises ValidationError unless the model is a slot x winner grid and
     every slot's edges equal those of its row's first slot, as they do in
     build_mdp's models: a model whose edge arrays were swapped for others
-    is not solved with the rows of its old arrays.
+    is not solved with the rows of its old arrays.  Only the check of one
+    probability per winner and each row's expected gain and settled blocks
+    are per solve; the rest is _grid_layout's.
     """
-    slots = model.action_ptr.size
-    width, rest = divmod(model.edge_prob.size, slots)
+    width, rest = divmod(model.edge_prob.size, model.action_ptr.size)
     prob = model.edge_prob.reshape(-1, width) if width and not rest else None
-    if (prob is None or not np.array_equal(model.action_ptr, np.arange(slots) * width)
-            or not np.all(prob == prob[0])):
-        raise ValidationError("the model is not a slot x winner grid: every action slot needs "
-                              "one edge per winner, with one probability per winner")
+    if prob is None or not np.all(prob == prob[0]):
+        raise ValidationError(_NOT_A_GRID)
+    dst, cols, settled, net = _grid_layout(model, width)
+    p = prob[0]
+    return _Grid(p, dst, cols, _expected(p, net), _expected(p, settled), model.state_ptr, model.slot_row)
+
+
+def _grid_layout(model: MdpModel, width: int):
+    """The topology-only part of _grid: (dst, cols, settled, net).
+
+    Checks that action_ptr lays out width edges per slot and that every
+    slot's edge_dst, edge_settled, edge_reward and edge_bribe equal its
+    row's first slot's, and returns the rows' destinations (winner-major),
+    the padded cols map, and each row's settled blocks and reward net of
+    bribes per winner (row-major), all read-only.  The result for the last
+    arrays checked is kept while the next call passes the very same array
+    objects (the memo holds them, so no id is reused) and every one of them
+    is read-only and owns its memory, so nothing can have written them
+    since: the shared arrays of build_mdp's models of one topology and
+    epsilon.  Any other array, such as a copy swapped in with
+    dataclasses.replace, is checked in full.
+    """
+    arrays = (model.state_ptr, model.action_ptr, model.slot_row, model.row_slot,
+              model.edge_dst, model.edge_settled, model.edge_reward, model.edge_bribe)
+    frozen = all(a.base is None and not a.flags.writeable for a in arrays)
+    memo = _grid_memo[0]
+    if frozen and memo is not None and memo[0] == width and all(a is b for a, b in zip(memo[1], arrays)):
+        return memo[2]
+    slots = model.action_ptr.size
+    if not np.array_equal(model.action_ptr, np.arange(slots) * width):
+        raise ValidationError(_NOT_A_GRID)
     slot_row, first = model.slot_row, model.row_slot
-    edges = [a.reshape(-1, width)
-             for a in (model.edge_dst, model.edge_settled, model.edge_reward, model.edge_bribe)]
+    edges = [a.reshape(-1, width) for a in arrays[4:]]
     rep = first[slot_row]
     if rep.shape != (slots,) or not all(np.array_equal(a.take(rep, axis=0), a) for a in edges):
         raise ValidationError("an action slot's edges differ from those of its row's first slot")
     dst, settled, reward, bribe = (a.take(first, axis=0) for a in edges)
-    p, ptr = prob[0], model.state_ptr
+    ptr = model.state_ptr
     count = np.diff(ptr)
-    return _Grid(
-        p,
-        dst.T.copy(),
-        slot_row[ptr[:-1] + np.minimum(np.arange(count.max())[:, None], count - 1)],
-        _expected(p, reward - bribe),
-        _expected(p, settled),
-        ptr,
-        slot_row,
-    )
+    layout = (dst.T.copy(), slot_row[ptr[:-1] + np.minimum(np.arange(count.max())[:, None], count - 1)],
+              settled, reward - bribe)
+    for arr in layout:
+        arr.flags.writeable = False
+    if frozen:
+        _grid_memo[0] = (width, arrays, layout)
+    return layout
 
 
 def _row_values(grid: _Grid, r: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -13,6 +13,8 @@ the Dinkelbach iteration replaced and as the Dinkelbach steps on the flat
 edge arrays (a reduceat sweep, a power iteration over the whole chain)
 that the slot x winner grid sweep replaced and as the grid sweep over every
 action slot that the sweep over the slots' distinct rows replaced, the
+row grid and the per-model edge probabilities and bribes as they were
+built for every model before the topology-only parts were shared, the
 three lockstep Monte Carlo loops that the visit-count kernel replaced, the
 per-event clocked simulator that the lockstep clocked engine replaced, and
 the never-reach walk as the int64 step-at-a-time loop that the int8 walk
@@ -39,6 +41,8 @@ from powplay.mdp import (
     WAIT,
     MdpModel,
     SolveResult,
+    _expected,
+    _Grid,
     _policy_edges,
     _stationary,
     policy_tables,
@@ -1140,6 +1144,53 @@ def row_classes_unique(rows):
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.arange(order.size)
     return rank[inverse.ravel()], first[order]
+
+
+# -- the row grid and the per-model edge arrays, rebuilt for every model -----------
+#
+# _grid as it was before its topology-only part was checked and laid out
+# once per topology, and build_mdp's edge probabilities and bribes as it
+# filled them with np.where over every edge.
+
+
+def grid_uncached(model):
+    """The model's row x winner grid, every part recomputed and rechecked."""
+    slots = model.action_ptr.size
+    width, rest = divmod(model.edge_prob.size, slots)
+    prob = model.edge_prob.reshape(-1, width) if width and not rest else None
+    if (prob is None or not np.array_equal(model.action_ptr, np.arange(slots) * width)
+            or not np.all(prob == prob[0])):
+        raise ValidationError("the model is not a slot x winner grid: every action slot needs "
+                              "one edge per winner, with one probability per winner")
+    slot_row, first = model.slot_row, model.row_slot
+    edges = [a.reshape(-1, width)
+             for a in (model.edge_dst, model.edge_settled, model.edge_reward, model.edge_bribe)]
+    rep = first[slot_row]
+    if rep.shape != (slots,) or not all(np.array_equal(a.take(rep, axis=0), a) for a in edges):
+        raise ValidationError("an action slot's edges differ from those of its row's first slot")
+    dst, settled, reward, bribe = (a.take(first, axis=0) for a in edges)
+    p, ptr = prob[0], model.state_ptr
+    count = np.diff(ptr)
+    return _Grid(
+        p,
+        dst.T.copy(),
+        slot_row[ptr[:-1] + np.minimum(np.arange(count.max())[:, None], count - 1)],
+        _expected(p, reward - bribe),
+        _expected(p, settled),
+        ptr,
+        slot_row,
+    )
+
+
+def edge_prob_where(model):
+    """Each edge's winner probability: the adversary's share or its pool's."""
+    winner = model.edge_winner
+    return np.where(winner == ADVERSARY, model.alpha_a, model.shares[winner])
+
+
+def edge_bribe_where(edge_level, epsilon):
+    """Each edge's bribe: its level plus epsilon, 0.0 where edge_level is -1."""
+    return np.where(edge_level >= 0, edge_level + epsilon, 0.0)
 
 
 # -- the share solver by bisection -------------------------------------------------

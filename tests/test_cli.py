@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import powplay
 from powplay.cli import main
 from powplay.distraction import PowerSplit, distraction_reward_share, min_difficulty_ratio
 from powplay.errors import ConvergenceError, ValidationError
@@ -428,6 +429,14 @@ def test_reproduce_is_deterministic(tmp_path, capsys):
     assert main(["reproduce", "fig6", "--step", "0.05", "--out", str(b), "--seed", "0xBEEF"]) == 0
     capsys.readouterr()
     assert a.read_text() == b.read_text()
+
+
+def test_reproduce_records_the_powplay_version(tmp_path, capsys):
+    out = tmp_path / "fig6.csv"
+    assert main(["reproduce", "fig6", "--step", "0.1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert read_artifact(out).meta["powplay_version"] == powplay.__version__
+    assert f"# powplay_version: {powplay.__version__}\n" in out.read_text()
 
 
 def test_reproduce_fig6_series(capsys):

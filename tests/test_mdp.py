@@ -11,6 +11,9 @@ from oracles import (
     bfs_codes,
     bfs_rows,
     build_mdp_unlumped,
+    edge_bribe_where,
+    edge_prob_where,
+    grid_uncached,
     greedy_policy_loop,
     policy_rollout_loop,
     policy_ratio_full_chain,
@@ -438,6 +441,69 @@ def test_row_classes_match_the_unique_partition_on_drawn_models(case):
     _assert_row_classes_match_the_unique_partition(*case)
 
 
+@st.composite
+def _grid_cases(draw):
+    """_lumping_cases, half of them with one rival's share (or the
+    adversary's) moved to another pool, so that pool has no edges."""
+    pools, params, cap, honest = draw(_lumping_cases())
+    if draw(st.booleans()):
+        shares = [p.share for p in pools.pools]
+        j = draw(st.integers(0, len(shares) - 1))
+        shares[j - 1] += shares[j]
+        shares[j] = 0.0
+        pools = PoolSet.from_shares(shares[0], shares[1:])
+    return pools, params, cap, honest
+
+
+def _assert_grid_and_edges_match_the_uncached_oracle(pools, params, cap, honest=None):
+    """build_mdp's edge probabilities and bribes against np.where over every
+    edge, and _grid, fresh and from its memo, against the grid rebuilt and
+    rechecked in full: every array equal, dtype included."""
+    layered, built = mdp._topology, []
+
+    def recorded(*signature):
+        built.append(layered(*signature))
+        return built[-1]
+
+    with mock.patch.object(mdp, "_topology", recorded):
+        model = build_mdp(pools, params, fork_cap=cap, honest=honest)
+    for got, want in ((model.edge_prob, edge_prob_where(model)),
+                      (model.edge_bribe, edge_bribe_where(built[0][2], params.epsilon))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    want = grid_uncached(model)
+    mdp._grid_memo[0] = None
+    for grid in (_grid(model), _grid(model)):
+        for name, value in want._asdict().items():
+            have = getattr(grid, name)
+            assert have.dtype == value.dtype and np.array_equal(have, value), name
+    assert mdp._grid_memo[0][1][0] is model.state_ptr  # the second grid came from the memo
+
+
+@pytest.mark.parametrize("row", list(ORACLE_ROWS))
+def test_grid_and_edges_match_the_uncached_oracle_on_named_rows(row):
+    pools, params, cap = ORACLE_ROWS[row]
+    honest = "honest" if row.endswith("cap 40") else None
+    _assert_grid_and_edges_match_the_uncached_oracle(pools(), params, cap, honest)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grid_cases())
+def test_grid_and_edges_match_the_uncached_oracle_on_drawn_models(case):
+    _assert_grid_and_edges_match_the_uncached_oracle(*case)
+
+
+def test_models_of_one_topology_and_epsilon_share_one_read_only_bribe_array():
+    pools = [_snapshot(name) for name in _SNAPSHOT_NAMES[:3]]
+    first, second, third = (build_mdp(p, EPS0, fork_cap=4) for p in pools)
+    assert second.edge_dst is first.edge_dst and third.edge_bribe is first.edge_bribe
+    with pytest.raises(ValueError):
+        first.edge_bribe[0] = 1.0
+    # another epsilon: the same topology, its own bribes, shared in turn
+    other, again = (build_mdp(p, AttackParams(epsilon=0.05), fork_cap=4) for p in pools[:2])
+    assert other.edge_dst is first.edge_dst and other.edge_bribe is not first.edge_bribe
+    assert again.edge_bribe is other.edge_bribe and not other.edge_bribe.flags.writeable
+
+
 def test_fig3_row_has_11517_distinct_slot_rows(fig3_row_model):
     model = fig3_row_model
     assert (model.action_ptr.size, model.row_slot.size) == (37_450, 11_517)
@@ -521,6 +587,65 @@ def test_solver_refuses_a_model_whose_slots_left_their_rows(two_pool_model):
         with pytest.raises(ValidationError, match="row"):
             solve_reward_share(bad)
     solve_reward_share(model)  # the model itself still solves
+
+
+def _read_only(values):
+    values.flags.writeable = False
+    return values
+
+
+def _assert_same_result(got, want):
+    for f in fields(mdp.SolveResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b) and np.array_equal(a, b), f.name
+    assert got.policy.dtype == want.policy.dtype
+
+
+def test_solver_refuses_read_only_copies_whose_slots_left_their_rows(two_pool_model):
+    """A read-only array swapped in with replace is not taken for the one
+    the grid memo checked: one changed slot is refused, equal content
+    solves as the model does."""
+    model = two_pool_model
+    want = solve_reward_share(model)
+    width = model.edge_prob.size // model.action_ptr.size
+    slot = int(np.flatnonzero(model.row_slot[model.slot_row] != np.arange(model.action_ptr.size))[0])
+    edge = slot * width + 1
+    for name, moved in (("edge_dst", lambda v: (v + 1) % model.state_count), ("edge_reward", lambda v: v + 1.0),
+                        ("edge_bribe", lambda v: v + 0.5)):
+        _assert_same_result(solve_reward_share(model), want)  # leaves the model's arrays in the memo
+        values = getattr(model, name).copy()
+        values[edge] = moved(values[edge])
+        with pytest.raises(ValidationError, match="row"):
+            solve_reward_share(replace(model, **{name: _read_only(values)}))
+        same = replace(model, **{name: _read_only(getattr(model, name).copy())})
+        _assert_same_result(solve_reward_share(same), want)
+        _assert_same_result(solve_reward_share(same), want)  # from the memo of the copy
+        # an array that can still be written, itself or through its base,
+        # is checked again at every solve
+        base = getattr(model, name).copy()
+        view = base.view()
+        view.flags.writeable = False
+        for values in (base, view):
+            base[:] = getattr(model, name)
+            swapped = replace(model, **{name: values})
+            _assert_same_result(solve_reward_share(swapped), want)
+            base[edge] = moved(base[edge])
+            with pytest.raises(ValidationError, match="row"):
+                solve_reward_share(swapped)
+
+
+def test_models_of_one_topology_solve_alike_in_any_order():
+    """Models A (epsilon 0) and B (epsilon 0.05, other shares) of one
+    topology, solved A, B, A, each as it solves on a fresh topology."""
+    a = build_mdp(PoolSet.from_shares(0.35, [0.3, 0.2, 0.15]), EPS0, fork_cap=5)
+    b = build_mdp(PoolSet.from_shares(0.25, [0.15, 0.4, 0.2]), AttackParams(epsilon=0.05), fork_cap=5)
+    assert b.edge_dst is a.edge_dst and b.edge_bribe is not a.edge_bribe
+    got = [solve_reward_share(model) for model in (a, b, a)]
+    for model, result in zip((a, b, a), got):
+        _topology.cache_clear()
+        fresh = build_mdp(model.pools, model.params, fork_cap=5)
+        assert fresh.edge_dst is not a.edge_dst
+        _assert_same_result(result, solve_reward_share(fresh))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
