@@ -27,8 +27,12 @@ pools mine, which take bribes, which are interchangeable and on the
 truncation.  It is enumerated once per such signature, a breadth-first
 layer of states at a time, and cached (one at a time), so every pool of a
 snapshot turned adversary in turn reuses one enumeration.  Models of one
-signature share its arrays, read-only; only the edge probabilities and
-bribe amounts are filled per model.
+signature share its arrays, read-only, and models of one signature and
+epsilon share one read-only bribe array as well; only the edge
+probabilities, one slot's winner probabilities tiled over every slot, are
+filled per model.  The solver's checks of a topology and the parts of its
+grid that depend on the topology alone are likewise done once and kept for
+the next model of the same arrays.
 
 The objective is the long-run reward share net of bribes:
 (expected attacker blocks settled - expected bribes paid) divided by
@@ -117,9 +121,11 @@ class MdpModel:
     actions each action slot's code (see the module docstring).  The graph
     fields (states, actions, the pointers, every edge array but edge_prob
     and edge_bribe, and the rows) are read-only arrays shared with every
-    model of the same topology signature (see build_mdp).  A policy is an
-    int64 array of each state's chosen action slot: state s takes the
-    action actions[policy[s]].
+    model of the same topology signature (see build_mdp); edge_bribe is
+    read-only too, shared by the models of one signature and epsilon, and
+    only edge_prob is each model's own.  A policy is an int64 array of each
+    state's chosen action slot: state s takes the action
+    actions[policy[s]].
     """
 
     pools: PoolSet
@@ -339,7 +345,9 @@ def build_mdp(
     pools, which of them have a positive share, whether the adversary does,
     which are petty, the groups of pools with equal (share, petty),
     fork_cap, max_bribe and state_ceiling.  Models with one signature share
-    those read-only arrays; only edge_prob and edge_bribe are computed per
+    those read-only arrays, and models with one signature and epsilon one
+    read-only edge_bribe (kept for the last epsilon asked); only edge_prob,
+    one slot's winner probabilities tiled over every slot, is computed per
     call.
 
     The default fork_cap of 8 is a calibration point, not a convergence
@@ -485,7 +493,9 @@ def _grid_layout(model: MdpModel, width: int):
     slot's edge_dst, edge_settled, edge_reward and edge_bribe equal its
     row's first slot's, and returns the rows' destinations (winner-major),
     the padded cols map, and each row's settled blocks and reward net of
-    bribes per winner (row-major), all read-only.  The result for the last
+    bribes per winner (row-major).  These stay writeable, though shared,
+    because np.take copies a read-only index array at every call, which
+    would cost a sweep more than its gathers.  The result for the last
     arrays checked is kept while the next call passes the very same array
     objects (the memo holds them, so no id is reused) and every one of them
     is read-only and owns its memory, so nothing can have written them
@@ -512,8 +522,6 @@ def _grid_layout(model: MdpModel, width: int):
     count = np.diff(ptr)
     layout = (dst.T.copy(), slot_row[ptr[:-1] + np.minimum(np.arange(count.max())[:, None], count - 1)],
               settled, reward - bribe)
-    for arr in layout:
-        arr.flags.writeable = False
     if frozen:
         _grid_memo[0] = (width, arrays, layout)
     return layout

@@ -41,7 +41,6 @@ from powplay.mdp import (
     WAIT,
     MdpModel,
     SolveResult,
-    _expected,
     _Grid,
     _policy_edges,
     _stationary,
