@@ -389,7 +389,8 @@ def build_mdp(
         max_bribe,
         state_ceiling,
     )
-    winner = arrays["edge_winner"][: arrays["edge_winner"].size // actions.size]  # one slot's
+    # every slot has the same winners in the same order: tile the first slot's
+    winner = arrays["edge_winner"][: arrays["edge_winner"].size // actions.size]
     return MdpModel(
         pools=pools,
         params=params,
