@@ -118,9 +118,15 @@ def _row_subset(rows, n: int) -> tuple[int, ...]:
     return take
 
 
-def _mdp_share(pools: PoolSet, params: AttackParams, fork_cap: int, tol: float) -> float:
+def _mdp_share(pools: PoolSet, params: AttackParams, fork_cap: int, tol: float) -> tuple[float, str]:
+    """The solved share and a summary of its solve for the artifact header:
+    the model's state count, the outer steps, the value sweeps in all and
+    the final residual, written the same way every run."""
     model = build_mdp(pools, params, fork_cap=fork_cap)
-    return solve_reward_share(model, tol=tol).reward_share
+    res = solve_reward_share(model, tol=tol)
+    summary = (f"state_count={model.state_count} outer_steps={res.outer_steps} "
+               f"sweeps={res.iterations} residual={res.residual!r}")
+    return res.reward_share, summary
 
 
 def _load_snapshot(pool_file) -> PoolSet:
@@ -157,10 +163,11 @@ def _run_table(kind, spec, *, fork_cap, tol, rows, seed):
     alpha_a, epsilon, configs, reference = spec
     take = _row_subset(rows, len(configs))
     params = AttackParams(epsilon=epsilon)
+    solves = {}  # one header key per solved row
 
     def solve_one(idx: int):
         pools = PoolSet.from_shares(alpha_a, configs[idx])
-        share = _mdp_share(pools, params, fork_cap, tol)
+        share, solves[f"solve[{idx}]"] = _mdp_share(pools, params, fork_cap, tol)
         return (
             idx,
             alpha_a,
@@ -179,6 +186,7 @@ def _run_table(kind, spec, *, fork_cap, tol, rows, seed):
         max_bribe=params.max_bribe,
         solver_tol=tol,
         check="reward_share within tolerance of reference",
+        **solves,
     )
     columns = (
         "row",
@@ -207,11 +215,12 @@ def run_table4(*, fork_cap=8, tol=1e-6, rows=None, seed=DEFAULT_SEED, pool_file=
     base = _load_snapshot(pool_file)
     take = _row_subset(rows, len(TABLE4_ADVERSARIES))
     params = AttackParams()
+    solves = {}  # one header key per solved row
 
     def solve_one(idx: int):
         name = TABLE4_ADVERSARIES[idx]
         pools = base.with_adversary(name)
-        share = _mdp_share(pools, params, fork_cap, tol)
+        share, solves[f"solve[{name}]"] = _mdp_share(pools, params, fork_cap, tol)
         return (
             idx,
             name,
@@ -230,6 +239,7 @@ def run_table4(*, fork_cap=8, tol=1e-6, rows=None, seed=DEFAULT_SEED, pool_file=
         max_bribe=params.max_bribe,
         solver_tol=tol,
         check="reward_share within tolerance of reference",
+        **solves,
     )
     columns = (
         "row",
@@ -257,16 +267,18 @@ def run_fig3(*, fork_cap=6, tol=1e-6, rows=None, seed=DEFAULT_SEED, pool_file=No
     base = _load_snapshot(pool_file)
     names = sorted((p.name for p in base.pools), key=lambda n: base.pools[base.index_of(n)].share)
     take = _row_subset(rows, len(names))
+    solves = {}  # one header key per solved row
 
     def eval_one(idx: int):
         pools = base.with_adversary(names[idx])
         partition = TargetPartition.auto(pools, epsilon)
+        share, solves[f"solve[{names[idx]}]"] = _mdp_share(pools, AttackParams(epsilon=epsilon), fork_cap, tol)
         return (
             names[idx],
             pools.adversary_share,
             bribery_reward_share(pools, partition, epsilon),
             undercut_reward_share(pools, partition, epsilon),
-            _mdp_share(pools, AttackParams(epsilon=epsilon), fork_cap, tol),
+            share,
         )
 
     out = [eval_one(idx) for idx in take]
@@ -275,6 +287,7 @@ def run_fig3(*, fork_cap=6, tol=1e-6, rows=None, seed=DEFAULT_SEED, pool_file=No
         pool_file=pool_file or BITCOIN_POOLS_MERGED,
         epsilon=epsilon,
         ordering="bribery_share > undercut_share > withholding_mdp_share at small adversary_share",
+        **solves,
     )
     columns = ("pool", "adversary_share", "bribery_share", "undercut_share", "withholding_mdp_share")
     return Artifact("fig3", meta, columns, out)

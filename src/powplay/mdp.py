@@ -49,14 +49,19 @@ winner, and a fig3 row's 37,450 slots have 11,517 distinct rows (its
 This is the exact-duplicate case of the minimisation above: slots of one
 row have equal expected rewards and add equal gathered values in one
 winner order, so their values agree to the last bit, and each row is swept
-once.  The rows are numbered with the topology; a value sweep adds each
-winner column's gathered next values to each row's expected reward, in
-winner order, and takes each state's max over its slots' rows as a padded
-column max, whose first maximal column is the state's first maximal slot.
-A greedy
-policy's stationary distribution lives on few states (10 to 1,082 of
+once.  The rows are numbered with the topology; a value sweep gathers
+every winner column's next values at once and adds them to each row's
+expected reward in winner order.  The states are swept in an order laid
+out once per topology: the states with one action slot first (12,728 of
+a fig3 row's 21,701), whose value is their slot's row's, then the rest,
+whose max over their slots' rows is a column max padded to the widest
+state's slot count, and whose first maximal column is the state's first
+maximal slot.  A fig3 sweep so gathers 57,593 row values for its states,
+not the 108,505 of padding every state to five slots.  A greedy
+policy's stationary distribution lives on few states (10 to 1,109 of
 the 21,701 of a fig3 row), so its power iteration runs only over the
-states the policy reaches from the carried distribution's support.
+states the policy reaches from the carried distribution's support, and
+only their destinations are gathered.
 """
 
 from __future__ import annotations
@@ -112,10 +117,10 @@ class MdpModel:
     whose destinations, settled blocks, rewards and bribe levels agree
     under every winner share a row: slot_row numbers each slot's row in
     order of first appearance and row_slot gives each row's first slot.
-    solve_reward_share sweeps the rows a winner column at a time (a gather
-    and an add per column, then a column max over each state's slots'
-    rows); it refuses a model that is not a grid, or whose slots' edges
-    differ from their row's first slot's.  Rewards are stored gross; bribes
+    solve_reward_share sweeps the rows (one gather of every winner column,
+    an add per column, then each state's max over its slots' rows); it
+    refuses a model that is not a grid, or whose slots' edges differ from
+    their row's first slot's.  Rewards are stored gross; bribes
     separately; blocks settled separately, so the share-transformed reward
     is assembled per solver step.  states holds each state's row and
     actions each action slot's code (see the module docstring).  The graph
@@ -436,19 +441,28 @@ class _Grid(NamedTuple):
     probability p[k].  Slots with equal destinations, settled blocks,
     rewards and bribes per winner share one row (slot_row[a]), whose values
     are taken from its first slot: equal inputs added in one order give
-    every slot of a row the same value to the last bit.  dst[k] holds every
-    row's destination under winner k (a contiguous copy).  cols[j] holds the
-    row of every state's j-th action slot, its last repeated past its end,
-    so a column max is the state's max and the first maximal column j its
-    first maximal slot, state_ptr[s] + j.  gain and settled are each row's
-    expected reward net of bribes and expected blocks settled.  dst and
-    cols depend on the topology only and are shared between solves (see
-    _grid_layout); p, gain and settled are computed per solve.
+    every slot of a row the same value to the last bit.
+
+    The value sweep numbers the states in sweep order: order[i] is the
+    state at position i, the states with one action slot first, then all
+    the others, each block in state order; ref is state 0's position.
+    dst[k] holds every row's destination under winner k as its sweep
+    position (the grid's one copy of the destinations).  one[i] is the row
+    of the single-slot state at position i, and cols[j, i] the row of the
+    j-th slot of the state at position one.size + i, its last repeated past
+    its end, so a column max is the state's max and the first maximal
+    column j its first maximal slot, state_ptr[s] + j.  gain and settled
+    are each row's expected reward net of bribes and expected blocks
+    settled.  Everything but p, gain and settled depends on the topology
+    only and is shared between solves (see _grid_layout).
     """
 
     p: np.ndarray
     dst: np.ndarray
+    one: np.ndarray
     cols: np.ndarray
+    order: np.ndarray
+    ref: np.int64
     gain: np.ndarray
     settled: np.ndarray
     state_ptr: np.ndarray
@@ -482,21 +496,24 @@ def _grid(model: MdpModel) -> _Grid:
     prob = model.edge_prob.reshape(-1, width) if width and not rest else None
     if prob is None or not np.all(prob == prob[0]):
         raise ValidationError(_NOT_A_GRID)
-    dst, cols, settled, net = _grid_layout(model, width)
+    *layout, settled, net = _grid_layout(model, width)
     p = prob[0]
-    return _Grid(p, dst, cols, _expected(p, net), _expected(p, settled), model.state_ptr, model.slot_row)
+    return _Grid(p, *layout, _expected(p, net), _expected(p, settled), model.state_ptr, model.slot_row)
 
 
 def _grid_layout(model: MdpModel, width: int):
-    """The topology-only part of _grid: (dst, cols, settled, net).
+    """The topology-only part of _grid: (dst, one, cols, order, ref,
+    settled, net).
 
     Checks that action_ptr lays out width edges per slot and that every
     slot's edge_dst, edge_settled, edge_reward and edge_bribe equal its
-    row's first slot's, and returns the rows' destinations (winner-major),
-    the padded cols map, and each row's settled blocks and reward net of
-    bribes per winner (row-major).  These stay writeable, though shared,
-    because np.take copies a read-only index array at every call, which
-    would cost a sweep more than its gathers.  The result for the last
+    row's first slot's, and returns the rows' destinations as sweep
+    positions (winner-major), the single-slot block's rows, the padded
+    block's cols map, the sweep order and state 0's position in it (see
+    _Grid), and each row's settled blocks and reward net of bribes per
+    winner (row-major).  These stay writeable, though shared, because
+    np.take copies a read-only index array at every call, which would cost
+    a sweep more than its gathers.  The result for the last
     arrays checked is kept while the next call passes the very same array
     objects (the memo holds them, so no id is reused) and every one of them
     is read-only and owns its memory, so nothing can have written them
@@ -521,64 +538,91 @@ def _grid_layout(model: MdpModel, width: int):
     dst, settled, reward, bribe = (a.take(first, axis=0) for a in edges)
     ptr = model.state_ptr
     count = np.diff(ptr)
-    layout = (dst.T.copy(), slot_row[ptr[:-1] + np.minimum(np.arange(count.max())[:, None], count - 1)],
-              settled, reward - bribe)
+    # sweep order: the single-slot states, then the rest, each in state order
+    order = np.argsort(count != 1, kind="stable")
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    one, rest = np.split(order, [np.count_nonzero(count == 1)])
+    cols = slot_row[ptr[rest] + np.minimum(np.arange(count.max())[:, None], count[rest] - 1)]
+    layout = (pos.take(dst.T), slot_row[ptr[one]], cols, order, pos[0], settled, reward - bribe)
     if frozen:
         _grid_memo[0] = (width, arrays, layout)
     return layout
 
 
 def _row_values(grid: _Grid, r: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Each row's r plus its expected next value under V, added in winner order."""
-    q = r.copy()
-    for pk, dst in zip(grid.p, grid.dst):
-        q += pk * V.take(dst)
+    """Each row's r plus its expected next value under V (in sweep order),
+    added in winner order: every winner column's next values are gathered
+    with one take and scaled by p in place, then added to r a winner at a
+    time."""
+    values = V.take(grid.dst)
+    values *= grid.p[:, None]
+    q = r + values[0]
+    for column in values[1:]:
+        q += column
     return q
 
 
 def _sweeps(grid, r, V, span_tol, max_sweeps):
-    """Relative value iteration with row rewards r (one candidate share)."""
+    """Relative value iteration with row rewards r (one candidate share).
+
+    V is in sweep order (see _Grid), relative to state 0's value.  A sweep
+    fills the single-slot states with one take of their rows' values and
+    the others with one take of the padded cols map and a column max.
+    """
     if max_sweeps < 1:
         return None, V, 0, np.inf
+    v_new = np.empty_like(V)
+    single, padded = v_new[: grid.one.size], v_new[grid.one.size:]
     for sweep in range(1, max_sweeps + 1):
-        v_new = _row_values(grid, r, V).take(grid.cols).max(axis=0)
+        q = _row_values(grid, r, V)
+        single[:] = q.take(grid.one)
+        q.take(grid.cols).max(axis=0, out=padded)
         diff = v_new - V
         hi = float(diff.max())
         lo = float(diff.min())
-        V = v_new - v_new[0]
+        V = v_new - v_new[grid.ref]
         if hi - lo < span_tol:
             return 0.5 * (hi + lo), V, sweep, hi - lo
     return None, V, max_sweeps, hi - lo
 
 
 def _greedy_slots(grid: _Grid, q: np.ndarray) -> np.ndarray:
-    """Each state's best action slot under row values q; ties go to the
-    first slot, as with np.argmax."""
+    """Each state's best action slot under row values q, in state order;
+    ties go to the first slot, as with np.argmax.  A single-slot state
+    takes its slot; the padded block's first maximal columns are mapped
+    back to their states through the sweep order."""
     ptr = grid.state_ptr
-    return ptr[:-1] + np.minimum(q.take(grid.cols).argmax(axis=0), np.diff(ptr) - 1)
+    slots = ptr[:-1].copy()
+    rest = grid.order[grid.one.size:]
+    slots[rest] += np.minimum(q.take(grid.cols).argmax(axis=0), ptr[rest + 1] - ptr[rest] - 1)
+    return slots
 
 
-def _stationary(dst, p, pi, max_iterations=_STATIONARY_MAX):
+def _stationary(grid: _Grid, rows: np.ndarray, pi: np.ndarray, max_iterations=_STATIONARY_MAX):
     """Stationary distribution of a chain by power iteration from pi, and
     the iterations that took.
 
-    State s moves to dst[k, s] with probability p[k].  Iterates the lazy
-    chain _STAY*pi + (1 - _STAY)*pi P, which has the same stationary
-    distribution and is aperiodic, until an iteration moves pi by less than
+    State s takes row rows[s]: it moves to state order[dst[k, rows[s]]]
+    with probability p[k] (the grid's fields).  Iterates the lazy chain
+    _STAY*pi + (1 - _STAY)*pi P, which has the same stationary distribution
+    and is aperiodic, until an iteration moves pi by less than
     _STATIONARY_TOL in L1.  Only the states reachable from pi's support can
-    gain mass, so only they are iterated, in state order with each state's
-    edges in winner order: every state's inflow is summed in the order of
-    the whole chain's iteration, which adds only zeros besides.
+    gain mass, so only their destinations are gathered and only they are
+    iterated, in state order with each state's edges in winner order: every
+    state's inflow is summed in the order of the whole chain's iteration,
+    which adds only zeros besides.
     """
+    order, dst, p = grid.order, grid.dst, grid.p
     reached = pi > 0
     fresh = reached.copy()
     while fresh.any():
         hit = np.zeros_like(reached)
-        hit[dst[:, fresh]] = True
+        hit[order.take(dst[:, rows[fresh]])] = True
         fresh = hit & ~reached
         reached |= fresh
     live = np.flatnonzero(reached)
-    to = (np.cumsum(reached) - 1)[dst[:, live].T].ravel()
+    to = (np.cumsum(reached) - 1)[order.take(dst[:, rows[live]].T)].ravel()
     x = pi[live]
     for iteration in range(1, max_iterations + 1):
         moved = np.bincount(to, weights=(x[:, None] * p).ravel(), minlength=live.size)
@@ -618,7 +662,7 @@ def _policy_ratio(grid: _Grid, slots: np.ndarray, pi: np.ndarray):
     took.
     """
     rows = grid.slot_row[slots]
-    pi, iterations = _stationary(grid.dst[:, rows], grid.p, pi)
+    pi, iterations = _stationary(grid, rows, pi)
     rate = float(pi @ grid.settled[rows])
     return float(pi @ grid.gain[rows]) / rate, rate, pi, iterations
 
@@ -640,9 +684,11 @@ def solve_reward_share(
     that step's policy and its ratio.  The value table and the stationary
     distribution carry over between steps.  Each sweep runs over the
     model's distinct slot rows, which gives every slot of a row its row's
-    value exactly.  Raises ValidationError unless the model is a slot x
-    winner grid whose slots' edges equal their rows' first slots', as
-    build_mdp's models are.
+    value exactly, and keeps the value table in the grid's sweep order
+    (single-slot states first), which changes no bit of any result: the
+    relative values are taken against state 0 wherever it sits.  Raises
+    ValidationError unless the model is a slot x winner grid whose slots'
+    edges equal their rows' first slots', as build_mdp's models are.
     """
     require_positive_finite("tol", tol)
     grid = _grid(model)

@@ -642,8 +642,10 @@ def _walk(jumps: _Jumps, cdf, u, offset, out) -> None:
 def _events(jumps: _Jumps, out, n: int) -> np.ndarray:
     """The flat (state, winner) index of each of the n steps whose _walk output is out, one row per step.
 
-    Row g * k + j is step j of group g, k gathers in all; the rows left
-    over are copied.  With k = 1 out already is that array.
+    Row g * k + j is step j of group g, k gathers in all, each into one
+    contiguous buffer that is then copied into its rows k apart (a take
+    into the strided rows themselves goes through a temporary); the rows
+    left over are copied.  With k = 1 out already is that array.
     """
     k = jumps.k
     if k == 1:
@@ -651,8 +653,9 @@ def _events(jumps: _Jumps, out, n: int) -> np.ndarray:
     g = n // k
     idx = np.empty((n, out.shape[1]), dtype=np.int64)
     events = idx[: g * k].reshape(g, k, idx.shape[1])
+    step_j = np.empty((g, out.shape[1]), dtype=np.int64)
     for j, step in enumerate(jumps.steps):
-        step.take(out[:g], out=events[:, j], mode="clip")
+        events[:, j] = step.take(out[:g], out=step_j, mode="clip")
     idx[g * k :] = out[g : g + n % k]
     return idx
 

@@ -11,8 +11,10 @@ per-state loop it replaced, freezing a policy into tables as the walk over
 a {state: action} dict it replaced, the share solver as the bisection that
 the Dinkelbach iteration replaced and as the Dinkelbach steps on the flat
 edge arrays (a reduceat sweep, a power iteration over the whole chain)
-that the slot x winner grid sweep replaced and as the grid sweep over every
-action slot that the sweep over the slots' distinct rows replaced, the
+that the slot x winner grid sweep replaced, as the grid sweep over every
+action slot that the sweep over the slots' distinct rows replaced and as
+the row sweep over every state padded to the widest slot count, in state
+order, that the sweep in single-slot and padded blocks replaced, the
 row grid and the per-model edge probabilities and bribes as they were
 built for every model before the topology-only parts were shared, the
 three lockstep Monte Carlo loops that the visit-count kernel replaced, the
@@ -29,11 +31,18 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from powplay.errors import CapacityError, ConvergenceError, ValidationError
+from powplay.errors import CapacityError, ConvergenceError, ValidationError, require_positive_finite
 from powplay.mdp import (
+    _SPAN_FLOOR,
+    _SPAN_SHRINK,
+    _SPAN_START,
+    _STATIONARY_MAX,
+    _STATIONARY_TOL,
+    _STAY,
     ADOPT,
     ADVERSARY,
     MATCH,
@@ -43,7 +52,6 @@ from powplay.mdp import (
     SolveResult,
     _Grid,
     _policy_edges,
-    _stationary,
     policy_tables,
 )
 from powplay.model import AttackParams, PoolSet
@@ -1092,7 +1100,7 @@ def greedy_slots_all_slots(cols, q_act):
 def policy_ratio_all_slots(grid, slots, pi):
     """Exact long-run (reward - bribes) / settled of the policy taking slots,
     its settled rate, stationary distribution and power iterations."""
-    pi, iterations = _stationary(grid.dst[:, slots], grid.p, pi)
+    pi, iterations = stationary_padded(grid.dst[:, slots], grid.p, pi)
     rate = float(pi @ grid.settled[slots])
     return float(pi @ grid.gain[slots]) / rate, rate, pi, iterations
 
@@ -1149,11 +1157,29 @@ def row_classes_unique(rows):
 #
 # _grid as it was before its topology-only part was checked and laid out
 # once per topology, and build_mdp's edge probabilities and bribes as it
-# filled them with np.where over every edge.
+# filled them with np.where over every edge.  The grid is first laid out as
+# it was before the states were put in sweep order (every state's slots
+# padded to the widest, destinations in state order), and the sweep order
+# and its two blocks are then derived from that padded layout.
 
 
-def grid_uncached(model):
-    """The model's row x winner grid, every part recomputed and rechecked."""
+class PaddedGrid(NamedTuple):
+    """The row x winner grid in state order: dst[k] holds every row's
+    destination state under winner k, cols[j] the row of every state's
+    j-th action slot, its last repeated past its end."""
+
+    p: np.ndarray
+    dst: np.ndarray
+    cols: np.ndarray
+    gain: np.ndarray
+    settled: np.ndarray
+    state_ptr: np.ndarray
+    slot_row: np.ndarray
+
+
+def grid_padded(model):
+    """The model's row x winner grid in state order, every part recomputed
+    and rechecked."""
     slots = model.action_ptr.size
     width, rest = divmod(model.edge_prob.size, slots)
     prob = model.edge_prob.reshape(-1, width) if width and not rest else None
@@ -1170,7 +1196,7 @@ def grid_uncached(model):
     dst, settled, reward, bribe = (a.take(first, axis=0) for a in edges)
     p, ptr = prob[0], model.state_ptr
     count = np.diff(ptr)
-    return _Grid(
+    return PaddedGrid(
         p,
         dst.T.copy(),
         slot_row[ptr[:-1] + np.minimum(np.arange(count.max())[:, None], count - 1)],
@@ -1178,6 +1204,158 @@ def grid_uncached(model):
         _expected(p, settled),
         ptr,
         slot_row,
+    )
+
+
+def grid_uncached(model):
+    """The model's row x winner grid in sweep order, every part recomputed
+    and rechecked: the padded grid's states split into those with one slot
+    and the rest, each in state order, and its destinations renumbered by
+    position."""
+    padded = grid_padded(model)
+    count = np.diff(padded.state_ptr)
+    single = [s for s in range(count.size) if count[s] == 1]
+    order = np.array(single + [s for s in range(count.size) if count[s] != 1], dtype=np.int64)
+    position = np.argsort(order)
+    return _Grid(
+        padded.p,
+        position[padded.dst],
+        padded.cols[0, single],
+        padded.cols[:, order[len(single):]],
+        order,
+        position[0],
+        padded.gain,
+        padded.settled,
+        padded.state_ptr,
+        padded.slot_row,
+    )
+
+
+# -- the share solver on the padded state-order grid ---------------------------------
+#
+# Dinkelbach steps as the package took them before it put the states in
+# sweep order: every state's slots padded to the widest and one gather of
+# the values of every state's padded slots, one take per winner column, and
+# every state's row destinations gathered for the stationary distribution.
+
+
+def row_values_padded(grid: PaddedGrid, r: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Each row's r plus its expected next value under V, added in winner order."""
+    q = r.copy()
+    for pk, dst in zip(grid.p, grid.dst):
+        q += pk * V.take(dst)
+    return q
+
+
+def sweeps_padded(grid, r, V, span_tol, max_sweeps):
+    """Relative value iteration with row rewards r (one candidate share)."""
+    if max_sweeps < 1:
+        return None, V, 0, np.inf
+    for sweep in range(1, max_sweeps + 1):
+        v_new = row_values_padded(grid, r, V).take(grid.cols).max(axis=0)
+        diff = v_new - V
+        hi = float(diff.max())
+        lo = float(diff.min())
+        V = v_new - v_new[0]
+        if hi - lo < span_tol:
+            return 0.5 * (hi + lo), V, sweep, hi - lo
+    return None, V, max_sweeps, hi - lo
+
+
+def greedy_slots_padded(grid: PaddedGrid, q: np.ndarray) -> np.ndarray:
+    """Each state's best action slot under row values q; ties go to the
+    first slot, as with np.argmax."""
+    ptr = grid.state_ptr
+    return ptr[:-1] + np.minimum(q.take(grid.cols).argmax(axis=0), np.diff(ptr) - 1)
+
+
+def stationary_padded(dst, p, pi, max_iterations=_STATIONARY_MAX):
+    """Stationary distribution of a chain by power iteration from pi, and
+    the iterations that took.
+
+    State s moves to dst[k, s] with probability p[k].  Iterates the lazy
+    chain _STAY*pi + (1 - _STAY)*pi P, which has the same stationary
+    distribution and is aperiodic, until an iteration moves pi by less than
+    _STATIONARY_TOL in L1.  Only the states reachable from pi's support can
+    gain mass, so only they are iterated, in state order with each state's
+    edges in winner order: every state's inflow is summed in the order of
+    the whole chain's iteration, which adds only zeros besides.
+    """
+    reached = pi > 0
+    fresh = reached.copy()
+    while fresh.any():
+        hit = np.zeros_like(reached)
+        hit[dst[:, fresh]] = True
+        fresh = hit & ~reached
+        reached |= fresh
+    live = np.flatnonzero(reached)
+    to = (np.cumsum(reached) - 1)[dst[:, live].T].ravel()
+    x = pi[live]
+    for iteration in range(1, max_iterations + 1):
+        moved = np.bincount(to, weights=(x[:, None] * p).ravel(), minlength=live.size)
+        nxt = _STAY * x + (1.0 - _STAY) * moved
+        change = float(np.abs(nxt - x).sum())
+        x = nxt
+        if change < _STATIONARY_TOL:
+            pi = np.zeros(pi.size)
+            pi[live] = x / x.sum()
+            return pi, iteration
+    raise ConvergenceError(
+        f"stationary distribution moved {change:.3g} after {max_iterations} iterations",
+        residual=change,
+    )
+
+
+def policy_ratio_padded(grid: PaddedGrid, slots: np.ndarray, pi: np.ndarray):
+    """Exact long-run (reward - bribes) / settled of the policy taking slots.
+
+    Returns the ratio, the settled blocks per transition, the policy's
+    stationary distribution, found from pi, and the power iterations that
+    took.
+    """
+    rows = grid.slot_row[slots]
+    pi, iterations = stationary_padded(grid.dst[:, rows], grid.p, pi)
+    rate = float(pi @ grid.settled[rows])
+    return float(pi @ grid.gain[rows]) / rate, rate, pi, iterations
+
+
+def solve_reward_share_padded(
+    model: MdpModel, tol: float = 1e-6, max_sweeps: int = 500_000
+) -> SolveResult:
+    """solve_reward_share as Dinkelbach steps on the padded state-order grid."""
+    require_positive_finite("tol", tol)
+    grid = grid_padded(model)
+    n = model.state_count
+    V = np.zeros(n)
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    rho = model.alpha_a  # the honest policy's share
+    span_tol = _SPAN_START
+    end_span = 0.0  # a span tight enough to stop at, set after the first step
+    per_step, stationary = [], []
+    while True:
+        r = grid.gain - rho * grid.settled
+        g, V, used, span = sweeps_padded(grid, r, V, span_tol, max_sweeps - sum(per_step))
+        per_step.append(used)
+        if g is None:
+            raise ConvergenceError(
+                f"value iteration exhausted {max_sweeps} sweeps", residual=span
+            )
+        slots = greedy_slots_padded(grid, row_values_padded(grid, r, V))
+        ratio, settled, pi, iterations = policy_ratio_padded(grid, slots, pi)
+        stationary.append(iterations)
+        step = ratio - rho
+        rho = ratio
+        if abs(step) < tol and span_tol <= end_span:
+            break
+        # a greedy policy is optimal to within the span in average reward,
+        # hence to within span / settled in share
+        end_span = max(_SPAN_FLOOR, tol * settled * _SPAN_SHRINK)
+        span_tol = min(span_tol, max(end_span, abs(step) * settled * _SPAN_SHRINK))
+    if not 0.0 <= rho <= 1.0:
+        raise ConvergenceError(f"share {rho} escaped [0,1]", residual=abs(g))
+    return SolveResult(
+        rho, slots, sum(per_step), abs(g), len(per_step), tuple(per_step), tuple(stationary)
     )
 
 

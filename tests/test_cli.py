@@ -13,16 +13,20 @@ from powplay.cli import main
 from powplay.distraction import PowerSplit, distraction_reward_share, min_difficulty_ratio
 from powplay.errors import ConvergenceError, ValidationError
 from powplay.experiments import (
+    TABLE2,
+    TABLE4_ADVERSARIES,
     Artifact,
     ExperimentSpec,
     _downsample,
     emit_artifact,
     read_artifact,
+    render_csv,
+    run_table4,
     validate_artifact,
     write_svg,
 )
-from powplay.mdp import solve_reward_share
-from powplay.model import BITCOIN_POOLS_MERGED, bundled_pool_file, load_pool_file
+from powplay.mdp import build_mdp, solve_reward_share
+from powplay.model import AttackParams, BITCOIN_POOLS_MERGED, PoolSet, bundled_pool_file, load_pool_file
 from powplay.randomwalk import abandon_threshold
 from powplay.selfish import selfish_dominance_threshold
 from powplay.sim import SimConfig, revenue_advantage_trajectory
@@ -421,6 +425,56 @@ def test_reproduce_table2_single_row(tmp_path, capsys):
     row = dict(zip(art.columns, art.rows[0]))
     assert row["reward_share"] == pytest.approx(0.5448, abs=0.01)
     validate_artifact(art)
+
+
+def _solve_summary(value):
+    """A solve[...] header value as {name: int or float}."""
+    fields = dict(part.split("=") for part in value.split())
+    return {k: float(v) if k == "residual" else int(v) for k, v in fields.items()}
+
+
+def _assert_solve_recorded(art, key, model, tol=1e-6):
+    res = solve_reward_share(model, tol=tol)
+    assert _solve_summary(art.meta[key]) == {
+        "state_count": model.state_count,
+        "outer_steps": res.outer_steps,
+        "sweeps": res.iterations,
+        "residual": res.residual,
+    }
+
+
+def test_reproduce_table2_records_each_solve(tmp_path, capsys):
+    """One solve[row] header key per solved row, read back from the CSV and
+    equal to a solve of the same model; no CSV column is added."""
+    out = tmp_path / "t2.csv"
+    assert main(["reproduce", "table2", "--rows", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    art = read_artifact(out)
+    assert [k for k in art.meta if k.startswith("solve[")] == ["solve[3]"]
+    alpha, epsilon, configs, _ = TABLE2
+    model = build_mdp(PoolSet.from_shares(alpha, configs[3]), AttackParams(epsilon=epsilon), fork_cap=8)
+    _assert_solve_recorded(art, "solve[3]", model)
+    assert len(art.columns) == 7 and art.rows[0][art.columns.index("reward_share")] == solve_reward_share(
+        model).reward_share
+
+
+def test_reproduce_fig3_and_table4_record_each_solve_by_pool(tmp_path, capsys):
+    base = load_pool_file(bundled_pool_file(BITCOIN_POOLS_MERGED))
+    fig3, table4 = tmp_path / "fig3.csv", tmp_path / "table4.csv"
+    assert main(["reproduce", "fig3", "--rows", "7,8", "--fork-cap", "4", "--out", str(fig3)]) == 0
+    capsys.readouterr()
+    # at fork cap 4 a table4 share misses its reference (exit 2), so the
+    # runner's artifact is written directly
+    table4.write_text(render_csv(run_table4(fork_cap=4, rows=[4])))
+    fig3, table4 = read_artifact(fig3), read_artifact(table4)
+    assert len(fig3.columns) == 5
+    names = fig3.column("pool")
+    assert [k for k in fig3.meta if k.startswith("solve[")] == [f"solve[{name}]" for name in names]
+    for name in names:
+        _assert_solve_recorded(fig3, f"solve[{name}]", build_mdp(base.with_adversary(name), AttackParams(), fork_cap=4))
+    name = TABLE4_ADVERSARIES[4]
+    assert [k for k in table4.meta if k.startswith("solve[")] == [f"solve[{name}]"]
+    _assert_solve_recorded(table4, f"solve[{name}]", build_mdp(base.with_adversary(name), AttackParams(), fork_cap=4))
 
 
 def test_reproduce_is_deterministic(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Optimal fork-race withholding: model construction, ratio solver, rollouts."""
 
 from dataclasses import fields, replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,15 +14,20 @@ from oracles import (
     build_mdp_unlumped,
     edge_bribe_where,
     edge_prob_where,
+    grid_padded,
     grid_uncached,
     greedy_policy_loop,
+    greedy_slots_padded,
     policy_rollout_loop,
     policy_ratio_full_chain,
     policy_tables_loop,
     row_classes_unique,
+    row_values_padded,
     solve_reward_share_all_slots,
     solve_reward_share_bisection,
+    solve_reward_share_padded,
     solve_reward_share_per_edge,
+    sweeps_padded,
     topology_bfs,
 )
 from powplay import mdp
@@ -407,6 +413,24 @@ def test_row_solver_matches_the_all_slots_oracle_on_drawn_models(case):
     _assert_matches_the_all_slots_oracle(build_mdp(pools, params, fork_cap=cap, honest=honest))
 
 
+@pytest.mark.parametrize("row", list(ORACLE_ROWS))
+def test_sweep_order_solver_matches_the_padded_oracle_on_named_rows(row):
+    """The sweep over single-slot and padded blocks against the padded
+    state-order sweep it replaced: every SolveResult field equal."""
+    pools, params, cap = ORACLE_ROWS[row]
+    honest = "honest" if row.endswith("cap 40") else None
+    model = build_mdp(pools(), params, fork_cap=cap, honest=honest)
+    _assert_same_result(solve_reward_share(model), solve_reward_share_padded(model))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lumping_cases())
+def test_sweep_order_solver_matches_the_padded_oracle_on_drawn_models(case):
+    pools, params, cap, honest = case
+    model = build_mdp(pools, params, fork_cap=cap, honest=honest)
+    _assert_same_result(solve_reward_share(model), solve_reward_share_padded(model))
+
+
 def _assert_row_classes_match_the_unique_partition(pools, params, cap, honest=None):
     """The topology's slot rows against np.unique over the slots' full rows."""
     layered, built = mdp._topology, []
@@ -490,6 +514,106 @@ def test_grid_and_edges_match_the_uncached_oracle_on_named_rows(row):
 @given(_grid_cases())
 def test_grid_and_edges_match_the_uncached_oracle_on_drawn_models(case):
     _assert_grid_and_edges_match_the_uncached_oracle(*case)
+
+
+def _assert_sweeps_match_the_padded_oracle(model, rho, sweeps):
+    """A run of value sweeps against the padded state-order sweep: the same
+    average reward, span and sweep count, and the same value table, in
+    sweep order, to the last bit; the same row values and greedy slots."""
+    grid, padded = _grid(model), grid_padded(model)
+    r = grid.gain - rho * grid.settled
+    zeros = np.zeros(model.state_count)
+    g, V, used, span = _sweeps(grid, r, zeros, 1e-4, sweeps)
+    g_want, W, used_want, span_want = sweeps_padded(padded, r, zeros, 1e-4, sweeps)
+    assert (g, used, span) == (g_want, used_want, span_want)
+    assert np.array_equal(V, W[grid.order])  # relative to state 0 wherever it sits
+    q = _row_values(grid, r, V)
+    assert np.array_equal(q, row_values_padded(padded, r, W))
+    assert np.array_equal(_greedy_slots(grid, q), greedy_slots_padded(padded, q))
+
+
+def test_sweeps_match_the_padded_oracle_on_fig3_row(fig3_row_model):
+    _assert_sweeps_match_the_padded_oracle(fig3_row_model, 0.08, 60)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lumping_cases(), st.floats(0.0, 0.6))
+def test_sweeps_match_the_padded_oracle_on_drawn_models(case, rho):
+    pools, params, cap, honest = case
+    _assert_sweeps_match_the_padded_oracle(build_mdp(pools, params, fork_cap=cap, honest=honest), rho, 40)
+
+
+def _swap_with_state_0(model, s):
+    """The model with states 0 and s swapped: the same chain, numbered so
+    that state 0 (where the solver's stationary search starts) is s."""
+    n, width = model.state_count, model.edge_prob.size // model.action_ptr.size
+    new = np.arange(n)
+    new[[0, s]] = [s, 0]  # its own inverse: old state new[i] is new state i
+    count = np.diff(model.state_ptr)[new]
+    slots = np.concatenate([np.arange(model.state_ptr[t], model.state_ptr[t + 1]) for t in new])
+    edges = (slots[:, None] * width + np.arange(width)).ravel()
+    slot_row = model.slot_row[slots]
+    row_slot = np.full(model.row_slot.size, slots.size)
+    np.minimum.at(row_slot, slot_row, np.arange(slots.size))
+    moved = {name: getattr(model, name)[edges] for name in (
+        "edge_prob", "edge_winner", "edge_settled", "edge_reward", "edge_bribe", "edge_orphans")}
+    return replace(
+        model, states=model.states[new], actions=model.actions[slots],
+        state_ptr=np.concatenate([[0], np.cumsum(count)]), edge_dst=new[model.edge_dst[edges]],
+        slot_row=slot_row, row_slot=row_slot, **moved,
+    )
+
+
+def test_a_multi_slot_state_0_is_the_value_reference(fig3_row_model):
+    """build_mdp's state 0 (the empty race) has one slot, so it leads the
+    sweep order; renumbered to a state with four slots, it sits in the
+    padded block, and the values are still taken relative to it."""
+    count = np.diff(fig3_row_model.state_ptr)
+    model = _swap_with_state_0(fig3_row_model, int(np.flatnonzero(count == 4)[0]))
+    grid = _grid(model)
+    assert grid.ref >= grid.one.size and grid.order[grid.ref] == 0
+    _assert_sweep_layout(model)
+    _assert_sweeps_match_the_padded_oracle(model, 0.08, 60)
+    _assert_same_result(solve_reward_share(model), solve_reward_share_padded(model))
+
+
+def _assert_sweep_layout(model):
+    """The grid's sweep order and its two blocks, checked against their
+    definition rather than against a second construction."""
+    grid = _grid(model)
+    ptr, order, single = model.state_ptr, grid.order, grid.one.size
+    count = np.diff(ptr)
+    assert np.array_equal(np.sort(order), np.arange(model.state_count))  # a permutation
+    one, rest = order[:single], order[single:]
+    assert np.all(count[one] == 1) and np.all(count[rest] != 1)  # single-slot block first
+    assert np.all(np.diff(one) > 0) and np.all(np.diff(rest) > 0)  # state order in each block
+    assert order[grid.ref] == 0
+    assert np.array_equal(grid.one, model.slot_row[ptr[one]])
+    assert grid.cols.shape == (count.max(), rest.size)
+    slot = ptr[rest] + np.arange(count.max())[:, None]
+    inside = slot < ptr[rest + 1]
+    assert np.array_equal(grid.cols[inside], model.slot_row[slot[inside]])
+    # padded columns repeat each state's last slot's row
+    last = np.broadcast_to(model.slot_row[ptr[rest + 1] - 1], grid.cols.shape)
+    assert np.array_equal(grid.cols[~inside], last[~inside])
+    # one copy of the row destinations, as sweep positions
+    width = model.edge_prob.size // model.action_ptr.size
+    assert np.array_equal(order[grid.dst], model.edge_dst.reshape(-1, width)[model.row_slot].T)
+    assert [name for name, value in grid._asdict().items() if np.shape(value) == grid.dst.shape] == ["dst"]
+
+
+def test_sweep_layout_on_fig3_row(fig3_row_model):
+    _assert_sweep_layout(fig3_row_model)
+    grid = _grid(fig3_row_model)
+    # 12,728 single-slot states and 8,973 padded to five: 57,593 gathers a sweep
+    assert (grid.one.size, grid.cols.shape) == (12_728, (5, 8_973))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_grid_cases())
+def test_sweep_layout_on_drawn_models(case):
+    pools, params, cap, honest = case
+    _assert_sweep_layout(build_mdp(pools, params, fork_cap=cap, honest=honest))
 
 
 def test_models_of_one_topology_and_epsilon_share_one_read_only_bribe_array():
@@ -663,13 +787,13 @@ def test_solver_out_of_sweeps_raises_with_residual(two_pool_model):
 
 def test_stationary_iteration_is_bounded():
     """A two-state flip-flop: the lazy chain converges, but not in 5 steps."""
-    dst, p = np.array([[1, 0]]), np.ones(1)
-    start = np.array([1.0, 0.0])
-    pi, iterations = _stationary(dst, p, start)
+    grid = SimpleNamespace(dst=np.array([[1, 0]]), order=np.arange(2), p=np.ones(1))
+    rows, start = np.arange(2), np.array([1.0, 0.0])
+    pi, iterations = _stationary(grid, rows, start)
     assert pi == pytest.approx([0.5, 0.5], abs=1e-13)
     assert iterations > 5
     with pytest.raises(ConvergenceError) as err:
-        _stationary(dst, p, start, max_iterations=5)
+        _stationary(grid, rows, start, max_iterations=5)
     assert err.value.residual > 0
 
 
