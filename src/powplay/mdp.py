@@ -576,7 +576,7 @@ def _sweeps(grid, r, V, span_tol, max_sweeps):
     single, padded = v_new[: grid.one.size], v_new[grid.one.size:]
     for sweep in range(1, max_sweeps + 1):
         q = _row_values(grid, r, V)
-        single[:] = q.take(grid.one)
+        single[:] = q.take(grid.one)  # take(out=) buffers in its default mode: slower than a copy
         q.take(grid.cols).max(axis=0, out=padded)
         diff = v_new - V
         hi = float(diff.max())

@@ -454,8 +454,8 @@ def test_reproduce_table2_records_each_solve(tmp_path, capsys):
     alpha, epsilon, configs, _ = TABLE2
     model = build_mdp(PoolSet.from_shares(alpha, configs[3]), AttackParams(epsilon=epsilon), fork_cap=8)
     _assert_solve_recorded(art, "solve[3]", model)
-    assert len(art.columns) == 7 and art.rows[0][art.columns.index("reward_share")] == solve_reward_share(
-        model).reward_share
+    assert len(art.columns) == 7
+    assert art.rows[0][art.columns.index("reward_share")] == solve_reward_share(model).reward_share
 
 
 def test_reproduce_fig3_and_table4_record_each_solve_by_pool(tmp_path, capsys):
@@ -470,11 +470,10 @@ def test_reproduce_fig3_and_table4_record_each_solve_by_pool(tmp_path, capsys):
     assert len(fig3.columns) == 5
     names = fig3.column("pool")
     assert [k for k in fig3.meta if k.startswith("solve[")] == [f"solve[{name}]" for name in names]
-    for name in names:
-        _assert_solve_recorded(fig3, f"solve[{name}]", build_mdp(base.with_adversary(name), AttackParams(), fork_cap=4))
     name = TABLE4_ADVERSARIES[4]
     assert [k for k in table4.meta if k.startswith("solve[")] == [f"solve[{name}]"]
-    _assert_solve_recorded(table4, f"solve[{name}]", build_mdp(base.with_adversary(name), AttackParams(), fork_cap=4))
+    for art, name in [(fig3, n) for n in names] + [(table4, name)]:
+        _assert_solve_recorded(art, f"solve[{name}]", build_mdp(base.with_adversary(name), AttackParams(), fork_cap=4))
 
 
 def test_reproduce_is_deterministic(tmp_path, capsys):

@@ -536,13 +536,6 @@ def test_sweeps_match_the_padded_oracle_on_fig3_row(fig3_row_model):
     _assert_sweeps_match_the_padded_oracle(fig3_row_model, 0.08, 60)
 
 
-@settings(max_examples=30, deadline=None)
-@given(_lumping_cases(), st.floats(0.0, 0.6))
-def test_sweeps_match_the_padded_oracle_on_drawn_models(case, rho):
-    pools, params, cap, honest = case
-    _assert_sweeps_match_the_padded_oracle(build_mdp(pools, params, fork_cap=cap, honest=honest), rho, 40)
-
-
 def _swap_with_state_0(model, s):
     """The model with states 0 and s swapped: the same chain, numbered so
     that state 0 (where the solver's stationary search starts) is s."""
