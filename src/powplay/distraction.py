@@ -357,9 +357,12 @@ def distraction_reward_share(split: PowerSplit, d_ratio: float, br2: float) -> f
 
     Evaluates the per-puzzle profit margin at the puzzle rate implied by the
     live-state occupancy (everyone on the puzzle: choice "mini_pow").  Exact
-    when alpha_nc = 0, where no attacker block is ever orphaned; with a
-    never-compliant remainder it inherits the no-orphan idealization and
-    overstates the share slightly.
+    when alpha_nc = 0, where no attacker block is ever orphaned: it then
+    equals the exact share of powplay.sim's distraction automaton (br3 = 0,
+    "mini_pow").  With a never-compliant remainder it inherits the
+    no-orphan idealization and leaves race outcomes out, and on the splits
+    checked it reads below that automaton, which models each winner: 0.41311
+    against 0.41967 at (0.4, 0.1, 0.3, 0.2), d_ratio 5, br2 0.04.
     """
     if br2 < 0:
         raise ValidationError(f"br2 must be >= 0, got {br2!r}")

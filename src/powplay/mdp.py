@@ -25,14 +25,13 @@ pool position.
 The graph does not depend on the share values or on epsilon, only on which
 pools mine, which take bribes, which are interchangeable and on the
 truncation.  It is enumerated once per such signature, a breadth-first
-layer of states at a time, and cached (one at a time), so every pool of a
-snapshot turned adversary in turn reuses one enumeration.  Models of one
-signature share its arrays, read-only, and models of one signature and
-epsilon share one read-only bribe array as well; only the edge
-probabilities, one slot's winner probabilities tiled over every slot, are
-filled per model.  The solver's checks of a topology and the parts of its
-grid that depend on the topology alone are likewise done once and kept for
-the next model of the same arrays.
+layer of states at a time, and cached (one at a time) as one immutable
+topology, so every pool of a snapshot turned adversary in turn reuses one
+enumeration.  The topology derives what follows from it where it is
+built: its slots' rows, and on first use the solver's layout of them.  A
+model adds only its pools, shares and parameters to that topology, so
+each solve takes the winner probabilities and the bribes from the
+topology's winners and bribe levels.
 
 The objective is the long-run reward share net of bribes:
 (expected attacker blocks settled - expected bribes paid) divided by
@@ -67,8 +66,8 @@ only their destinations are gathered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -107,30 +106,108 @@ _STATIONARY_MAX = 100_000  # power iterations before ConvergenceError
 _STAY = 0.1  # laziness of the power-iterated chain
 
 
+@dataclass(frozen=True, eq=False)
+class _Topology:
+    """One enumerated fork-race topology, immutable.
+
+    states holds each state's row and actions each action slot's code (see
+    the module docstring), state_ptr each state's first action slot, and
+    winners the live winners in edge order (ADVERSARY or pool position).
+    Every slot has one edge per winner, so the edges of slot a are
+    a * winners.size + k, and the edge arrays give each edge's destination,
+    settled blocks, attacker blocks settled, bribe level collected (-1
+    where none is) and orphaned blocks.  The constructor derives the
+    slots' rows: slots whose destinations, settled blocks, rewards and
+    bribe levels agree under every winner share one, slot_row numbers each
+    slot's row in order of first appearance and row_slot gives each row's
+    first slot (see _row_classes).  It makes every array field read-only.
+    """
+
+    states: np.ndarray  # int16, one row per state
+    actions: np.ndarray  # int16, one code per action slot
+    state_ptr: np.ndarray  # state -> first action slot
+    winners: np.ndarray  # int32, ADVERSARY or pool position
+    edge_dst: np.ndarray
+    edge_settled: np.ndarray
+    edge_reward: np.ndarray
+    edge_level: np.ndarray
+    edge_orphans: np.ndarray
+    slot_row: np.ndarray = field(init=False)  # action slot -> its row
+    row_slot: np.ndarray = field(init=False)  # row -> its first action slot
+
+    def __post_init__(self):
+        columns = [self.edge_dst, self.edge_settled, self.edge_reward, self.edge_level]
+        rows = _row_classes(self.winners.size, columns)
+        object.__setattr__(self, "slot_row", rows[0])
+        object.__setattr__(self, "row_slot", rows[1])
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    @cached_property
+    def layout(self):
+        """The solver's topology-only layout, built once: (dst, one, cols,
+        order, ref, settled, reward, level).
+
+        The rows' destinations as sweep positions (winner-major), the
+        single-slot block's rows, the padded block's cols map, the sweep
+        order and state 0's position in it (see _Grid), and each row's
+        settled blocks, reward and bribe level per winner (row-major).
+        These stay writeable, because np.take copies a read-only index
+        array at every call, which would cost a sweep more than its
+        gathers.
+        """
+        width = self.winners.size
+        edges = (self.edge_dst, self.edge_settled, self.edge_reward, self.edge_level)
+        dst, settled, reward, level = (a.reshape(-1, width).take(self.row_slot, axis=0) for a in edges)
+        ptr = self.state_ptr
+        count = np.diff(ptr)
+        # sweep order: the single-slot states, then the rest, each in state order
+        order = np.argsort(count != 1, kind="stable")
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+        one, rest = np.split(order, [np.count_nonzero(count == 1)])
+        cols = self.slot_row[ptr[rest] + np.minimum(np.arange(count.max())[:, None], count[rest] - 1)]
+        return pos.take(dst.T), self.slot_row[ptr[one]], cols, order, pos[0], settled, reward, level
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _bribe(level: np.ndarray, epsilon: float) -> np.ndarray:
+    """The bribe paid at each bribe level: level + epsilon, 0.0 at level -1."""
+    return np.where(level >= 0, level + epsilon, 0.0)
+
+
+def _winner_prob(model: MdpModel) -> np.ndarray:
+    """Each live winner's probability, in the topology's winner order."""
+    winners = model.topology.winners
+    return np.where(winners == ADVERSARY, model.alpha_a, model.shares[winners])
+
+
+def _of_topology(name: str) -> property:
+    return property(lambda model: getattr(model.topology, name), doc=f"The topology's {name}.")
+
+
 @dataclass
 class MdpModel:
-    """Enumerated fork-race MDP with flat transition arrays.
+    """Enumerated fork-race MDP: one model's shares and epsilon on a topology.
 
-    Edge arrays are grouped by action and actions by state, and every
-    action slot has one edge per live winner, in the same order and with
-    the same probabilities: the edges are a slot x winner grid.  Slots
-    whose destinations, settled blocks, rewards and bribe levels agree
-    under every winner share a row: slot_row numbers each slot's row in
-    order of first appearance and row_slot gives each row's first slot.
-    solve_reward_share sweeps the rows (one gather of every winner column,
-    an add per column, then each state's max over its slots' rows); it
-    refuses a model that is not a grid, or whose slots' edges differ from
-    their row's first slot's.  Rewards are stored gross; bribes
-    separately; blocks settled separately, so the share-transformed reward
-    is assembled per solver step.  states holds each state's row and
-    actions each action slot's code (see the module docstring).  The graph
-    fields (states, actions, the pointers, every edge array but edge_prob
-    and edge_bribe, and the rows) are read-only arrays shared with every
-    model of the same topology signature (see build_mdp); edge_bribe is
-    read-only too, shared by the models of one signature and epsilon, and
-    only edge_prob is each model's own.  A policy is an int64 array of each
-    state's chosen action slot: state s takes the action
-    actions[policy[s]].
+    The graph is the topology's (see _Topology), shared with every model of
+    the same topology signature (see build_mdp), and read through the
+    properties below.  The edge arrays are grouped by action and actions by
+    state, and every action slot has one edge per live winner, in the same
+    order and with the same probabilities: the edges are a slot x winner
+    grid.  action_ptr, edge_winner, edge_prob and edge_bribe are derived
+    per call, read-only like the rest.  solve_reward_share sweeps the
+    slots' rows (one gather of every winner column, an add per column,
+    then each state's max over its slots' rows).  Rewards are kept gross,
+    bribes as levels and blocks settled separately, so the
+    share-transformed reward is assembled per solver step.  A policy is an
+    int64 array of each state's chosen action slot: state s takes the
+    action actions[policy[s]].
     """
 
     pools: PoolSet
@@ -140,40 +217,47 @@ class MdpModel:
     shares: np.ndarray  # non-adversarial shares, order = pools.others()
     alpha_a: float
     petty: tuple[bool, ...]
-    states: np.ndarray  # int16, one row per state
-    actions: np.ndarray  # int16, one code per action slot
-    # flat layout
-    state_ptr: np.ndarray  # state -> first action slot
-    action_ptr: np.ndarray  # action slot -> first edge
-    edge_prob: np.ndarray
-    edge_dst: np.ndarray
-    edge_winner: np.ndarray  # ADVERSARY or pool position
-    edge_settled: np.ndarray
-    edge_reward: np.ndarray  # attacker blocks settled on this edge
-    edge_bribe: np.ndarray
-    edge_orphans: np.ndarray
-    slot_row: np.ndarray  # action slot -> its row
-    row_slot: np.ndarray  # row -> its first action slot
+    topology: _Topology
+
+    states = _of_topology("states")
+    actions = _of_topology("actions")
+    state_ptr = _of_topology("state_ptr")
+    slot_row = _of_topology("slot_row")
+    row_slot = _of_topology("row_slot")
+    edge_dst = _of_topology("edge_dst")
+    edge_settled = _of_topology("edge_settled")
+    edge_reward = _of_topology("edge_reward")
+    edge_level = _of_topology("edge_level")
+    edge_orphans = _of_topology("edge_orphans")
 
     @property
     def state_count(self) -> int:
-        return len(self.states)
+        return len(self.topology.states)
+
+    @property
+    def action_ptr(self) -> np.ndarray:
+        """Action slot -> its first edge."""
+        return _read_only(np.arange(self.topology.slot_row.size, dtype=np.int64) * self.topology.winners.size)
+
+    @property
+    def edge_winner(self) -> np.ndarray:
+        return _read_only(np.tile(self.topology.winners, self.topology.slot_row.size))
+
+    @property
+    def edge_prob(self) -> np.ndarray:
+        return _read_only(np.tile(_winner_prob(self), self.topology.slot_row.size))
+
+    @property
+    def edge_bribe(self) -> np.ndarray:
+        return _read_only(_bribe(self.topology.edge_level, self.params.epsilon))
 
 
 @lru_cache(maxsize=1)
 def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ceiling):
     """Enumerate every reachable lumped state with its actions and edges.
 
-    The arguments are build_mdp's topology signature.  Returns (states,
-    actions, edge_level, arrays, rows, bribes): arrays maps the MdpModel
-    pointer and graph edge fields, edge_level is the bribe level collected
-    on each edge, -1 where none is, and rows is (slot_row, row_slot), the
-    action slots' distinct rows (see _row_classes); all are read-only.
-    bribes(epsilon) is each edge's bribe, level + epsilon and 0.0 where
-    edge_level is -1, as one read-only array kept for the last epsilon
-    asked, so models of one topology and epsilon share it.  Enumerating a
-    new topology drops the grid memo of the last one (see _grid_layout), so
-    neither cache keeps an evicted topology's arrays alive.
+    The arguments are build_mdp's topology signature; returns its
+    _Topology.
 
     Breadth-first, a layer of states at a time: each state takes its
     feasible actions in code order, each action has one edge per live
@@ -181,7 +265,6 @@ def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ce
     first reached on a layer's edges are numbered in order of first
     appearance, as a first-in first-out search numbers them.
     """
-    _grid_memo[0] = None
     m = len(live)
     # a petty pool's count is only compared with a bribe level <= max_bribe,
     # and the honest pool's is never read; no count exceeds lbar <= fork_cap
@@ -271,31 +354,14 @@ def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ce
         layer = digits.astype(np.int16)
         rows.append(layer)
 
-    actions = np.concatenate(codes)
-    arrays = {
-        "state_ptr": np.concatenate([[0], np.cumsum(np.concatenate(counts))]).astype(np.int64),
-        "action_ptr": np.arange(actions.size, dtype=np.int64) * len(winners),
-        "edge_winner": np.tile(np.array(winners, dtype=np.int32), actions.size),
-    }
-    flat = {name: np.concatenate(pieces.pop(name)) for name in names}
-    # a slot's row: its destination, settled blocks, reward and bribe level per winner
-    classes = _row_classes(len(winners), [flat[name] for name in names[:4]])
-    for name, dtype in zip(names, (np.int64, np.int32, float, float, np.int32)):
-        arrays[name] = flat.pop(name).astype(dtype, copy=False)
-    states = np.concatenate(rows)
-    edge_level = arrays.pop("edge_level")
-    for arr in (states, actions, edge_level, *arrays.values(), *classes):
-        arr.flags.writeable = False
-
-    @lru_cache(maxsize=1)
-    def bribes(epsilon):
-        # the bribe of each level, -1 last so that edge_level indexes it
-        levels = np.append(np.arange(max_bribe + 1), -1).astype(edge_level.dtype)
-        bribe = np.where(levels >= 0, levels + epsilon, 0.0)[edge_level]
-        bribe.flags.writeable = False
-        return bribe
-
-    return states, actions, edge_level, arrays, classes, bribes
+    dtypes = (np.int64, np.int32, float, float, np.int32)
+    return _Topology(
+        states=np.concatenate(rows),
+        actions=np.concatenate(codes),
+        state_ptr=np.concatenate([[0], np.cumsum(np.concatenate(counts))]).astype(np.int64),
+        winners=np.array(winners, dtype=np.int32),
+        **{name: np.concatenate(pieces.pop(name)).astype(dtype, copy=False) for name, dtype in zip(names, dtypes)},
+    )
 
 
 def _row_classes(width: int, columns: list[np.ndarray]):
@@ -314,7 +380,7 @@ def _row_classes(width: int, columns: list[np.ndarray]):
     bound = 1  # every key is below bound
     for values in sorted(columns, key=lambda v: int(v.max()) - int(v.min())):
         for k in range(width):
-            column = values[k::width]
+            column = values[k::width].astype(np.int64)
             low = int(column.min())
             span = int(column.max()) - low + 1
             if bound * span > np.iinfo(np.int64).max:
@@ -344,16 +410,14 @@ def build_mdp(
     result tables (their captions label every non-adversarial pool as
     profit-tracking); pass `honest` to pin one pool that never switches.
 
-    The graph (states, actions, destinations, winners, settled, reward and
-    orphan counts, the slots' rows) does not depend on the share values, so
-    it is enumerated once per signature and cached: the number of rival
-    pools, which of them have a positive share, whether the adversary does,
-    which are petty, the groups of pools with equal (share, petty),
-    fork_cap, max_bribe and state_ceiling.  Models with one signature share
-    those read-only arrays, and models with one signature and epsilon one
-    read-only edge_bribe (kept for the last epsilon asked); only edge_prob,
-    one slot's winner probabilities tiled over every slot, is computed per
-    call.
+    The graph (states, actions, destinations, winners, settled, reward,
+    bribe level and orphan counts, the slots' rows) does not depend on the
+    share values or on epsilon, so it is enumerated once per signature and
+    cached as one _Topology: the number of rival pools, which of them have
+    a positive share, whether the adversary does, which are petty, the
+    groups of pools with equal (share, petty), fork_cap, max_bribe and
+    state_ceiling.  Models with one signature share that topology; a model
+    adds only its shares and epsilon.
 
     The default fork_cap of 8 is a calibration point, not a convergence
     point: the solved share still grows slowly with the cap (roughly +0.018
@@ -385,7 +449,7 @@ def build_mdp(
     for j, kind in enumerate(zip(shares.tolist(), petty)):
         alike.setdefault(kind, []).append(j)
     groups = tuple(tuple(g) for g in alike.values() if len(g) > 1)
-    states, actions, _, arrays, (slot_row, row_slot), bribes = _topology(
+    topology = _topology(
         tuple(bool(s > 0) for s in shares),
         alpha_a > 0,
         petty,
@@ -394,24 +458,7 @@ def build_mdp(
         max_bribe,
         state_ceiling,
     )
-    # every slot has the same winners in the same order: tile the first slot's
-    winner = arrays["edge_winner"][: arrays["edge_winner"].size // actions.size]
-    return MdpModel(
-        pools=pools,
-        params=params,
-        fork_cap=fork_cap,
-        max_bribe=max_bribe,
-        shares=shares,
-        alpha_a=alpha_a,
-        petty=petty,
-        states=states,
-        actions=actions,
-        edge_prob=np.tile(np.where(winner == ADVERSARY, alpha_a, shares[winner]), actions.size),
-        edge_bribe=bribes(params.epsilon),
-        slot_row=slot_row,
-        row_slot=row_slot,
-        **arrays,
-    )
+    return MdpModel(pools, params, fork_cap, max_bribe, shares, alpha_a, petty, topology)
 
 
 @dataclass
@@ -437,11 +484,11 @@ class SolveResult:
 class _Grid(NamedTuple):
     """A model's action slots as a row x winner grid, for one solve.
 
-    Slot a has one edge per live winner k, edges action_ptr[a] + k, with
-    probability p[k].  Slots with equal destinations, settled blocks,
-    rewards and bribes per winner share one row (slot_row[a]), whose values
-    are taken from its first slot: equal inputs added in one order give
-    every slot of a row the same value to the last bit.
+    Slot a has one edge per live winner k, with probability p[k].  Slots
+    with equal destinations, settled blocks, rewards and bribe levels per
+    winner share one row (slot_row[a]), whose values are taken from its
+    first slot: equal inputs added in one order give every slot of a row
+    the same value to the last bit.
 
     The value sweep numbers the states in sweep order: order[i] is the
     state at position i, the states with one action slot first, then all
@@ -453,8 +500,8 @@ class _Grid(NamedTuple):
     its end, so a column max is the state's max and the first maximal
     column j its first maximal slot, state_ptr[s] + j.  gain and settled
     are each row's expected reward net of bribes and expected blocks
-    settled.  Everything but p, gain and settled depends on the topology
-    only and is shared between solves (see _grid_layout).
+    settled.  Everything but p, gain and settled is the topology's layout,
+    shared between solves (see _Topology.layout).
     """
 
     p: np.ndarray
@@ -469,11 +516,6 @@ class _Grid(NamedTuple):
     slot_row: np.ndarray
 
 
-_NOT_A_GRID = ("the model is not a slot x winner grid: every action slot needs "
-               "one edge per winner, with one probability per winner")
-_grid_memo: list = [None]  # (width, the arrays _grid_layout last kept, their layout), or None
-
-
 def _expected(p: np.ndarray, values: np.ndarray) -> np.ndarray:
     """sum_k p[k] * values[:, k], added in winner order whatever the BLAS build."""
     total = p[0] * values[:, 0]
@@ -483,71 +525,13 @@ def _expected(p: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def _grid(model: MdpModel) -> _Grid:
-    """The model's row x winner grid.
-
-    Raises ValidationError unless the model is a slot x winner grid and
-    every slot's edges equal those of its row's first slot, as they do in
-    build_mdp's models: a model whose edge arrays were swapped for others
-    is not solved with the rows of its old arrays.  Only the check of one
-    probability per winner and each row's expected gain and settled blocks
-    are per solve; the rest is _grid_layout's.
-    """
-    width, rest = divmod(model.edge_prob.size, model.action_ptr.size)
-    prob = model.edge_prob.reshape(-1, width) if width and not rest else None
-    if prob is None or not np.all(prob == prob[0]):
-        raise ValidationError(_NOT_A_GRID)
-    *layout, settled, net = _grid_layout(model, width)
-    p = prob[0]
-    return _Grid(p, *layout, _expected(p, net), _expected(p, settled), model.state_ptr, model.slot_row)
-
-
-def _grid_layout(model: MdpModel, width: int):
-    """The topology-only part of _grid: (dst, one, cols, order, ref,
-    settled, net).
-
-    Checks that action_ptr lays out width edges per slot and that every
-    slot's edge_dst, edge_settled, edge_reward and edge_bribe equal its
-    row's first slot's, and returns the rows' destinations as sweep
-    positions (winner-major), the single-slot block's rows, the padded
-    block's cols map, the sweep order and state 0's position in it (see
-    _Grid), and each row's settled blocks and reward net of bribes per
-    winner (row-major).  These stay writeable, though shared, because
-    np.take copies a read-only index array at every call, which would cost
-    a sweep more than its gathers.  The result for the last
-    arrays checked is kept while the next call passes the very same array
-    objects (the memo holds them, so no id is reused) and every one of them
-    is read-only and owns its memory, so nothing can have written them
-    since: the shared arrays of build_mdp's models of one topology and
-    epsilon.  Any other array, such as a copy swapped in with
-    dataclasses.replace, is checked in full.
-    """
-    arrays = (model.state_ptr, model.action_ptr, model.slot_row, model.row_slot,
-              model.edge_dst, model.edge_settled, model.edge_reward, model.edge_bribe)
-    frozen = all(a.base is None and not a.flags.writeable for a in arrays)
-    memo = _grid_memo[0]
-    if frozen and memo is not None and memo[0] == width and all(a is b for a, b in zip(memo[1], arrays)):
-        return memo[2]
-    slots = model.action_ptr.size
-    if not np.array_equal(model.action_ptr, np.arange(slots) * width):
-        raise ValidationError(_NOT_A_GRID)
-    slot_row, first = model.slot_row, model.row_slot
-    edges = [a.reshape(-1, width) for a in arrays[4:]]
-    rep = first[slot_row]
-    if rep.shape != (slots,) or not all(np.array_equal(a.take(rep, axis=0), a) for a in edges):
-        raise ValidationError("an action slot's edges differ from those of its row's first slot")
-    dst, settled, reward, bribe = (a.take(first, axis=0) for a in edges)
-    ptr = model.state_ptr
-    count = np.diff(ptr)
-    # sweep order: the single-slot states, then the rest, each in state order
-    order = np.argsort(count != 1, kind="stable")
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size)
-    one, rest = np.split(order, [np.count_nonzero(count == 1)])
-    cols = slot_row[ptr[rest] + np.minimum(np.arange(count.max())[:, None], count[rest] - 1)]
-    layout = (pos.take(dst.T), slot_row[ptr[one]], cols, order, pos[0], settled, reward - bribe)
-    if frozen:
-        _grid_memo[0] = (width, arrays, layout)
-    return layout
+    """The model's row x winner grid: its topology's layout, with the
+    winner probabilities and each row's expected gain and settled blocks
+    under the model's shares and epsilon."""
+    topology, p = model.topology, _winner_prob(model)
+    *layout, settled, reward, level = topology.layout
+    gain = _expected(p, reward - _bribe(level, model.params.epsilon))
+    return _Grid(p, *layout, gain, _expected(p, settled), topology.state_ptr, topology.slot_row)
 
 
 def _row_values(grid: _Grid, r: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -639,21 +623,6 @@ def _stationary(grid: _Grid, rows: np.ndarray, pi: np.ndarray, max_iterations=_S
     )
 
 
-def _policy_edges(model: MdpModel, policy: np.ndarray):
-    """(first, count, edges): state s's chosen action has count[s] edges,
-    edges[first[s]] onwards.  Raises ValidationError unless policy holds one
-    integer action slot per state, each in [state_ptr[s], state_ptr[s + 1]).
-    """
-    slots, ptr = np.asarray(policy), model.state_ptr
-    if not (slots.shape == (ptr.size - 1,) and slots.dtype.kind in "iu"
-            and np.all((ptr[:-1] <= slots) & (slots < ptr[1:]))):
-        raise ValidationError(f"a policy is an int array of {ptr.size - 1} action slots, one per state")
-    start = model.action_ptr[slots]
-    count = np.append(model.action_ptr[1:], model.edge_prob.size)[slots] - start
-    first = np.cumsum(count) - count
-    return first, count, np.repeat(start - first, count) + np.arange(first[-1] + count[-1])
-
-
 def _policy_ratio(grid: _Grid, slots: np.ndarray, pi: np.ndarray):
     """Exact long-run (reward - bribes) / settled of the policy taking slots.
 
@@ -686,9 +655,7 @@ def solve_reward_share(
     model's distinct slot rows, which gives every slot of a row its row's
     value exactly, and keeps the value table in the grid's sweep order
     (single-slot states first), which changes no bit of any result: the
-    relative values are taken against state 0 wherever it sits.  Raises
-    ValidationError unless the model is a slot x winner grid whose slots'
-    edges equal their rows' first slots', as build_mdp's models are.
+    relative values are taken against state 0 wherever it sits.
     """
     require_positive_finite("tol", tol)
     grid = _grid(model)
@@ -743,20 +710,26 @@ def policy_tables(model: MdpModel, policy: np.ndarray):
     Returns (next_state, settled, reward, bribe, orphans), each with one row
     per state and one column per winner: pools in PoolSet.others() order,
     the attacker last.  next_state is -1 and the rest 0 for a winner with no
-    edge (a pool of share 0).
+    edge (a pool of share 0).  Raises ValidationError unless policy holds
+    one integer action slot per state, each in [state_ptr[s],
+    state_ptr[s + 1]).
     """
-    n = model.state_count
+    topology, slots = model.topology, np.asarray(policy)
+    ptr, winners = topology.state_ptr, topology.winners
+    if not (slots.shape == (ptr.size - 1,) and slots.dtype.kind in "iu"
+            and np.all((ptr[:-1] <= slots) & (slots < ptr[1:]))):
+        raise ValidationError(f"a policy is an int array of {ptr.size - 1} action slots, one per state")
     n_win = len(model.shares) + 1
-    _, count, edges = _policy_edges(model, policy)
-    rows = np.repeat(np.arange(n), count)
-    w = model.edge_winner[edges]
-    col = np.where(w == ADVERSARY, n_win - 1, w)
-    next_state = np.full((n, n_win), -1, dtype=np.int64)
-    next_state[rows, col] = model.edge_dst[edges]
+    col = np.where(winners == ADVERSARY, n_win - 1, winners)
+    edges = (topology.edge_dst, topology.edge_settled, topology.edge_reward, topology.edge_level,
+             topology.edge_orphans)
+    dst, settled, reward, level, orphans = (a.reshape(-1, winners.size)[slots] for a in edges)
+    next_state = np.full((slots.size, n_win), -1, dtype=np.int64)
+    next_state[:, col] = dst
     tables = [next_state]
-    for values in (model.edge_settled, model.edge_reward, model.edge_bribe, model.edge_orphans):
-        table = np.zeros((n, n_win))
-        table[rows, col] = values[edges]
+    for values in (settled, reward, _bribe(level, model.params.epsilon), orphans):
+        table = np.zeros((slots.size, n_win))
+        table[:, col] = values
         tables.append(table)
     return tuple(tables)
 

@@ -51,7 +51,7 @@ from powplay.mdp import (
     MdpModel,
     SolveResult,
     _Grid,
-    _policy_edges,
+    _Topology,
     policy_tables,
 )
 from powplay.model import AttackParams, PoolSet
@@ -669,18 +669,19 @@ def bfs_codes(actions):
 # the full per-pool fork counts and pools are never merged, so its solved
 # share is the reference the lumped `powplay.mdp.build_mdp` must reproduce.
 
-def _successors_unlumped(key, action, shares, alpha_a, petty, epsilon):
-    """Yield (winner, prob, settled, reward, bribe, orphans, next_key)."""
+def _successors_unlumped(key, action, shares, alpha_a, petty):
+    """Yield (winner, settled, reward, level, orphans, next_key); level is the
+    bribe level a bribed pool collects on the edge, -1 where none is."""
     fork, a, m_active, level = key
     lbar = sum(fork)
     zeros = (0,) * len(fork)
 
-    def draws(base_fork, base_a, settled, reward, bribe, orphans):
+    def draws(base_fork, base_a, settled, reward, orphans):
         # race flags are clear in every state this helper produces
         out = []
         if alpha_a > 0:
             out.append(
-                (ADVERSARY, alpha_a, settled, reward, bribe, orphans,
+                (ADVERSARY, settled, reward, -1, orphans,
                  (base_fork, base_a + 1, False, -1))
             )
         for j, sj in enumerate(shares):
@@ -689,29 +690,29 @@ def _successors_unlumped(key, action, shares, alpha_a, petty, epsilon):
             grown = list(base_fork)
             grown[j] += 1
             out.append(
-                (j, sj, settled, reward, bribe, orphans,
+                (j, settled, reward, -1, orphans,
                  (tuple(grown), base_a, False, -1))
             )
         return out
 
     if action.kind == "adopt":
         # concede: the public fork settles, the secret fork is thrown away
-        return draws(zeros, 0, lbar, 0, 0.0, a)
+        return draws(zeros, 0, lbar, 0, a)
     if action.kind == "override":
         # publish lbar+1 attacker blocks; they settle and orphan the fork
         rest = a - lbar - 1
-        return draws(zeros, rest, lbar + 1, lbar + 1, 0.0, lbar)
+        return draws(zeros, rest, lbar + 1, lbar + 1, lbar)
 
     # wait or match: set the race flags, then let the next block decide
     if action.kind == "match":
         m_active, level = True, action.level
     if not m_active:
-        return draws(fork, a, 0, 0, 0.0, 0)
+        return draws(fork, a, 0, 0, 0)
 
     out = []
     if alpha_a > 0:
         out.append(
-            (ADVERSARY, alpha_a, 0, 0, 0.0, 0, (fork, a + 1, True, level))
+            (ADVERSARY, 0, 0, -1, 0, (fork, a + 1, True, level))
         )
     for j, sj in enumerate(shares):
         if sj <= 0:
@@ -719,19 +720,18 @@ def _successors_unlumped(key, action, shares, alpha_a, petty, epsilon):
         if petty[j] and fork[j] <= level:
             # bribed pool extends the attacker's published fork: the race
             # resolves, the public fork is orphaned, the bribe is collected
-            cost = level + epsilon
             if a == lbar:
                 nxt = (zeros, 0, False, -1)
-                out.append((j, sj, lbar + 1, lbar, cost, lbar, nxt))
+                out.append((j, lbar + 1, lbar, level, lbar, nxt))
             else:
                 one = tuple(1 if k == j else 0 for k in range(len(fork)))
                 nxt = (one, a - lbar, False, -1)
-                out.append((j, sj, lbar, lbar, cost, lbar, nxt))
+                out.append((j, lbar, lbar, level, lbar, nxt))
         else:
             # the public fork outgrows the published match; deposit returns
             grown = list(fork)
             grown[j] += 1
-            out.append((j, sj, 0, 0, 0.0, 0, (tuple(grown), a, False, -1)))
+            out.append((j, 0, 0, -1, 0, (tuple(grown), a, False, -1)))
     return out
 
 
@@ -790,7 +790,6 @@ def build_mdp_unlumped(
             raise ValidationError("the adversary cannot be the honest pool")
         petty[others.index(hid)] = False
     petty = tuple(petty)
-    eps = params.epsilon
 
     root = ((0,) * len(others), 0, False, -1)
     index = {root: 0}
@@ -805,7 +804,7 @@ def build_mdp_unlumped(
         acts = _feasible_actions_unlumped(key, fork_cap, max_bribe)
         rows = []
         for act in acts:
-            edges = _successors_unlumped(key, act, shares, alpha_a, petty, eps)
+            edges = _successors_unlumped(key, act, shares, alpha_a, petty)
             for *_, nxt in edges:
                 if nxt not in index:
                     if len(states) >= state_ceiling:
@@ -819,50 +818,32 @@ def build_mdp_unlumped(
         actions.append([a for a, _ in rows])
         per_state_edges.append(rows)
 
-    # flatten: actions grouped per state, edges grouped per action
+    # flatten: actions grouped per state, edges grouped per action; every
+    # action has one edge per live winner, in one order
     state_ptr = [0]
-    action_ptr = []
-    prob, dst, winner, settled, reward, bribe, orphans = [], [], [], [], [], [], []
+    dst, settled, reward, level, orphans = [], [], [], [], []
     for rows in per_state_edges:
         for _, edges in rows:
-            action_ptr.append(len(prob))
-            for w, p, st, rw, br, orp, nxt in edges:
-                prob.append(p)
+            for _, st, rw, lv, orp, nxt in edges:
                 dst.append(index[nxt])
-                winner.append(w)
                 settled.append(st)
                 reward.append(rw)
-                bribe.append(br)
+                level.append(lv)
                 orphans.append(orp)
         state_ptr.append(state_ptr[-1] + len(rows))
 
-    # a slot's row: its destination, settled, reward and bribe per winner
-    width = len(prob) // len(action_ptr)
-    slot_row, row_slot = row_classes_unique(
-        np.column_stack([np.reshape(v, (-1, width)) for v in (dst, settled, reward, bribe)])
-    )
-    return MdpModel(
-        pools=pools,
-        params=params,
-        fork_cap=fork_cap,
-        max_bribe=max_bribe,
-        shares=shares,
-        alpha_a=alpha_a,
-        petty=petty,
+    topology = _Topology(
         states=states,
         actions=actions,
         state_ptr=np.array(state_ptr, dtype=np.int64),
-        action_ptr=np.array(action_ptr, dtype=np.int64),
-        edge_prob=np.array(prob, dtype=float),
+        winners=np.array([w for w, *_ in per_state_edges[0][0][1]], dtype=np.int32),  # the first slot's
         edge_dst=np.array(dst, dtype=np.int64),
-        edge_winner=np.array(winner, dtype=np.int32),
         edge_settled=np.array(settled, dtype=float),
         edge_reward=np.array(reward, dtype=float),
-        edge_bribe=np.array(bribe, dtype=float),
+        edge_level=np.array(level, dtype=np.int32),
         edge_orphans=np.array(orphans, dtype=np.int32),
-        slot_row=slot_row,
-        row_slot=row_slot,
     )
+    return MdpModel(pools, params, fork_cap, max_bribe, shares, alpha_a, petty, topology)
 
 
 # -- greedy policy extraction ------------------------------------------------------
@@ -978,7 +959,10 @@ def policy_ratio_full_chain(model, slots, pi):
     Returns the ratio, the settled blocks per transition, the policy's
     stationary distribution, found from pi, and the power iterations.
     """
-    first, count, edges = _policy_edges(model, slots)
+    start = model.action_ptr[slots]
+    count = np.append(model.action_ptr[1:], model.edge_prob.size)[slots] - start
+    first = np.cumsum(count) - count
+    edges = np.repeat(start - first, count) + np.arange(first[-1] + count[-1])
     prob = model.edge_prob[edges]
     settled = np.add.reduceat(prob * model.edge_settled[edges], first)
     gain = np.add.reduceat(prob * (model.edge_reward[edges] - model.edge_bribe[edges]), first)

@@ -1,6 +1,6 @@
 """Optimal fork-race withholding: model construction, ratio solver, rollouts."""
 
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -47,6 +47,7 @@ from powplay.mdp import (
     _stationary,
     _sweeps,
     _topology,
+    _Topology,
     build_mdp,
     honest_policy,
     policy_rollout,
@@ -206,6 +207,15 @@ def test_shared_topology_arrays_are_read_only(two_pool_model):
             getattr(two_pool_model, name)[0] = 0
 
 
+def test_replace_cannot_swap_a_model_s_graph_arrays(two_pool_model):
+    """The graph is the topology's, read through properties: replace takes
+    no edge or pointer array, so no model holds edges that disagree with
+    the rows its topology derived."""
+    for name in ("edge_dst", "edge_prob", "action_ptr", "edge_bribe", "slot_row", "states"):
+        with pytest.raises(TypeError):
+            replace(two_pool_model, **{name: getattr(two_pool_model, name).copy()})
+
+
 def test_symmetric_table_row_lumps_to_730_states():
     """Table 2's 8 x 0.075 row: 132,259 unlumped states, one share.
 
@@ -223,22 +233,22 @@ def test_symmetric_table_row_lumps_to_730_states():
 
 def _build_against_the_search(pools, params, fork_cap, honest=None):
     """build_mdp, with the topology it asks for checked against topology_bfs."""
-    layered = mdp._topology
+    layered, searched = mdp._topology, []
 
     def checked(*signature):
-        got = layered(*signature)
-        states, actions, edge_level, arrays = topology_bfs(*signature)
-        assert got[0].dtype == got[1].dtype == np.int16
-        assert np.array_equal(got[0], bfs_rows(states))
-        assert np.array_equal(got[1], bfs_codes(actions))
-        have, want = {"edge_level": got[2], **got[3]}, {"edge_level": edge_level, **arrays}
-        assert have.keys() == want.keys()
-        for name, w in want.items():
-            assert have[name].dtype == w.dtype and np.array_equal(have[name], w), name
-        return got
+        searched.append(topology_bfs(*signature))
+        return layered(*signature)
 
     with mock.patch.object(mdp, "_topology", checked):
-        return build_mdp(pools, params, fork_cap=fork_cap, honest=honest)
+        model = build_mdp(pools, params, fork_cap=fork_cap, honest=honest)
+    states, actions, edge_level, arrays = searched[0]
+    assert model.states.dtype == model.actions.dtype == np.int16
+    assert np.array_equal(model.states, bfs_rows(states))
+    assert np.array_equal(model.actions, bfs_codes(actions))
+    for name, want in {"edge_level": edge_level, **arrays}.items():
+        have = getattr(model, name)
+        assert have.dtype == want.dtype and np.array_equal(have, want), name
+    return model
 
 
 def _snapshot(adversary):
@@ -433,23 +443,15 @@ def test_sweep_order_solver_matches_the_padded_oracle_on_drawn_models(case):
 
 def _assert_row_classes_match_the_unique_partition(pools, params, cap, honest=None):
     """The topology's slot rows against np.unique over the slots' full rows."""
-    layered, built = mdp._topology, []
-
-    def recorded(*signature):
-        built.append(layered(*signature))
-        return built[-1]
-
-    with mock.patch.object(mdp, "_topology", recorded):
-        model = build_mdp(pools, params, fork_cap=cap, honest=honest)
-    edge_level, (slot_row, row_slot) = built[0][2], built[0][4]
-    width = model.edge_prob.size // model.action_ptr.size
+    model = build_mdp(pools, params, fork_cap=cap, honest=honest)
+    topology = model.topology
     rows = np.column_stack([
-        np.reshape(v, (-1, width))
-        for v in (model.edge_dst, model.edge_settled, model.edge_reward, edge_level)
+        np.reshape(v, (-1, topology.winners.size))
+        for v in (topology.edge_dst, topology.edge_settled, topology.edge_reward, topology.edge_level)
     ])
     want = row_classes_unique(rows)
-    assert np.array_equal(slot_row, want[0]) and np.array_equal(row_slot, want[1])
-    assert model.slot_row is slot_row and model.row_slot is row_slot
+    assert np.array_equal(topology.slot_row, want[0]) and np.array_equal(topology.row_slot, want[1])
+    assert model.slot_row is topology.slot_row and model.row_slot is topology.row_slot
 
 
 @pytest.mark.parametrize("row", list(ORACLE_ROWS))
@@ -480,27 +482,19 @@ def _grid_cases(draw):
 
 
 def _assert_grid_and_edges_match_the_uncached_oracle(pools, params, cap, honest=None):
-    """build_mdp's edge probabilities and bribes against np.where over every
-    edge, and _grid, fresh and from its memo, against the grid rebuilt and
-    rechecked in full: every array equal, dtype included."""
-    layered, built = mdp._topology, []
-
-    def recorded(*signature):
-        built.append(layered(*signature))
-        return built[-1]
-
-    with mock.patch.object(mdp, "_topology", recorded):
-        model = build_mdp(pools, params, fork_cap=cap, honest=honest)
+    """The model's edge probabilities and bribes against np.where over every
+    edge, and _grid, twice (the second from the topology's kept layout),
+    against the grid rebuilt and rechecked in full: every array equal,
+    dtype included."""
+    model = build_mdp(pools, params, fork_cap=cap, honest=honest)
     for got, want in ((model.edge_prob, edge_prob_where(model)),
-                      (model.edge_bribe, edge_bribe_where(built[0][2], params.epsilon))):
+                      (model.edge_bribe, edge_bribe_where(model.edge_level, params.epsilon))):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     want = grid_uncached(model)
-    mdp._grid_memo[0] = None
     for grid in (_grid(model), _grid(model)):
         for name, value in want._asdict().items():
             have = getattr(grid, name)
             assert have.dtype == value.dtype and np.array_equal(have, value), name
-    assert mdp._grid_memo[0][1][0] is model.state_ptr  # the second grid came from the memo
 
 
 @pytest.mark.parametrize("row", list(ORACLE_ROWS))
@@ -538,23 +532,22 @@ def test_sweeps_match_the_padded_oracle_on_fig3_row(fig3_row_model):
 
 def _swap_with_state_0(model, s):
     """The model with states 0 and s swapped: the same chain, numbered so
-    that state 0 (where the solver's stationary search starts) is s."""
-    n, width = model.state_count, model.edge_prob.size // model.action_ptr.size
-    new = np.arange(n)
+    that state 0 (where the solver's stationary search starts) is s, on a
+    topology built from the renumbered arrays, which derives its own rows
+    and layout."""
+    top = model.topology
+    width = top.winners.size
+    new = np.arange(model.state_count)
     new[[0, s]] = [s, 0]  # its own inverse: old state new[i] is new state i
-    count = np.diff(model.state_ptr)[new]
-    slots = np.concatenate([np.arange(model.state_ptr[t], model.state_ptr[t + 1]) for t in new])
+    count = np.diff(top.state_ptr)[new]
+    slots = np.concatenate([np.arange(top.state_ptr[t], top.state_ptr[t + 1]) for t in new])
     edges = (slots[:, None] * width + np.arange(width)).ravel()
-    slot_row = model.slot_row[slots]
-    row_slot = np.full(model.row_slot.size, slots.size)
-    np.minimum.at(row_slot, slot_row, np.arange(slots.size))
-    moved = {name: getattr(model, name)[edges] for name in (
-        "edge_prob", "edge_winner", "edge_settled", "edge_reward", "edge_bribe", "edge_orphans")}
-    return replace(
-        model, states=model.states[new], actions=model.actions[slots],
-        state_ptr=np.concatenate([[0], np.cumsum(count)]), edge_dst=new[model.edge_dst[edges]],
-        slot_row=slot_row, row_slot=row_slot, **moved,
+    moved = {name: getattr(top, name)[edges] for name in ("edge_settled", "edge_reward", "edge_level", "edge_orphans")}
+    swapped = _Topology(
+        states=top.states[new], actions=top.actions[slots], state_ptr=np.concatenate([[0], np.cumsum(count)]),
+        winners=top.winners, edge_dst=new[top.edge_dst[edges]], **moved,
     )
+    return replace(model, topology=swapped)
 
 
 def test_a_multi_slot_state_0_is_the_value_reference(fig3_row_model):
@@ -609,16 +602,17 @@ def test_sweep_layout_on_drawn_models(case):
     _assert_sweep_layout(build_mdp(pools, params, fork_cap=cap, honest=honest))
 
 
-def test_models_of_one_topology_and_epsilon_share_one_read_only_bribe_array():
+def test_models_of_one_signature_share_one_topology():
     pools = [_snapshot(name) for name in _SNAPSHOT_NAMES[:3]]
     first, second, third = (build_mdp(p, EPS0, fork_cap=4) for p in pools)
-    assert second.edge_dst is first.edge_dst and third.edge_bribe is first.edge_bribe
-    with pytest.raises(ValueError):
-        first.edge_bribe[0] = 1.0
-    # another epsilon: the same topology, its own bribes, shared in turn
-    other, again = (build_mdp(p, AttackParams(epsilon=0.05), fork_cap=4) for p in pools[:2])
-    assert other.edge_dst is first.edge_dst and other.edge_bribe is not first.edge_bribe
-    assert again.edge_bribe is other.edge_bribe and not other.edge_bribe.flags.writeable
+    # another epsilon: the same signature, so the same topology
+    other = build_mdp(pools[0], AttackParams(epsilon=0.05), fork_cap=4)
+    assert second.topology is first.topology and third.topology is first.topology
+    assert other.topology is first.topology and first.edge_dst is other.edge_dst
+    assert first.topology.layout is other.topology.layout  # laid out once
+    assert not np.array_equal(first.edge_bribe, other.edge_bribe)
+    with pytest.raises(FrozenInstanceError):
+        first.topology.edge_dst = first.edge_dst.copy()
 
 
 def test_fig3_row_has_11517_distinct_slot_rows(fig3_row_model):
@@ -663,19 +657,6 @@ def test_reachable_stationary_matches_the_full_chain_on_drawn_models(case, seed)
         _assert_stationary_matches_the_full_chain(model, slots, _from_root(model))
 
 
-def test_solver_refuses_a_model_that_is_not_the_grid(two_pool_model):
-    model = two_pool_model
-    width = model.edge_prob.size // model.action_ptr.size
-    ptr = model.action_ptr.copy()
-    ptr[5] += 1  # slot 4 takes one edge of slot 5
-    prob = model.edge_prob.copy()
-    prob[5 * width + 1] += 1e-3  # slot 5 alone draws its winners otherwise
-    prob[5 * width + 2] -= 1e-3
-    for bad in (replace(model, action_ptr=ptr), replace(model, edge_prob=prob)):
-        with pytest.raises(ValidationError, match="grid"):
-            solve_reward_share(bad)
-
-
 def test_solve_result_counts_steps_and_sweeps(two_pool_model, two_pool_solved):
     res = two_pool_solved
     assert res.outer_steps == len(res.sweeps_per_step) == len(res.stationary_per_step) >= 2
@@ -689,28 +670,6 @@ def test_solve_result_counts_steps_and_sweeps(two_pool_model, two_pool_solved):
         np.testing.assert_array_equal(getattr(again, f.name), getattr(res, f.name), err_msg=f.name)
 
 
-def test_solver_refuses_a_model_whose_slots_left_their_rows(two_pool_model):
-    """Swapped edge arrays that no longer match the topology's slot rows."""
-    model = two_pool_model
-    width = model.edge_prob.size // model.action_ptr.size
-    # a slot that shares its row with an earlier one
-    slot = int(np.flatnonzero(model.row_slot[model.slot_row] != np.arange(model.action_ptr.size))[0])
-    edge = slot * width + 1
-    dst, reward, bribe = model.edge_dst.copy(), model.edge_reward.copy(), model.edge_bribe.copy()
-    dst[edge] = (dst[edge] + 1) % model.state_count
-    reward[edge] += 1.0
-    bribe[edge] += 0.5
-    for bad in (replace(model, edge_dst=dst), replace(model, edge_reward=reward), replace(model, edge_bribe=bribe)):
-        with pytest.raises(ValidationError, match="row"):
-            solve_reward_share(bad)
-    solve_reward_share(model)  # the model itself still solves
-
-
-def _read_only(values):
-    values.flags.writeable = False
-    return values
-
-
 def _assert_same_result(got, want):
     for f in fields(mdp.SolveResult):
         a, b = getattr(got, f.name), getattr(want, f.name)
@@ -718,50 +677,17 @@ def _assert_same_result(got, want):
     assert got.policy.dtype == want.policy.dtype
 
 
-def test_solver_refuses_read_only_copies_whose_slots_left_their_rows(two_pool_model):
-    """A read-only array swapped in with replace is not taken for the one
-    the grid memo checked: one changed slot is refused, equal content
-    solves as the model does."""
-    model = two_pool_model
-    want = solve_reward_share(model)
-    width = model.edge_prob.size // model.action_ptr.size
-    slot = int(np.flatnonzero(model.row_slot[model.slot_row] != np.arange(model.action_ptr.size))[0])
-    edge = slot * width + 1
-    for name, moved in (("edge_dst", lambda v: (v + 1) % model.state_count), ("edge_reward", lambda v: v + 1.0),
-                        ("edge_bribe", lambda v: v + 0.5)):
-        _assert_same_result(solve_reward_share(model), want)  # leaves the model's arrays in the memo
-        values = getattr(model, name).copy()
-        values[edge] = moved(values[edge])
-        with pytest.raises(ValidationError, match="row"):
-            solve_reward_share(replace(model, **{name: _read_only(values)}))
-        same = replace(model, **{name: _read_only(getattr(model, name).copy())})
-        _assert_same_result(solve_reward_share(same), want)
-        _assert_same_result(solve_reward_share(same), want)  # from the memo of the copy
-        # an array that can still be written, itself or through its base,
-        # is checked again at every solve
-        base = getattr(model, name).copy()
-        view = base.view()
-        view.flags.writeable = False
-        for values in (base, view):
-            base[:] = getattr(model, name)
-            swapped = replace(model, **{name: values})
-            _assert_same_result(solve_reward_share(swapped), want)
-            base[edge] = moved(base[edge])
-            with pytest.raises(ValidationError, match="row"):
-                solve_reward_share(swapped)
-
-
 def test_models_of_one_topology_solve_alike_in_any_order():
     """Models A (epsilon 0) and B (epsilon 0.05, other shares) of one
     topology, solved A, B, A, each as it solves on a fresh topology."""
     a = build_mdp(PoolSet.from_shares(0.35, [0.3, 0.2, 0.15]), EPS0, fork_cap=5)
     b = build_mdp(PoolSet.from_shares(0.25, [0.15, 0.4, 0.2]), AttackParams(epsilon=0.05), fork_cap=5)
-    assert b.edge_dst is a.edge_dst and b.edge_bribe is not a.edge_bribe
+    assert b.topology is a.topology
     got = [solve_reward_share(model) for model in (a, b, a)]
     for model, result in zip((a, b, a), got):
         _topology.cache_clear()
         fresh = build_mdp(model.pools, model.params, fork_cap=5)
-        assert fresh.edge_dst is not a.edge_dst
+        assert fresh.topology is not a.topology
         _assert_same_result(result, solve_reward_share(fresh))
 
 

@@ -22,7 +22,7 @@ from powplay import sim
 from powplay.bribery import TargetPartition, bribery_reward_share, undercut_reward_share
 from powplay.distraction import DistractionParams, PowerSplit, distraction_reward_share, scenario_rates
 from powplay.errors import ValidationError
-from powplay.mdp import _topology, build_mdp, solve_reward_share
+from powplay.mdp import _topology, build_mdp, honest_policy, policy_rollout, solve_reward_share
 from powplay.model import (
     AttackParams,
     EpochModel,
@@ -44,6 +44,7 @@ from powplay.sim import (
     _jump_steps,
     _jumps,
     _lockstep_visits,
+    _policy_automaton,
     _walk,
     build_automaton,
     dam_update,
@@ -591,6 +592,37 @@ def test_reward_share_mc_is_unbiased_against_the_exact_automata():
             assert 0 < sigma and abs(np.mean(shares) - exact) <= 5 * sigma, (strategy, pools.shares, eps)
 
 
+def _exact_orphans(auto):
+    """Exact orphaned blocks per transition: the occupancy times each state's expected orphans."""
+    p = np.diff(auto.cdf, prepend=0.0)
+    return float(_exact(auto)[1] @ (p * auto.orphans).sum(axis=1))
+
+
+def test_policy_rollout_orphans_are_unbiased_against_the_exact_rate():
+    """The orphans per transition of the solved cap-5 policy (the blocks its
+    withholding destroys) against the policy automaton's exact rate: the
+    mean of 16 seeded rollouts within 5 sigma.  A policy that orphans
+    nothing, as the solved one of the first set and honest play do, rolls
+    out to none."""
+    runs, orphaning = 16, 0
+    for pools, eps in itertools.islice(_criterion_06_pool_sets(), 4):
+        model = build_mdp(pools, AttackParams(epsilon=eps), fork_cap=5)
+        policy = solve_reward_share(model).policy
+        exact = _exact_orphans(_policy_automaton(model, policy))
+        rates = []
+        for seed in range(runs):
+            stats = policy_rollout(model, policy, seed=seed, horizon=100_000)
+            rates.append(stats.orphan_count / stats.events)
+        if exact == 0.0:
+            assert not any(rates), pools.shares
+        else:
+            orphaning += 1
+            sigma = np.std(rates, ddof=1) / math.sqrt(runs)
+            assert 0 < sigma and abs(np.mean(rates) - exact) <= 5 * sigma, (pools.shares, eps)
+        assert _exact_orphans(_policy_automaton(model, honest_policy(model))) == pytest.approx(0.0, abs=1e-15)
+    assert orphaning == 3
+
+
 def test_exact_automata_equal_the_closed_forms():
     for pools, eps in _criterion_06_pool_sets():
         a = pools.adversary_share
@@ -619,6 +651,17 @@ def test_folding_keeps_the_exact_distraction_chain(split, choice):
     np.testing.assert_allclose(occupancy, want_occupancy, rtol=0, atol=1e-14)
     # the quiet and live rows differ, so the fold has work to do
     assert rows.cdf.shape == (folded.n_states, 4) and not np.array_equal(rows.cdf[0], rows.cdf[1])
+
+
+@pytest.mark.parametrize("split, d_ratio, br2", [
+    (PowerSplit(0.4, 0.1, 0.5, 0.0), 5.0, 0.04), (PowerSplit(0.3, 0.2, 0.5, 0.0), 5.0, 0.04),
+    (PowerSplit(0.25, 0.15, 0.6, 0.0), 3.0, 0.02), (PowerSplit(0.45, 0.05, 0.5, 0.0), 8.0, 0.01),
+])
+def test_distraction_closed_form_is_the_exact_automaton_without_never_compliant_power(split, d_ratio, br2):
+    # with alpha_nc > 0 the two differ; which one models the attack is still open, so no gap is pinned
+    cfg = SimConfig(None, strategy="distraction", distraction=DistractionParams(split, d_ratio, br2, 0.0),
+                    puzzle_choice="mini_pow")
+    assert _exact(build_automaton(cfg))[0] == pytest.approx(distraction_reward_share(split, d_ratio, br2), abs=1e-12)
 
 
 # -- clocked engine ------------------------------------------------------------------
