@@ -212,8 +212,8 @@ def _cmd_mdp_solve(args):
         "sweeps_per_step": result.sweeps_per_step,
         "stationary_per_step": result.stationary_per_step,
         "state_count": model.state_count,
-        "action_slots": model.action_ptr.size,
-        "edge_count": model.edge_prob.size,
+        "action_slots": model.slot_row.size,
+        "edge_count": model.slot_row.size * model.topology.winners.size,
         "slot_rows": model.row_slot.size,
     }
     text = json.dumps(doc, indent=2) + "\n"

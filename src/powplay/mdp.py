@@ -24,14 +24,16 @@ pool position.
 
 The graph does not depend on the share values or on epsilon, only on which
 pools mine, which take bribes, which are interchangeable and on the
-truncation.  It is enumerated once per such signature, a breadth-first
-layer of states at a time, and cached (one at a time) as one immutable
-topology, so every pool of a snapshot turned adversary in turn reuses one
-enumeration.  The topology derives what follows from it where it is
-built: its slots' rows, and on first use the solver's layout of them.  A
-model adds only its pools, shares and parameters to that topology, so
-each solve takes the winner probabilities and the bribes from the
-topology's winners and bribe levels.
+truncation.  It is enumerated once per such signature, first in, first
+out, a chunk of states at a time, and cached (one at a time) as one
+immutable topology, so every pool of a snapshot turned adversary in turn
+reuses one enumeration.  The topology stores its action slots' distinct
+rows (below), not its edges: each chunk's slots are folded into rows as
+the search goes, every per-edge array, orphaned blocks included, is
+derived from the rows on demand, and the solver's layout of the rows is
+built on first use.  A model adds only its pools, shares and parameters
+to that topology, so each solve takes the winner probabilities and the
+bribes from the topology's winners and bribe levels.
 
 The objective is the long-run reward share net of bribes:
 (expected attacker blocks settled - expected bribes paid) divided by
@@ -66,7 +68,7 @@ only their destinations are gathered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -104,62 +106,96 @@ _SPAN_FLOOR = 1e-10  # no span tolerance below this
 _STATIONARY_TOL = 1e-13  # L1 move that ends the stationary power iteration
 _STATIONARY_MAX = 100_000  # power iterations before ConvergenceError
 _STAY = 0.1  # laziness of the power-iterated chain
+_CHUNK = 1 << 13  # states the topology search expands at a time
 
 
 @dataclass(frozen=True, eq=False)
 class _Topology:
-    """One enumerated fork-race topology, immutable.
+    """One enumerated fork-race topology, immutable, stored as slot rows.
 
     states holds each state's row and actions each action slot's code (see
     the module docstring), state_ptr each state's first action slot, and
     winners the live winners in edge order (ADVERSARY or pool position).
-    Every slot has one edge per winner, so the edges of slot a are
-    a * winners.size + k, and the edge arrays give each edge's destination,
-    settled blocks, attacker blocks settled, bribe level collected (-1
-    where none is) and orphaned blocks.  The constructor derives the
-    slots' rows: slots whose destinations, settled blocks, rewards and
-    bribe levels agree under every winner share one, slot_row numbers each
-    slot's row in order of first appearance and row_slot gives each row's
-    first slot (see _row_classes).  It makes every array field read-only.
+    Every slot has one edge per winner, and a slot's row is what its edges
+    lead to under each winner: the destination, settled blocks, attacker
+    blocks settled and bribe level collected (-1 where none is).  Slots
+    whose rows agree share one: slot_row numbers each slot's row in order
+    of first appearance and row_slot gives each row's first slot, and the
+    row_* arrays hold each row's values, one column per winner (_topology
+    stores them in the smallest dtypes that hold them exactly).  No
+    per-edge array is stored: the edge_* properties derive them from the
+    rows on every read, edge a * winners.size + k being slot a's edge
+    under winner k.  Orphaned blocks are derived too: an edge orphans the
+    public fork, lbar blocks, where it pays a bribe or overrides, the
+    secret fork, a blocks, where it adopts, and nothing otherwise, as the
+    search counts them.  The constructor makes every array field read-only.
     """
 
     states: np.ndarray  # int16, one row per state
     actions: np.ndarray  # int16, one code per action slot
     state_ptr: np.ndarray  # state -> first action slot
     winners: np.ndarray  # int32, ADVERSARY or pool position
-    edge_dst: np.ndarray
-    edge_settled: np.ndarray
-    edge_reward: np.ndarray
-    edge_level: np.ndarray
-    edge_orphans: np.ndarray
-    slot_row: np.ndarray = field(init=False)  # action slot -> its row
-    row_slot: np.ndarray = field(init=False)  # row -> its first action slot
+    slot_row: np.ndarray  # action slot -> its row
+    row_slot: np.ndarray  # row -> its first action slot
+    row_dst: np.ndarray  # rows x winners
+    row_settled: np.ndarray
+    row_reward: np.ndarray
+    row_level: np.ndarray
 
     def __post_init__(self):
-        columns = [self.edge_dst, self.edge_settled, self.edge_reward, self.edge_level]
-        rows = _row_classes(self.winners.size, columns)
-        object.__setattr__(self, "slot_row", rows[0])
-        object.__setattr__(self, "row_slot", rows[1])
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
+    @classmethod
+    def of_rows(cls, states, actions, state_ptr, winners, slot_row, row_slot, dst, settled, reward, level):
+        """The topology whose slot a leads under winner k to dst[slot_row[a],
+        k], with settled[...], reward[...] and level[...] (integer-valued,
+        one row per row_slot entry, one column per winner).
+
+        The rows need not be distinct, but must be numbered in order of
+        first appearance, row_slot giving each one's first slot; rows that
+        repeat are merged (see _row_classes).  One row per slot, slot_row
+        and row_slot both np.arange(slots), builds from per-edge arrays.
+        """
+        merged, first = _row_classes([dst, settled, reward, level])
+        rows = (values[first] for values in (dst, settled, reward, level))
+        return cls(states, actions, state_ptr, winners, merged[slot_row], row_slot[first], *rows)
+
+    def _edges(self, rows: np.ndarray, dtype) -> np.ndarray:
+        return _read_only(rows.astype(dtype, copy=False)[self.slot_row].ravel())
+
+    edge_dst = property(lambda self: self._edges(self.row_dst, np.int64))
+    edge_settled = property(lambda self: self._edges(self.row_settled, float))
+    edge_reward = property(lambda self: self._edges(self.row_reward, float))
+    edge_level = property(lambda self: self._edges(self.row_level, np.int32))
+
+    @property
+    def edge_orphans(self) -> np.ndarray:
+        return _read_only(self.orphans(np.arange(self.slot_row.size)).ravel())
+
+    def orphans(self, slots: np.ndarray) -> np.ndarray:
+        """Each of slots' orphaned blocks per winner (int32, slots x winners),
+        derived from its state's lbar and a, its action and its row's bribe
+        levels."""
+        state = np.searchsorted(self.state_ptr, slots, side="right") - 1
+        lbar, a = self.states[state, -4, None], self.states[state, -3, None]
+        code = self.actions[slots, None]
+        unbribed = np.where(code == ADOPT, a, np.where(code == OVERRIDE, lbar, 0))
+        return np.where(self.row_level[self.slot_row[slots]] >= 0, lbar, unbribed).astype(np.int32)
+
     @cached_property
     def layout(self):
         """The solver's topology-only layout, built once: (dst, one, cols,
-        order, ref, settled, reward, level).
+        order, ref).
 
         The rows' destinations as sweep positions (winner-major), the
         single-slot block's rows, the padded block's cols map, the sweep
-        order and state 0's position in it (see _Grid), and each row's
-        settled blocks, reward and bribe level per winner (row-major).
-        These stay writeable, because np.take copies a read-only index
-        array at every call, which would cost a sweep more than its
-        gathers.
+        order and state 0's position in it (see _Grid).  These stay
+        writeable, because np.take copies a read-only index array (or one
+        not of the index dtype) at every call, which would cost a sweep
+        more than its gathers.
         """
-        width = self.winners.size
-        edges = (self.edge_dst, self.edge_settled, self.edge_reward, self.edge_level)
-        dst, settled, reward, level = (a.reshape(-1, width).take(self.row_slot, axis=0) for a in edges)
         ptr = self.state_ptr
         count = np.diff(ptr)
         # sweep order: the single-slot states, then the rest, each in state order
@@ -168,7 +204,7 @@ class _Topology:
         pos[order] = np.arange(order.size)
         one, rest = np.split(order, [np.count_nonzero(count == 1)])
         cols = self.slot_row[ptr[rest] + np.minimum(np.arange(count.max())[:, None], count[rest] - 1)]
-        return pos.take(dst.T), self.slot_row[ptr[one]], cols, order, pos[0], settled, reward, level
+        return pos.take(self.row_dst.T), self.slot_row[ptr[one]], cols, order, pos[0]
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -178,7 +214,7 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 def _bribe(level: np.ndarray, epsilon: float) -> np.ndarray:
     """The bribe paid at each bribe level: level + epsilon, 0.0 at level -1."""
-    return np.where(level >= 0, level + epsilon, 0.0)
+    return np.where(level >= 0, level + float(epsilon), 0.0)
 
 
 def _winner_prob(model: MdpModel) -> np.ndarray:
@@ -200,8 +236,10 @@ class MdpModel:
     properties below.  The edge arrays are grouped by action and actions by
     state, and every action slot has one edge per live winner, in the same
     order and with the same probabilities: the edges are a slot x winner
-    grid.  action_ptr, edge_winner, edge_prob and edge_bribe are derived
-    per call, read-only like the rest.  solve_reward_share sweeps the
+    grid.  Only the slots' rows are stored, so every edge array (edge_*,
+    action_ptr) is derived per read, read-only, at the cost of one new
+    per-edge array: slot_row.size counts the slots, and times
+    topology.winners.size the edges.  solve_reward_share sweeps the
     slots' rows (one gather of every winner column, an add per column,
     then each state's max over its slots' rows).  Rewards are kept gross,
     bribes as levels and blocks settled separately, so the
@@ -254,16 +292,19 @@ class MdpModel:
 
 @lru_cache(maxsize=1)
 def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ceiling):
-    """Enumerate every reachable lumped state with its actions and edges.
+    """Enumerate every reachable lumped state with its actions and slot rows.
 
     The arguments are build_mdp's topology signature; returns its
     _Topology.
 
-    Breadth-first, a layer of states at a time: each state takes its
-    feasible actions in code order, each action has one edge per live
-    winner (the adversary first, then the pools in order), and the states
-    first reached on a layer's edges are numbered in order of first
-    appearance, as a first-in first-out search numbers them.
+    First in, first out, a chunk of at most _CHUNK states at a time: each
+    state takes its feasible actions in code order, each action has one
+    edge per live winner (the adversary first, then the pools in order),
+    and the states first reached on a chunk's edges are numbered in order
+    of first appearance, as a search one state at a time numbers them.
+    Each chunk's slots are classed into rows as it is expanded, so the
+    per-edge arrays exist a chunk at a time; the chunks' rows, nearly
+    distinct already, are merged where they repeat once the search ends.
     """
     m = len(live)
     # a petty pool's count is only compared with a bribe level <= max_bribe,
@@ -279,14 +320,19 @@ def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ce
     winners = ([ADVERSARY] if adversary_live else []) + [j for j in range(m) if live[j]]
     match_levels = np.arange(max_bribe + 1)
 
-    layer = np.array([[0] * (m + 3) + [-1]], dtype=np.int16)  # the root
-    known, known_id = layer @ weight + 1, np.zeros(1, dtype=np.int64)  # keys sorted, their states
-    rows, codes, counts = [layer], [], []
-    names = ("edge_dst", "edge_level", "edge_settled", "edge_reward", "edge_orphans")
-    pieces = {name: [] for name in names}
-    while layer.size:
-        fork = layer[:, :m].astype(np.int64)
-        lbar, a, flag, level = layer[:, m:].T.astype(np.int64)
+    root = np.array([[0] * (m + 3) + [-1]], dtype=np.int16)
+    known, known_id = root @ weight + 1, np.zeros(1, dtype=np.int64)  # keys sorted, their states
+    chunks, codes, counts = [root], [], []
+    # each edge's destination, settled blocks, reward and bribe level, in
+    # dtypes that hold them exactly; per chunk, its slots' rows (numbered
+    # across chunks), each row's first slot and its values per winner
+    blocks = np.min_scalar_type(fork_cap + 1)
+    kinds = (np.min_scalar_type(state_ceiling), blocks, blocks, np.min_scalar_type(-max_bribe - 1))
+    slot_row, row_slot, row_values = [], [], ([], [], [], [])
+    slots = row_count = 0
+    for chunk in chunks:  # chunks grows as the search goes
+        fork = chunk[:, :m].astype(np.int64)
+        lbar, a, flag, level = chunk[:, m:].T.astype(np.int64)
         inner = (a < fork_cap) & (lbar < fork_cap)  # at the cap: override if ahead, else adopt
         feasible = np.column_stack([
             inner, np.where(inner, lbar >= 1, a <= lbar), a > lbar,
@@ -304,12 +350,12 @@ def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ce
         base_a = np.where(adopt, 0, np.where(override, a - lbar - 1, a))
         settled = np.where(adopt, lbar, np.where(override, lbar + 1, 0))
         reward = np.where(override, lbar + 1, 0)
-        orphans = np.where(adopt, a, np.where(override, lbar, 0))
         # a match, or a wait while one is live, races at its bribe level
         race = (c >= MATCH) | (c == WAIT) & (flag == 1)
         level = np.where(c >= MATCH, c - MATCH, level)
         tie = a == lbar
-        grid = np.empty((len(names), s.size, len(winners)), dtype=np.int64)
+        grid = np.empty((s.size, len(winners)), dtype=np.int64)  # each edge's state key
+        values = [np.empty((s.size, len(winners)), dtype=kind) for kind in kinds[1:]]
         for k, j in enumerate(winners):
             if j == ADVERSARY:
                 bribed = np.zeros(s.size, dtype=bool)
@@ -326,14 +372,11 @@ def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ce
                 grown[bribed & tie] = 0
                 key = grown @ weight[:m] + np.where(bribed, ~tie, base_lbar + 1) * weight[m]
                 key += np.where(bribed, a - lbar, base_a) * weight[m + 1]
-            grid[:, :, k] = (
-                key,
-                np.where(bribed, level, -1),
-                np.where(bribed, lbar + tie, settled),
-                np.where(bribed, lbar, reward),
-                np.where(bribed, lbar, orphans),
-            )
-        keys, first, inverse = np.unique(grid[0].ravel(), return_index=True, return_inverse=True)
+            grid[:, k] = key
+            for out, value in zip(values, (np.where(bribed, lbar + tie, settled),
+                                           np.where(bribed, lbar, reward), np.where(bribed, level, -1))):
+                out[:, k] = value
+        keys, first, inverse = np.unique(grid.ravel(), return_index=True, return_inverse=True)
         pos = np.searchsorted(known, keys)
         seen = known[np.minimum(pos, known.size - 1)] == keys
         fresh = np.flatnonzero(~seen)[np.argsort(first[~seen])]
@@ -345,42 +388,52 @@ def _topology(live, adversary_live, petty, groups, fork_cap, max_bribe, state_ce
         ids[fresh] = n + np.arange(fresh.size)
         known = np.insert(known, pos[~seen], keys[~seen])
         known_id = np.insert(known_id, pos[~seen], ids[~seen])
-        pieces["edge_dst"].append(ids[inverse.ravel()])
-        for name, values in zip(names[1:], grid[1:]):
-            pieces[name].append(values.ravel().astype(np.int16))
-        del grid  # before the next layer's temporaries
+        values = [ids.astype(kinds[0])[inverse].reshape(s.size, len(winners)), *values]
+        local, leads = _row_classes(values)
+        slot_row.append(local + row_count)
+        row_slot.append(leads + slots)
+        for piece, value in zip(row_values, values):
+            piece.append(value[leads])
+        slots, row_count = slots + s.size, row_count + leads.size
         digits = keys[fresh, None] // weight % radix
         digits[:, -1] -= 1
-        layer = digits.astype(np.int16)
-        rows.append(layer)
+        found = digits.astype(np.int16)
+        chunks.extend(found[k:k + _CHUNK] for k in range(0, len(found), _CHUNK))
 
-    dtypes = (np.int64, np.int32, float, float, np.int32)
-    return _Topology(
-        states=np.concatenate(rows),
-        actions=np.concatenate(codes),
-        state_ptr=np.concatenate([[0], np.cumsum(np.concatenate(counts))]).astype(np.int64),
-        winners=np.array(winners, dtype=np.int32),
-        **{name: np.concatenate(pieces.pop(name)).astype(dtype, copy=False) for name, dtype in zip(names, dtypes)},
+    return _Topology.of_rows(
+        _joined(chunks),
+        _joined(codes),
+        np.concatenate([[0], np.cumsum(_joined(counts))]).astype(np.int64),
+        np.array(winners, dtype=np.int32),
+        _joined(slot_row),
+        _joined(row_slot),
+        *map(_joined, row_values),
     )
 
 
-def _row_classes(width: int, columns: list[np.ndarray]):
-    """Number the action slots' distinct rows in order of first appearance.
+def _joined(pieces: list[np.ndarray]) -> np.ndarray:
+    """The pieces concatenated; the list is emptied, so they can be freed."""
+    joined = np.concatenate(pieces)
+    pieces.clear()
+    return joined
 
-    A slot's row is its width edges' values in every array of columns
-    (integer-valued, width edges per slot).  Returns (slot_row, row_slot):
-    each slot's row, and each row's first slot.  The rows are ranked
-    exactly, one winner column at a time: the key so far times the
-    column's value range, plus the value above the column's minimum, and
-    whenever the next column would overflow int64 the keys are replaced by
-    their ranks among the distinct keys.  Small columns go first, while
-    the keys are few.
+
+def _row_classes(columns: list[np.ndarray]):
+    """Number the slots' distinct rows in order of first appearance.
+
+    A slot's row is its values in every array of columns (integer-valued,
+    slots x winners).  Returns (slot_row, row_slot): each slot's row, and
+    each row's first slot.  The rows are ranked exactly, one winner column
+    at a time: the key so far times the column's value range, plus the
+    value above the column's minimum, and whenever the next column would
+    overflow int64 the keys are replaced by their ranks among the distinct
+    keys.  Small columns go first, while the keys are few.
     """
-    key = np.zeros(columns[0].size // width, dtype=np.int64)
+    key = np.zeros(len(columns[0]), dtype=np.int64)
     bound = 1  # every key is below bound
     for values in sorted(columns, key=lambda v: int(v.max()) - int(v.min())):
-        for k in range(width):
-            column = values[k::width].astype(np.int64)
+        for column in values.T:
+            column = column.astype(np.int64)
             low = int(column.min())
             span = int(column.max()) - low + 1
             if bound * span > np.iinfo(np.int64).max:
@@ -410,14 +463,14 @@ def build_mdp(
     result tables (their captions label every non-adversarial pool as
     profit-tracking); pass `honest` to pin one pool that never switches.
 
-    The graph (states, actions, destinations, winners, settled, reward,
-    bribe level and orphan counts, the slots' rows) does not depend on the
-    share values or on epsilon, so it is enumerated once per signature and
-    cached as one _Topology: the number of rival pools, which of them have
-    a positive share, whether the adversary does, which are petty, the
-    groups of pools with equal (share, petty), fork_cap, max_bribe and
-    state_ceiling.  Models with one signature share that topology; a model
-    adds only its shares and epsilon.
+    The graph (states, actions, winners, and the slots' rows of
+    destinations, settled blocks, rewards and bribe levels) does not depend
+    on the share values or on epsilon, so it is enumerated once per
+    signature and cached as one _Topology: the number of rival pools, which
+    of them have a positive share, whether the adversary does, which are
+    petty, the groups of pools with equal (share, petty), fork_cap,
+    max_bribe and state_ceiling.  Models with one signature share that
+    topology; a model adds only its shares and epsilon.
 
     The default fork_cap of 8 is a calibration point, not a convergence
     point: the solved share still grows slowly with the cap (roughly +0.018
@@ -500,8 +553,10 @@ class _Grid(NamedTuple):
     its end, so a column max is the state's max and the first maximal
     column j its first maximal slot, state_ptr[s] + j.  gain and settled
     are each row's expected reward net of bribes and expected blocks
-    settled.  Everything but p, gain and settled is the topology's layout,
-    shared between solves (see _Topology.layout).
+    settled, computed per solve from the topology's small-integer row
+    values, which convert to float exactly.  Everything but p, gain and
+    settled is the topology's layout, shared between solves (see
+    _Topology.layout).
     """
 
     p: np.ndarray
@@ -529,9 +584,9 @@ def _grid(model: MdpModel) -> _Grid:
     winner probabilities and each row's expected gain and settled blocks
     under the model's shares and epsilon."""
     topology, p = model.topology, _winner_prob(model)
-    *layout, settled, reward, level = topology.layout
-    gain = _expected(p, reward - _bribe(level, model.params.epsilon))
-    return _Grid(p, *layout, gain, _expected(p, settled), topology.state_ptr, topology.slot_row)
+    gain = _expected(p, topology.row_reward - _bribe(topology.row_level, model.params.epsilon))
+    settled = _expected(p, topology.row_settled)
+    return _Grid(p, *topology.layout, gain, settled, topology.state_ptr, topology.slot_row)
 
 
 def _row_values(grid: _Grid, r: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -721,13 +776,13 @@ def policy_tables(model: MdpModel, policy: np.ndarray):
         raise ValidationError(f"a policy is an int array of {ptr.size - 1} action slots, one per state")
     n_win = len(model.shares) + 1
     col = np.where(winners == ADVERSARY, n_win - 1, winners)
-    edges = (topology.edge_dst, topology.edge_settled, topology.edge_reward, topology.edge_level,
-             topology.edge_orphans)
-    dst, settled, reward, level, orphans = (a.reshape(-1, winners.size)[slots] for a in edges)
+    rows = topology.slot_row[slots]
     next_state = np.full((slots.size, n_win), -1, dtype=np.int64)
-    next_state[:, col] = dst
+    next_state[:, col] = topology.row_dst[rows]
     tables = [next_state]
-    for values in (settled, reward, _bribe(level, model.params.epsilon), orphans):
+    level = topology.row_level[rows]
+    for values in (topology.row_settled[rows], topology.row_reward[rows],
+                   _bribe(level, model.params.epsilon), topology.orphans(slots)):
         table = np.zeros((slots.size, n_win))
         table[:, col] = values
         tables.append(table)

@@ -832,17 +832,20 @@ def build_mdp_unlumped(
                 orphans.append(orp)
         state_ptr.append(state_ptr[-1] + len(rows))
 
-    topology = _Topology(
-        states=states,
-        actions=actions,
-        state_ptr=np.array(state_ptr, dtype=np.int64),
-        winners=np.array([w for w, *_ in per_state_edges[0][0][1]], dtype=np.int32),  # the first slot's
-        edge_dst=np.array(dst, dtype=np.int64),
-        edge_settled=np.array(settled, dtype=float),
-        edge_reward=np.array(reward, dtype=float),
-        edge_level=np.array(level, dtype=np.int32),
-        edge_orphans=np.array(orphans, dtype=np.int32),
+    winners = np.array([w for w, *_ in per_state_edges[0][0][1]], dtype=np.int32)  # the first slot's
+    slots = np.arange(len(dst) // winners.size)
+    topology = _Topology.of_rows(  # one row per slot, repeats merged
+        bfs_rows([(fork, sum(fork), *rest) for fork, *rest in states]),
+        bfs_codes(actions),
+        np.array(state_ptr, dtype=np.int64),
+        winners,
+        slots,
+        slots,
+        *(np.array(values, dtype=np.int64).reshape(-1, winners.size) for values in (dst, settled, reward, level)),
     )
+    # the topology derives the orphans from lbar, a, the action and the bribe level
+    if not np.array_equal(topology.edge_orphans, orphans):
+        raise AssertionError("the derived orphans differ from the unlumped search's")
     return MdpModel(pools, params, fork_cap, max_bribe, shares, alpha_a, petty, topology)
 
 

@@ -1,5 +1,6 @@
 """Optimal fork-race withholding: model construction, ratio solver, rollouts."""
 
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 from unittest import mock
@@ -178,11 +179,11 @@ def test_model_without_lumping_is_the_oracle_edge_for_edge():
         (PoolSet.from_shares(0.25, [0.15, 0.4, 0.2]), AttackParams(epsilon=0.12, max_bribe=6)),
     ]
     models = [build_mdp(pools, params, fork_cap=5) for pools, params in cases]
-    assert models[1].edge_dst is models[0].edge_dst
+    assert models[1].topology is models[0].topology
     for lumped, (pools, params) in zip(models, cases):
         full = build_mdp_unlumped(pools, params, fork_cap=5)
-        assert np.array_equal(bfs_rows([(f, sum(f), *rest) for f, *rest in full.states]), lumped.states)
-        assert np.array_equal(bfs_codes(full.actions), lumped.actions)
+        assert np.array_equal(full.states, lumped.states)
+        assert np.array_equal(full.actions, lumped.actions)
         for name in ("edge_prob", "edge_bribe") + TOPOLOGY_ARRAYS:
             assert np.array_equal(getattr(lumped, name), getattr(full, name)), name
 
@@ -194,7 +195,7 @@ def test_equal_or_zero_shares_get_their_own_topology(rivals):
     distinct = build_mdp(PoolSet.from_shares(0.35, [0.3, 0.2, 0.15]), params, fork_cap=5)
     pools = PoolSet.from_shares(0.35, list(rivals))
     model = build_mdp(pools, params, fork_cap=5)
-    assert model.edge_dst is not distinct.edge_dst
+    assert model.topology is not distinct.topology
     _topology.cache_clear()
     fresh = build_mdp(pools, params, fork_cap=5)
     for name in ("edge_prob", "edge_bribe", "states", "actions") + TOPOLOGY_ARRAYS:
@@ -315,6 +316,26 @@ def test_state_keys_that_overflow_int64_are_refused():
     pools = PoolSet.from_shares(0.1, [0.9 * k / 45 for k in range(1, 10)])
     with pytest.raises(CapacityError, match="overflow"):
         build_mdp(pools, AttackParams(max_bribe=1_000), fork_cap=1_000)
+
+
+def test_topology_holds_rows_not_edges_and_builds_in_bounded_memory():
+    """fig3's Foundry USA row at cap 8 (95,607 states, 1,670,922 edges,
+    61,788 rows), built under tracemalloc: 9.3 MB held and 25.5 MB at the
+    peak, where storing the per-edge arrays held 58.9 MB and peaked at
+    82.0 MB.  No array of the topology has one entry per edge."""
+    pools = _snapshot("Foundry USA")
+    _topology.cache_clear()
+    tracemalloc.start()
+    try:
+        model = build_mdp(pools, EPS0, fork_cap=8)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 15e6 and peak < 40e6, (held, peak)
+    topology = model.topology
+    edges = topology.slot_row.size * topology.winners.size
+    assert (model.state_count, edges, topology.row_slot.size) == (95_607, 1_670_922, 61_788)
+    assert all(value.size != edges for value in vars(topology).values() if isinstance(value, np.ndarray))
 
 
 # -- the ratio solver against the bisection it replaced ---------------------------
@@ -533,19 +554,18 @@ def test_sweeps_match_the_padded_oracle_on_fig3_row(fig3_row_model):
 def _swap_with_state_0(model, s):
     """The model with states 0 and s swapped: the same chain, numbered so
     that state 0 (where the solver's stationary search starts) is s, on a
-    topology built from the renumbered arrays, which derives its own rows
-    and layout."""
+    topology built from the renumbered slots, one row each, which merges
+    its own rows and derives its own layout."""
     top = model.topology
-    width = top.winners.size
     new = np.arange(model.state_count)
     new[[0, s]] = [s, 0]  # its own inverse: old state new[i] is new state i
     count = np.diff(top.state_ptr)[new]
     slots = np.concatenate([np.arange(top.state_ptr[t], top.state_ptr[t + 1]) for t in new])
-    edges = (slots[:, None] * width + np.arange(width)).ravel()
-    moved = {name: getattr(top, name)[edges] for name in ("edge_settled", "edge_reward", "edge_level", "edge_orphans")}
-    swapped = _Topology(
-        states=top.states[new], actions=top.actions[slots], state_ptr=np.concatenate([[0], np.cumsum(count)]),
-        winners=top.winners, edge_dst=new[top.edge_dst[edges]], **moved,
+    rows = top.slot_row[slots]
+    one_each = np.arange(slots.size)  # one row per slot, repeats merged
+    swapped = _Topology.of_rows(
+        top.states[new], top.actions[slots], np.concatenate([[0], np.cumsum(count)]), top.winners, one_each,
+        one_each, new[top.row_dst[rows]], top.row_settled[rows], top.row_reward[rows], top.row_level[rows],
     )
     return replace(model, topology=swapped)
 
@@ -608,11 +628,11 @@ def test_models_of_one_signature_share_one_topology():
     # another epsilon: the same signature, so the same topology
     other = build_mdp(pools[0], AttackParams(epsilon=0.05), fork_cap=4)
     assert second.topology is first.topology and third.topology is first.topology
-    assert other.topology is first.topology and first.edge_dst is other.edge_dst
+    assert other.topology is first.topology
     assert first.topology.layout is other.topology.layout  # laid out once
     assert not np.array_equal(first.edge_bribe, other.edge_bribe)
     with pytest.raises(FrozenInstanceError):
-        first.topology.edge_dst = first.edge_dst.copy()
+        first.topology.row_dst = first.topology.row_dst.copy()
 
 
 def test_fig3_row_has_11517_distinct_slot_rows(fig3_row_model):
