@@ -1,4 +1,4 @@
-"""Bribe sizing and reward-share chains for tip-orphaning attacks.
+"""Bribe sizing and closed-form reward shares for tip-orphaning attacks.
 
 Two attacks share one shape: an adversary pays other pools to abandon a just
 mined "target" block so that it gets orphaned and the adversary's own blocks
@@ -15,9 +15,10 @@ Both are finite Markov chains over {idle} + {target mined by pool i} +
 winner's probability, how many blocks became canonical, and the adversary's
 profit (canonical blocks it owns minus bribes paid).  The long-run reward
 share is E[profit]/E[canonical blocks] per transition under the stationary
-law.  Stationary vectors are evaluated from closed forms and re-derived by
-power iteration on the transition matrix; the two routes must agree or the
-evaluation refuses to return a number.
+law.  Both the stationary vectors and the shares are evaluated once, from
+closed forms.  The independent route to the same numbers is powplay.sim's
+bribery and undercut automata, which lay out the same states per winner;
+the test suite solves them exactly and pins them to these closed forms.
 
 Bribe-sizing helpers answer "how much must the bounty be so that a
 profit-tracking pool prefers racing the target" in three information
@@ -29,27 +30,22 @@ the miner is unknown and the bounty must sway the worst-case owner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from powplay.errors import ValidationError
+from powplay.errors import ValidationError, require_nonnegative_finite
 from powplay.model import EpochModel, PoolSet, residual_centralization_factor
 
 __all__ = [
     "BribeSchedule",
     "BribeRequirement",
-    "ChainTransition",
-    "RewardChain",
     "TargetPartition",
     "max_profitable_bribe",
     "bribery_profit",
     "required_bribes_known_miner",
     "required_bribes_whale",
     "required_bribes_unknown_miner",
-    "build_bribery_chain",
     "bribery_reward_share",
-    "build_undercut_chain",
     "undercut_reward_share",
 ]
 
@@ -68,8 +64,7 @@ class BribeSchedule:
         if self.variant not in _VARIANTS:
             raise ValidationError(f"unknown bribe variant {self.variant!r}")
         for name in ("br1", "br2"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+            require_nonnegative_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -110,8 +105,8 @@ def bribery_profit(
     """
     if not 0.0 < alpha_a < 1.0:
         raise ValidationError(f"alpha_a must be in (0,1), got {alpha_a!r}")
-    if br < 0 or k < 0:
-        raise ValidationError("br and k must be >= 0")
+    require_nonnegative_finite("br", br)
+    require_nonnegative_finite("k", k)
     epoch = epoch or EpochModel()
     lam, R, L = epoch.block_rate, epoch.block_reward, epoch.blocks_per_epoch
     return lam * R * alpha_a + (lam * k * R / L) * (alpha_a - br)
@@ -131,8 +126,7 @@ def required_bribes_known_miner(alpha_i: float, epsilon: float = 0.0) -> BribeRe
     share for the attack to pay.
     """
     _check_share(alpha_i)
-    if epsilon < 0:
-        raise ValidationError("epsilon must be >= 0")
+    require_nonnegative_finite("epsilon", epsilon)
     sched = BribeSchedule("known_miner", br1=alpha_i + epsilon, br2=epsilon)
     return BribeRequirement(sched, min_adversary_share=alpha_i + 2 * epsilon)
 
@@ -145,8 +139,7 @@ def required_bribes_whale(alpha_i: float, epsilon: float = 0.0) -> BribeRequirem
     chance of re-capture: the fee must clear (alpha_i + epsilon)/(1 - alpha_i).
     """
     _check_share(alpha_i)
-    if epsilon < 0:
-        raise ValidationError("epsilon must be >= 0")
+    require_nonnegative_finite("epsilon", epsilon)
     br1 = (alpha_i + epsilon) / (1.0 - alpha_i)
     need = alpha_i / (1.0 - alpha_i) + epsilon * (1.0 / (1.0 - alpha_i) + 1.0)
     sched = BribeSchedule("whale", br1=br1, br2=epsilon)
@@ -162,8 +155,7 @@ def required_bribes_unknown_miner(
     target itself; the binding constraint is the smallest residual
     concentration factor among the non-adversarial pools.
     """
-    if epsilon < 0:
-        raise ValidationError("epsilon must be >= 0")
+    require_nonnegative_finite("epsilon", epsilon)
     petty = pools.others()
     if not petty:
         raise ValidationError("no non-adversarial pools to bribe")
@@ -220,6 +212,7 @@ class TargetPartition:
         A pool is a target when its share plus twice the sweetener is below
         the adversary's share (the known-miner feasibility bound).
         """
+        require_nonnegative_finite("epsilon", epsilon)
         alpha_a = pools.adversary_share
         targets = tuple(
             j
@@ -242,128 +235,7 @@ class TargetPartition:
         return sum(s / (1.0 - s) for s in self.target_shares)
 
 
-# -- reward chains ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChainTransition:
-    src: int
-    dst: int
-    probability: float
-    blocks_added: int
-    adversary_profit: float
-
-
-@dataclass(frozen=True)
-class RewardChain:
-    """A finite chain whose transitions carry (probability, blocks, profit)."""
-
-    states: tuple[str, ...]
-    transitions: tuple[ChainTransition, ...]
-
-    def __post_init__(self):
-        sums = [0.0] * len(self.states)
-        for t in self.transitions:
-            if not (0 <= t.src < len(self.states) and 0 <= t.dst < len(self.states)):
-                raise ValidationError("transition endpoint out of range")
-            if t.probability < -1e-15:
-                raise ValidationError(f"negative probability on {t}")
-            if t.blocks_added < 0:
-                raise ValidationError(f"negative blocks_added on {t}")
-            sums[t.src] += t.probability
-        for i, s in enumerate(sums):
-            if abs(s - 1.0) > 1e-9:
-                raise ValidationError(
-                    f"outgoing probabilities of {self.states[i]} sum to {s!r}"
-                )
-
-    def transition_matrix(self) -> np.ndarray:
-        P = np.zeros((len(self.states), len(self.states)))
-        for t in self.transitions:
-            P[t.src, t.dst] += t.probability
-        return P
-
-    def stationary_power_iteration(
-        self, tol: float = 1e-13, max_iter: int = 200_000
-    ) -> np.ndarray:
-        P = self.transition_matrix()
-        pi = np.full(len(self.states), 1.0 / len(self.states))
-        for _ in range(max_iter):
-            nxt = pi @ P
-            if np.abs(nxt - pi).sum() < tol:
-                return nxt / nxt.sum()
-            pi = nxt
-        return pi / pi.sum()
-
-    def reward_share(self, stationary: np.ndarray) -> float:
-        """E[adversary profit] / E[canonical blocks] per transition."""
-        profit = 0.0
-        blocks = 0.0
-        for t in self.transitions:
-            w = stationary[t.src] * t.probability
-            profit += w * t.adversary_profit
-            blocks += w * t.blocks_added
-        if blocks <= 0:
-            raise ValidationError("chain settles no blocks")
-        return profit / blocks
-
-
-def _chain_skeleton(partition: TargetPartition):
-    """State labels and index helpers shared by both attack chains."""
-    names = [partition.pools.pools[i].name for i in partition.targets]
-    states = ["idle"]
-    states += [f"target[{n}]" for n in names]
-    states += [f"rival[{n}]" for n in names]
-    n = len(partition.targets)
-    s1 = lambda i: 1 + i  # noqa: E731
-    s2 = lambda i: 1 + n + i  # noqa: E731
-    return tuple(states), n, s1, s2
-
-
-def build_bribery_chain(
-    pools: PoolSet,
-    partition: TargetPartition | None = None,
-    epsilon: float = 0.0,
-) -> RewardChain:
-    """Chain of the bounty-funded orphaning attack.
-
-    From idle, a target block by pool i opens a bounty race; the adversary
-    wins the race slot itself (collecting back its bounties), or some other
-    pool mines the rival (bounty br1 = b_i + epsilon paid, race moves to the
-    settle stage), or the target's owner extends its own block (new target).
-    In the settle stage any non-owner block ends the race against the owner
-    (the settling bounty epsilon is paid unless the adversary mined it
-    itself); the owner can still rescue its block, re-opening a fresh target.
-    """
-    if partition is None:
-        partition = TargetPartition.auto(pools, epsilon)
-    if epsilon < 0:
-        raise ValidationError("epsilon must be >= 0")
-    a = pools.adversary_share
-    states, n, s1, s2 = _chain_skeleton(partition)
-    bs = partition.target_shares
-    b = partition.b
-    T = []
-    add = lambda *args: T.append(ChainTransition(*args))  # noqa: E731
-    # idle
-    add(0, 0, a, 1, 1.0)
-    add(0, 0, 1.0 - b - a, 1, 0.0)
-    for i in range(n):
-        add(0, s1(i), bs[i], 0, 0.0)
-    for i in range(n):
-        bi = bs[i]
-        # target standing: adversary closes it, owner renews it, rest race it
-        add(s1(i), 0, a, 2, 1.0)
-        add(s1(i), s1(i), bi, 1, 0.0)
-        add(s1(i), s2(i), 1.0 - a - bi, 0, -(bi + epsilon))
-        # rival standing: anyone but the owner settles the race
-        add(s2(i), 0, a, 2, 1.0)
-        add(s2(i), 0, 1.0 - b - a, 2, -epsilon)
-        add(s2(i), s1(i), bi, 1, 0.0)
-        for j in range(n):
-            if j != i:
-                add(s2(i), s1(j), bs[j], 1, -epsilon)
-    return RewardChain(states, tuple(T))
+# -- stationary closed forms -------------------------------------------------------
 
 
 def _bribery_stationary(partition: TargetPartition, alpha_a: float) -> np.ndarray:
@@ -376,49 +248,6 @@ def _bribery_stationary(partition: TargetPartition, alpha_a: float) -> np.ndarra
         pi[1 + i] = bi / ((1.0 - bi) * (1.0 + beta))
         pi[1 + n + i] = bi * (1.0 - alpha_a - bi) / ((1.0 - bi) * (1.0 + beta))
     return pi
-
-
-def build_undercut_chain(
-    pools: PoolSet,
-    partition: TargetPartition | None = None,
-    epsilon: float = 0.0,
-) -> RewardChain:
-    """Chain of the self-mined rival (undercutting) attack.
-
-    The adversary races a standing target block with its own rival block and
-    sweetens the rival's side with epsilon.  While no rival exists the race
-    can be lost outright (any non-target block settles the target); once the
-    rival is up, everyone but the target's owner mines on it.
-    """
-    if partition is None:
-        partition = TargetPartition.auto(pools, epsilon)
-    if epsilon < 0:
-        raise ValidationError("epsilon must be >= 0")
-    a = pools.adversary_share
-    states, n, s1, s2 = _chain_skeleton(partition)
-    bs = partition.target_shares
-    b = partition.b
-    T = []
-    add = lambda *args: T.append(ChainTransition(*args))  # noqa: E731
-    add(0, 0, a, 1, 1.0)
-    add(0, 0, 1.0 - b - a, 1, 0.0)
-    for i in range(n):
-        add(0, s1(i), bs[i], 0, 0.0)
-    for i in range(n):
-        bi = bs[i]
-        # target standing, no rival yet
-        add(s1(i), s2(i), a, 0, 0.0)
-        add(s1(i), 0, 1.0 - b - a, 2, 0.0)
-        for j in range(n):  # includes the owner extending its own target
-            add(s1(i), s1(j), bs[j], 1, 0.0)
-        # rival standing
-        add(s2(i), 0, a, 2, 2.0)
-        add(s2(i), 0, 1.0 - b - a, 2, 1.0 - epsilon)
-        add(s2(i), s1(i), bi, 1, 0.0)
-        for j in range(n):
-            if j != i:
-                add(s2(i), s1(j), bs[j], 1, 1.0 - epsilon)
-    return RewardChain(states, tuple(T))
 
 
 def _undercut_stationary(partition: TargetPartition, alpha_a: float) -> np.ndarray:
@@ -463,50 +292,27 @@ def _undercut_share_formula(
     return num / den
 
 
-def _cross_checked_share(
-    chain: RewardChain, closed_pi: np.ndarray, formula_value: float
-) -> float:
-    """Return the closed-form share after re-deriving it from the chain itself.
-
-    Two independent routes must agree: the stationary vector against power
-    iteration on the transition matrix, and the displayed reward ratio
-    against the per-transition profit/blocks accounting.
-    """
-    if abs(closed_pi.sum() - 1.0) > 1e-9:
-        raise ValidationError(
-            f"closed-form stationary vector sums to {closed_pi.sum()!r}"
-        )
-    power_pi = chain.stationary_power_iteration()
-    if np.abs(power_pi - closed_pi).max() > 1e-9:
-        raise ValidationError(
-            "closed-form and power-iteration stationary vectors disagree; "
-            "the chain construction and the formulas are out of sync"
-        )
-    accounted = chain.reward_share(closed_pi)
-    if abs(accounted - formula_value) > 1e-9:
-        raise ValidationError(
-            "transition accounting and the closed reward formula disagree"
-        )
-    return formula_value
-
-
 def bribery_reward_share(
     pools: PoolSet,
     partition: TargetPartition | None = None,
     epsilon: float = 0.0,
 ) -> float:
-    """Long-run canonical-reward share of the bounty-funded orphaning attacker."""
+    """Long-run canonical-reward share of the bounty-funded orphaning attacker.
+
+    From idle, a target block by pool i opens a bounty race; the adversary
+    wins the race slot itself (collecting back its bounties), or some other
+    pool mines the rival (bounty br1 = b_i + epsilon paid, race moves to the
+    settle stage), or the target's owner extends its own block (new target).
+    In the settle stage any non-owner block ends the race against the owner
+    (the settling bounty epsilon is paid unless the adversary mined it
+    itself); the owner can still rescue its block, re-opening a fresh target.
+    """
+    require_nonnegative_finite("epsilon", epsilon)
     if partition is None:
         partition = TargetPartition.auto(pools, epsilon)
     if not partition.targets:
         return pools.adversary_share
-    a = pools.adversary_share
-    chain = build_bribery_chain(pools, partition, epsilon)
-    return _cross_checked_share(
-        chain,
-        _bribery_stationary(partition, a),
-        _bribery_share_formula(partition, a, epsilon),
-    )
+    return _bribery_share_formula(partition, pools.adversary_share, epsilon)
 
 
 def undercut_reward_share(
@@ -514,15 +320,16 @@ def undercut_reward_share(
     partition: TargetPartition | None = None,
     epsilon: float = 0.0,
 ) -> float:
-    """Long-run canonical-reward share of the undercutting attacker."""
+    """Long-run canonical-reward share of the undercutting attacker.
+
+    The adversary races a standing target block with its own rival block and
+    sweetens the rival's side with epsilon.  While no rival exists the race
+    can be lost outright (any non-target block settles the target); once the
+    rival is up, everyone but the target's owner mines on it.
+    """
+    require_nonnegative_finite("epsilon", epsilon)
     if partition is None:
         partition = TargetPartition.auto(pools, epsilon)
     if not partition.targets:
         return pools.adversary_share
-    a = pools.adversary_share
-    chain = build_undercut_chain(pools, partition, epsilon)
-    return _cross_checked_share(
-        chain,
-        _undercut_stationary(partition, a),
-        _undercut_share_formula(partition, a, epsilon),
-    )
+    return _undercut_share_formula(partition, pools.adversary_share, epsilon)

@@ -29,7 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from powplay.errors import InfeasibleError, ValidationError, require_positive_finite
+from powplay.errors import (
+    InfeasibleError,
+    ValidationError,
+    require_nonnegative_finite,
+    require_positive_finite,
+)
 from powplay.model import EpochModel
 
 __all__ = [
@@ -56,6 +61,12 @@ SPLIT_SUM_TOL = 1e-9
 #: range.  Everyone outside the deciding pool is compliant (alpha_nc = 0);
 #: that convention reproduces the published d >= 5 frontier.
 DEFAULT_GRID_HI = 0.30
+
+
+def _check_ratio(d_ratio: float) -> None:
+    """Raise ValidationError unless d_ratio is a finite number >= 1 (NaN is not)."""
+    if not 1.0 <= d_ratio < float("inf"):
+        raise ValidationError(f"d_ratio must be a finite number >= 1, got {d_ratio!r}")
 
 
 @dataclass(frozen=True)
@@ -99,10 +110,9 @@ class DistractionParams:
     br3: float  # sweetener for supporting the attacker's fork in a race
 
     def __post_init__(self):
-        if self.d_ratio < 1.0:
-            raise ValidationError(f"d_ratio must be >= 1, got {self.d_ratio!r}")
-        if self.br2 < 0 or self.br3 < 0:
-            raise ValidationError("bounties must be >= 0")
+        _check_ratio(self.d_ratio)
+        require_nonnegative_finite("br2", self.br2)
+        require_nonnegative_finite("br3", self.br3)
 
 
 def lying_bribe_bound(d_ratio: float, epsilon: float = 0.0) -> float:
@@ -112,10 +122,8 @@ def lying_bribe_bound(d_ratio: float, epsilon: float = 0.0) -> float:
     puzzle earns br1 per solution at d times the chain rate; matching chain
     mining plus the epsilon margin needs br1 >= (1 + epsilon)/d.
     """
-    if d_ratio < 1.0:
-        raise ValidationError(f"d_ratio must be >= 1, got {d_ratio!r}")
-    if epsilon < 0:
-        raise ValidationError(f"epsilon must be >= 0, got {epsilon!r}")
+    _check_ratio(d_ratio)
+    require_nonnegative_finite("epsilon", epsilon)
     return (1.0 + epsilon) / d_ratio
 
 
@@ -128,8 +136,7 @@ def distraction_profit_bound(alpha_a: float, d_ratio: float) -> float:
     """
     if not 0.0 < alpha_a < 1.0:
         raise ValidationError(f"alpha_a must be in (0, 1), got {alpha_a!r}")
-    if d_ratio < 1.0:
-        raise ValidationError(f"d_ratio must be >= 1, got {d_ratio!r}")
+    _check_ratio(d_ratio)
     return alpha_a / d_ratio
 
 
@@ -148,12 +155,9 @@ def distraction_profit(
     """
     if not 0.0 < alpha_a < 1.0:
         raise ValidationError(f"alpha_a must be in (0, 1), got {alpha_a!r}")
-    if br < 0:
-        raise ValidationError(f"br must be >= 0, got {br!r}")
-    if d_ratio < 1.0:
-        raise ValidationError(f"d_ratio must be >= 1, got {d_ratio!r}")
-    if k < 0:
-        raise ValidationError(f"k must be >= 0, got {k!r}")
+    require_nonnegative_finite("br", br)
+    _check_ratio(d_ratio)
+    require_nonnegative_finite("k", k)
     epoch = epoch or EpochModel()
     rate_reward = epoch.block_rate * epoch.block_reward
     per_puzzle = alpha_a / d_ratio - br
@@ -194,8 +198,7 @@ def scenario_rates(
     alpha_a) times the block rate.  choice "bitcoin": it stays on the chain
     and its tip block can start a race like a never-compliant one.
     """
-    if d_ratio < 1.0:
-        raise ValidationError(f"d_ratio must be >= 1, got {d_ratio!r}")
+    _check_ratio(d_ratio)
     aa, ai, ac, anc = split.alpha_a, split.alpha_i, split.alpha_c, split.alpha_nc
     if choice == "mini_pow":
         denom = d_ratio * (ac + ai) + anc + aa
@@ -234,10 +237,9 @@ def expected_return_delta(
     race sweetener br3 is pinned to epsilon, matching how the scheme is run.
     A zero-share deciding pool has nothing to decide: returns 0.
     """
-    if br2 < 0:
-        raise ValidationError(f"br2 must be >= 0, got {br2!r}")
-    if epsilon < 0:
-        raise ValidationError(f"epsilon must be >= 0, got {epsilon!r}")
+    _check_ratio(d_ratio)
+    require_nonnegative_finite("br2", br2)
+    require_nonnegative_finite("epsilon", epsilon)
     ai = split.alpha_i
     if ai == 0.0:
         return 0.0
@@ -310,8 +312,7 @@ def min_difficulty_ratio(
     """
     if not 0.0 < alpha_a < 1.0:
         raise ValidationError(f"alpha_a must be in (0, 1), got {alpha_a!r}")
-    if br2 <= 0:
-        raise ValidationError(f"br2 must be > 0, got {br2!r}")
+    require_positive_finite("br2", br2)
     require_positive_finite("tol", tol)
     if alpha_i_grid is None:
         alpha_i_grid = default_deciding_grid(alpha_a)
@@ -360,12 +361,13 @@ def distraction_reward_share(split: PowerSplit, d_ratio: float, br2: float) -> f
     when alpha_nc = 0, where no attacker block is ever orphaned: it then
     equals the exact share of powplay.sim's distraction automaton (br3 = 0,
     "mini_pow").  With a never-compliant remainder it inherits the
-    no-orphan idealization and leaves race outcomes out, and on the splits
-    checked it reads below that automaton, which models each winner: 0.41311
-    against 0.41967 at (0.4, 0.1, 0.3, 0.2), d_ratio 5, br2 0.04.
+    no-orphan idealization and leaves race outcomes out, so it can miss
+    that automaton, which models each winner, on either side: it reads
+    below at (0.4, 0.1, 0.3, 0.2), d_ratio 5, br2 0.04 (0.41311 against
+    0.41967) and above at (0.25, 0.15, 0.3, 0.3), d_ratio 3, br2 0.02
+    (0.26196 against 0.25986).
     """
-    if br2 < 0:
-        raise ValidationError(f"br2 must be >= 0, got {br2!r}")
+    require_nonnegative_finite("br2", br2)
     m = scenario_rates(split, d_ratio, "mini_pow")
     aa = split.alpha_a
     # canonical blocks per event: quiet non-attacker blocks settle at once;

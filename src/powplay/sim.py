@@ -4,9 +4,9 @@ The simulator draws block winners one event at a time and feeds them through a
 small per-strategy automaton: each (state, winner) pair says which state comes
 next, how many canonical blocks the event settles, how many of those are the
 adversary's, what bribes the adversary pays, and how many blocks get orphaned.
-The automata are per-winner decompositions of the same reward chains the
-closed-form modules are built on, so a simulated reward share is an
-independent route to the analytic numbers, not a re-evaluation of them.
+The automata are per-winner decompositions of the same Markov chains whose
+closed forms the analytic modules evaluate, so a simulated reward share is
+an independent route to the analytic numbers, not a re-evaluation of them.
 
 Time is modelled as exponential gaps between events.  The base event rate is
 block_rate / difficulty, scaled by a per-state multiplier (the distraction
@@ -350,15 +350,16 @@ def _partition_for(config: SimConfig) -> TargetPartition:
 
 
 def _target_automaton(pools: PoolSet, partition: TargetPartition, race) -> _Automaton:
-    """The state layout the bribery and undercut automata share with their reward chains.
+    """The state layout the bribery and undercut automata share with their closed forms.
 
     States: idle (0), then per target t a standing-target state 1 + t and
-    a rival-race state 1 + n + t, laid out exactly like the chains so the
-    two routes stay comparable state by state.  In the idle row the
-    adversary and bystanders settle one block and a target block opens an
-    attack.  race(tables, tcols, t, st, sr) fills target t's two rows
-    (tcols[t] is its column); then, in the rival-race row, a block of any
-    other target u settles the race and opens an attack on u.
+    a rival-race state 1 + n + t, laid out like the stationary vectors of
+    powplay.bribery, so an automaton's exact occupancy compares with them
+    state by state.  In the idle row the adversary and bystanders settle
+    one block and a target block opens an attack.  race(tables, tcols, t,
+    st, sr) fills target t's two rows (tcols[t] is its column); then, in
+    the rival-race row, a block of any other target u settles the race and
+    opens an attack on u.
     """
     col = {pool: c for c, pool in enumerate(pools.others())}
     tcols = [col[p] for p in partition.targets]
@@ -379,7 +380,7 @@ def _target_automaton(pools: PoolSet, partition: TargetPartition, race) -> _Auto
 
 
 def _bribery_automaton(pools: PoolSet, partition: TargetPartition, params: AttackParams) -> _Automaton:
-    """Bounty-funded orphaning, per-winner view of the bribery reward chain."""
+    """Bounty-funded orphaning, per winner: the chain of bribery_reward_share's closed form."""
     eps = params.epsilon
     bs = partition.target_shares
 
@@ -413,7 +414,7 @@ def _bribery_automaton(pools: PoolSet, partition: TargetPartition, params: Attac
 
 
 def _undercut_automaton(pools: PoolSet, partition: TargetPartition, params: AttackParams) -> _Automaton:
-    """Self-mined rival racing, per-winner view of the undercut reward chain."""
+    """Self-mined rival racing, per winner: the chain of undercut_reward_share's closed form."""
     eps = params.epsilon
 
     def race(tables, tcols, t, st, sr):

@@ -350,37 +350,6 @@ def walk_never_reach_mc_per_step(share, r, walks=1_000_000, seed=0, step_cap=100
     return 1.0 - sum(masses) / walks
 
 
-# -- Monte Carlo: walk an explicit reward chain ---------------------------------------
-
-
-def chain_walk_mc(chain, steps=1_000_000, seed=0):
-    """Estimate E[profit]/E[blocks] by walking the chain's own transitions.
-
-    This checks the stationary closed forms and the per-transition
-    accounting, not the transition table itself (the table is the input).
-    """
-    rng = np.random.default_rng(seed)
-    n = len(chain.states)
-    outgoing = [[] for _ in range(n)]
-    for t in chain.transitions:
-        outgoing[t.src].append(t)
-    probs = [np.array([t.probability for t in row]) for row in outgoing]
-    # one uniform draw per step, inverted through the per-state CDF
-    cdfs = [np.cumsum(p) for p in probs]
-    u = rng.random(steps)
-    state = 0
-    profit = 0.0
-    blocks = 0.0
-    for k in range(steps):
-        idx = int(np.searchsorted(cdfs[state], u[k]))
-        idx = min(idx, len(outgoing[state]) - 1)
-        t = outgoing[state][idx]
-        profit += t.adversary_profit
-        blocks += t.blocks_added
-        state = t.dst
-    return profit / blocks
-
-
 # -- exact rational route through the distraction three-state process -----------------
 
 

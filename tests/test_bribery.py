@@ -1,4 +1,9 @@
-"""Bribe sizing and the orphaning-attack reward chains."""
+"""Bribe sizing, target partitions, and the orphaning-attack closed forms.
+
+The closed-form shares and stationary vectors are pinned to the exact
+stationary solve of powplay.sim's bribery and undercut automata, the
+independent route that lays out the same states per winner.
+"""
 
 import numpy as np
 import pytest
@@ -7,13 +12,11 @@ from hypothesis import strategies as st
 
 from powplay.bribery import (
     BribeSchedule,
-    ChainTransition,
-    RewardChain,
     TargetPartition,
+    _bribery_stationary,
+    _undercut_stationary,
     bribery_profit,
     bribery_reward_share,
-    build_bribery_chain,
-    build_undercut_chain,
     max_profitable_bribe,
     required_bribes_known_miner,
     required_bribes_unknown_miner,
@@ -21,10 +24,11 @@ from powplay.bribery import (
     undercut_reward_share,
 )
 from powplay.errors import ValidationError
-from powplay.model import EpochModel, PoolSet, residual_centralization_factor
+from powplay.model import AttackParams, EpochModel, PoolSet, residual_centralization_factor
 from powplay.selfish import selfish_profit
+from powplay.sim import SimConfig, build_automaton
 
-from oracles import chain_walk_mc
+from oracles import exact_automaton
 
 
 @pytest.fixture
@@ -69,15 +73,19 @@ def test_profit_scales_with_rate_and_reward():
 
 
 def test_profit_rejects_negative_inputs():
-    with pytest.raises(ValidationError):
-        bribery_profit(0.2, -0.1, 3)
-    with pytest.raises(ValidationError):
-        bribery_profit(0.2, 0.1, -1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            bribery_profit(0.2, bad, 3)
+        with pytest.raises(ValidationError):
+            bribery_profit(0.2, 0.1, bad)
 
 
 def test_schedule_validation():
-    with pytest.raises(ValidationError):
-        BribeSchedule("known_miner", br1=-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            BribeSchedule("known_miner", br1=bad)
+        with pytest.raises(ValidationError):
+            BribeSchedule("known_miner", br2=bad)
     with pytest.raises(ValidationError):
         BribeSchedule("something_else", br1=0.1)
 
@@ -210,48 +218,49 @@ def test_auto_partition_skips_zero_share_pools():
     assert part.targets == ()
 
 
-# -- chain construction --------------------------------------------------------------
+# -- closed forms against the exact automata -------------------------------------------
 
 
-def test_chain_rejects_broken_rows():
-    with pytest.raises(ValidationError):
-        RewardChain(("a", "b"), (ChainTransition(0, 1, 0.5, 1, 0.0),))
-    with pytest.raises(ValidationError):
-        RewardChain(("a",), (ChainTransition(0, 0, 1.0, -1, 0.0),))
-    with pytest.raises(ValidationError):
-        RewardChain(("a",), (ChainTransition(0, 3, 1.0, 1, 0.0),))
-
-
-def test_chain_shapes(one_target):
-    pools, part = one_target
-    chain = build_bribery_chain(pools, part)
-    assert chain.states == ("idle", "target[pool1]", "rival[pool1]")
-    assert len(chain.transitions) == 9
-    two = PoolSet.from_shares(0.3, [0.2, 0.1, 0.4])
-    part2 = TargetPartition(two, targets=(1, 2))
-    assert len(build_bribery_chain(two, part2).transitions) == 18
-    assert len(build_undercut_chain(two, part2).transitions) == 20
+def _exact(pools, strategy, targets, epsilon=0.0):
+    """Exact (share, occupancy) of powplay.sim's automaton of the attack on targets."""
+    cfg = SimConfig(pools, strategy=strategy, targets=targets, params=AttackParams(epsilon=epsilon))
+    auto = build_automaton(cfg)
+    return exact_automaton(auto.cdf, auto.next_state, auto.settled, auto.attacker - auto.bribe)
 
 
 def test_bribery_stationary_worked_example(one_target):
     pools, part = one_target
-    chain = build_bribery_chain(pools, part)
-    pi = chain.stationary_power_iteration()
-    assert pi == pytest.approx([0.7, 0.2, 0.1], abs=1e-10)
+    assert _bribery_stationary(part, 0.3) == pytest.approx([0.7, 0.2, 0.1], abs=1e-12)
+    assert _exact(pools, "bribery", part.targets)[1] == pytest.approx([0.7, 0.2, 0.1], abs=1e-12)
 
 
 def test_undercut_stationary_worked_example(one_target):
     pools, part = one_target
-    chain = build_undercut_chain(pools, part)
-    pi = chain.stationary_power_iteration()
-    assert pi == pytest.approx([0.74, 0.2, 0.06], abs=1e-10)
-    assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert _undercut_stationary(part, 0.3) == pytest.approx([0.74, 0.2, 0.06], abs=1e-12)
+    assert _exact(pools, "undercut", part.targets)[1] == pytest.approx([0.74, 0.2, 0.06], abs=1e-12)
 
 
 def test_reward_share_worked_examples(one_target):
     pools, part = one_target
     assert bribery_reward_share(pools, part) == pytest.approx(0.28 / 0.90, rel=1e-12)
     assert undercut_reward_share(pools, part) == pytest.approx(0.288 / 0.94, rel=1e-12)
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
+def test_epsilon_must_be_finite_and_nonnegative(epsilon, one_target):
+    pools, part = one_target
+    empty = TargetPartition(pools, targets=())
+    for share in (bribery_reward_share, undercut_reward_share):
+        for partition in (part, empty, None):  # checked before the no-target early return
+            with pytest.raises(ValidationError, match="epsilon must be a finite number >= 0"):
+                share(pools, partition, epsilon)
+    for required in (required_bribes_known_miner, required_bribes_whale):
+        with pytest.raises(ValidationError):
+            required(0.1, epsilon)
+    with pytest.raises(ValidationError):
+        required_bribes_unknown_miner(pools, epsilon)
+    with pytest.raises(ValidationError):
+        TargetPartition.auto(pools, epsilon)
 
 
 def test_no_targets_collapses_to_honest(one_target):
@@ -279,38 +288,28 @@ def _random_config(rng, n_targets):
 
 
 def test_closed_forms_match_power_iteration_everywhere(rng):
-    from powplay.bribery import _bribery_stationary, _undercut_stationary
-
+    """25 drawn explicit partitions: occupancy and share against the exact automata."""
     for trial in range(25):
         pools, part = _random_config(rng, int(rng.integers(1, 6)))
         a = pools.adversary_share
-        bc = build_bribery_chain(pools, part)
-        uc = build_undercut_chain(pools, part)
-        assert np.abs(
-            bc.stationary_power_iteration() - _bribery_stationary(part, a)
-        ).max() < 1e-9
-        assert np.abs(
-            uc.stationary_power_iteration() - _undercut_stationary(part, a)
-        ).max() < 1e-9
-        # the evaluators re-run both cross-checks internally; a weak
-        # adversary bribing big pools may net out negative, so only the
-        # upper bound is structural
-        assert bribery_reward_share(pools, part, 0.01) < 1.0
-        assert undercut_reward_share(pools, part, 0.01) < 1.0
+        for eps in (0.0, 0.01):
+            share, occupancy = _exact(pools, "bribery", part.targets, eps)
+            np.testing.assert_allclose(occupancy, _bribery_stationary(part, a), rtol=0, atol=1e-12)
+            assert bribery_reward_share(pools, part, eps) == pytest.approx(share, abs=1e-12)
+            share, occupancy = _exact(pools, "undercut", part.targets, eps)
+            np.testing.assert_allclose(occupancy, _undercut_stationary(part, a), rtol=0, atol=1e-12)
+            assert undercut_reward_share(pools, part, eps) == pytest.approx(share, abs=1e-12)
 
 
-def test_chain_walk_agrees_with_closed_form(one_target):
+def test_one_target_automata_are_the_closed_forms(one_target):
     pools, part = one_target
-    est = chain_walk_mc(build_bribery_chain(pools, part), steps=600_000, seed=11)
-    assert est == pytest.approx(bribery_reward_share(pools, part), abs=0.004)
-    est = chain_walk_mc(build_undercut_chain(pools, part), steps=600_000, seed=12)
-    assert est == pytest.approx(undercut_reward_share(pools, part), abs=0.004)
-
-
-def test_chain_walk_agrees_with_margin(one_target):
-    pools, part = one_target
-    est = chain_walk_mc(build_bribery_chain(pools, part, 0.3), steps=600_000, seed=13)
-    assert est == pytest.approx(bribery_reward_share(pools, part, 0.3), abs=0.004)
+    for eps in (0.0, 0.3):
+        assert _exact(pools, "bribery", part.targets, eps)[0] == pytest.approx(
+            bribery_reward_share(pools, part, eps), abs=1e-12
+        )
+        assert _exact(pools, "undercut", part.targets, eps)[0] == pytest.approx(
+            undercut_reward_share(pools, part, eps), abs=1e-12
+        )
 
 
 def test_real_snapshot_small_pool_ordering(btc_pools_merged):

@@ -179,6 +179,15 @@ def test_bribery_share_rejects_self_target(merged_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("attack", ["bribery", "undercut"])
+@pytest.mark.parametrize("targets", ["auto", "SBI Crypto"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+def test_share_with_an_epsilon_that_is_not_finite_and_nonnegative_exits_1(attack, targets, epsilon, merged_file, capsys):
+    argv = [attack, "share", "--pools", merged_file, "--adversary", "Unknown", "--targets", targets, "--epsilon", epsilon]
+    assert main(argv) == 1
+    assert "error: epsilon must be a finite number >= 0" in capsys.readouterr().err
+
+
 # -- mdp solve ----------------------------------------------------------------------
 
 
@@ -398,6 +407,14 @@ def test_distraction_delta_bad_grid_exits_1(capsys):
     for grid in ("0.01:0.1:nan", "0.01:nan:0.01", "nan:0.1:0.01", "0.01:0.1:0"):
         assert main(["distraction", "delta", "--alpha-a", "0.4", "--br2", "0.04", "--d", "5", "--grid", grid]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--d", "--epsilon", "--br2"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_distraction_delta_non_finite_input_exits_1(flag, value, capsys):
+    argv = {"--alpha-a": "0.4", "--br2": "0.04", "--epsilon": "0.02", "--d": "5"} | {flag: value}
+    assert main(["distraction", "delta", *(x for item in argv.items() for x in item)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_distraction_min_d_matches_library(capsys):

@@ -68,6 +68,13 @@ def test_distraction_params_validate():
         DistractionParams(sp, 0.5, 0.01, 0.0)
     with pytest.raises(ValidationError):
         DistractionParams(sp, 5.0, -0.01, 0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            DistractionParams(sp, bad, 0.01, 0.0)
+        with pytest.raises(ValidationError):
+            DistractionParams(sp, 5.0, bad, 0.0)
+        with pytest.raises(ValidationError):
+            DistractionParams(sp, 5.0, 0.01, bad)
 
 
 # -- bounty bounds and the bounty-profit shape ---------------------------------------
@@ -76,8 +83,35 @@ def test_distraction_params_validate():
 def test_lying_bribe_bound_values():
     assert lying_bribe_bound(10.0) == pytest.approx(0.1, abs=1e-15)
     assert lying_bribe_bound(10.0, epsilon=0.02) == pytest.approx(0.102, abs=1e-15)
-    with pytest.raises(ValidationError):
-        lying_bribe_bound(0.9)
+    for bad in (0.9, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            lying_bribe_bound(bad)
+    for bad in (-0.01, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            lying_bribe_bound(10.0, epsilon=bad)
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_inputs_outside_their_finite_range_are_rejected(bad):
+    sp = PowerSplit(0.4, 0.1, 0.3, 0.2)
+    idle = PowerSplit(0.4, 0.0, 0.6, 0.0)  # checked before the zero-share early return
+    calls = [
+        lambda: distraction_profit_bound(0.4, bad),
+        lambda: distraction_profit(0.4, bad, 10.0, 500.0),
+        lambda: distraction_profit(0.4, 0.03, bad, 500.0),
+        lambda: distraction_profit(0.4, 0.03, 10.0, bad),
+        lambda: scenario_rates(sp, bad),
+        lambda: expected_return_delta(sp, bad, 0.04, 0.02),
+        lambda: expected_return_delta(sp, 5.0, bad, 0.02),
+        lambda: expected_return_delta(sp, 5.0, 0.04, bad),
+        lambda: expected_return_delta(idle, bad, 0.04, 0.02),
+        lambda: distraction_reward_share(sp, bad, 0.04),
+        lambda: distraction_reward_share(sp, 5.0, bad),
+        lambda: min_difficulty_ratio(0.4, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
 
 
 def test_profit_bound_is_share_over_ratio():
