@@ -26,7 +26,7 @@ from powplay.bribery import (
 from powplay.errors import ValidationError
 from powplay.model import AttackParams, EpochModel, PoolSet, residual_centralization_factor
 from powplay.selfish import selfish_profit
-from powplay.sim import SimConfig, build_automaton
+from powplay.sim import SimConfig, build_automaton, reward_share_mc
 
 from oracles import exact_automaton
 
@@ -310,6 +310,26 @@ def test_one_target_automata_are_the_closed_forms(one_target):
         assert _exact(pools, "undercut", part.targets, eps)[0] == pytest.approx(
             undercut_reward_share(pools, part, eps), abs=1e-12
         )
+
+
+def _walk(pools, strategy, targets, epsilon=0.0, seed=0):
+    """Sampled reward share of a 600 000-transition walk of powplay.sim's automaton."""
+    cfg = SimConfig(pools, strategy=strategy, targets=targets, params=AttackParams(epsilon=epsilon), seed=seed)
+    return reward_share_mc(cfg, transitions=600_000).adversary_reward_share
+
+
+def test_chain_walk_agrees_with_closed_form(one_target):
+    pools, part = one_target
+    est = _walk(pools, "bribery", part.targets, seed=11)
+    assert est == pytest.approx(bribery_reward_share(pools, part), abs=0.004)
+    est = _walk(pools, "undercut", part.targets, seed=12)
+    assert est == pytest.approx(undercut_reward_share(pools, part), abs=0.004)
+
+
+def test_chain_walk_agrees_with_margin(one_target):
+    pools, part = one_target
+    est = _walk(pools, "bribery", part.targets, 0.3, seed=13)
+    assert est == pytest.approx(bribery_reward_share(pools, part, 0.3), abs=0.004)
 
 
 def test_real_snapshot_small_pool_ordering(btc_pools_merged):
