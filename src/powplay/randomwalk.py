@@ -196,11 +196,6 @@ def abandon_threshold(d: int, tol: float = 1e-6) -> float:
     return 0.5 * (lo + hi)
 
 
-def _hit_from(q: float, gap: np.ndarray) -> np.ndarray:
-    """Exact probability of ever gaining ``gap`` more, clamped for q >= 1."""
-    return np.minimum(1.0, q ** gap.astype(np.float64))
-
-
 def walk_never_reach_mc(
     share: float,
     r: int,
@@ -215,55 +210,48 @@ def walk_never_reach_mc(
     (counted as a hit) or on falling ``band`` below ``r`` (counted with the
     exact analytic hit probability from there, which keeps the estimator
     unbiased while bounding runtime); walks still alive at ``step_cap`` are
-    likewise closed out analytically.  Work is split into fixed chunks with
-    independently spawned sub-seeds and reduced in chunk order, so the result
-    depends only on (seed, walks).  ``r``, ``walks`` and ``band`` must be
-    integers of at least 1 and ``step_cap`` an integer of at least 0.
+    likewise closed out analytically.  Every walk takes its first step, even
+    one that starts at or below the floor (``band <= r``).  ``r``, ``walks``
+    and ``band`` must be integers of at least 1, ``walks`` at most 2**63 - 1,
+    and ``step_cap`` an integer of at least 0.
 
-    A walk is stored as x = lead - (r - band) - 1 in the narrowest signed
-    integer type that holds the band, so it is alive while 0 <= x < band - 1,
-    one unsigned compare, and a step adds 2 * (u < share) - 1 in place.  Hit
-    and sunk masses are summed step by step in the walks' order.
+    The walks are independent and identically distributed, so the estimate
+    depends only on how many of them stop at each lead, and the walk tracks
+    counts, not walkers: one int64 count per lead from the lowest lead a walk
+    can stop at up to ``r``.  A step moves ``binomial(count, share)`` of each
+    stepping lead's walks up and the rest down, which is the law of that many
+    independent steps, so the counts (and the estimate) have the same
+    distribution as walking each walk on its own; the work is band times the
+    longest lifetime rather than walks times steps.  Leads outside the band
+    never step again, so their counts are the tallies of walks absorbed
+    there.  The hit mass is one dot product of the final counts with each
+    lead's exact hit probability.  One ``default_rng(seed)`` draws every
+    step, so the result depends only on (seed, walks).
     """
     _check_share(share)
     for name, value, least in (("r", r, 1), ("walks", walks, 1), ("step_cap", step_cap, 0), ("band", band, 1)):
         require_integer(name, value)
         if value < least:
             raise ValidationError(f"{name} must be at least {least}, got {value!r}")
-    q = share / (1.0 - share)
-    top = band - 1  # x of a walk at r; a walk below r - band + 1 has x < 0
-    # x runs from top down to -1, or to band - r - 2 when the walks start
-    # below the floor; a signed type holds top = band - 1 when it holds -band
-    dtype = np.min_scalar_type(min(band - r - 2, -band))
-    unsigned = np.dtype(f"u{dtype.itemsize}")
-
-    chunk = 1 << 16
-    starts = list(range(0, walks, chunk))
-    seeds = np.random.SeedSequence(seed).spawn(len(starts))
-
-    def run_chunk(i: int) -> float:
-        n = min(chunk, walks - starts[i])
-        rng = np.random.default_rng(seeds[i])
-        x = np.full(n, band - r - 1, dtype=dtype)  # every walk starts at lead 0
-        u = np.empty(n)
-        up = np.empty(n, dtype=bool)
-        hit_mass = 0.0
-        for _ in range(step_cap):
-            m = x.size
-            np.less(rng.random(out=u[:m]), share, out=up[:m])
-            x += up[:m].view(np.int8) * 2 - 1
-            alive = x.view(unsigned) < top
-            if np.count_nonzero(alive) < m:
-                gone = x[~alive]
-                hits = gone == top
-                hit_mass += float(np.count_nonzero(hits))
-                hit_mass += float(np.sum(_hit_from(q, top - gone[~hits].astype(np.int64))))
-                x = x[alive]
-                if x.size == 0:
-                    break
-        if x.size:
-            hit_mass += float(np.sum(_hit_from(q, top - x.astype(np.int64))))
-        return hit_mass
-
-    masses = [run_chunk(i) for i in range(len(starts))]
-    return 1.0 - sum(masses) / walks
+    if walks > np.iinfo(np.int64).max:
+        raise ValidationError(f"walks must fit in int64 (at most 2**63 - 1), got {walks!r}")
+    floor = r - band
+    lowest = min(floor, -1)  # a walk starting at or below the floor can stop at -1
+    # min(1, q) ** gap is min(1, q ** gap) without overflowing for q > 1
+    close = min(1.0, share / (1.0 - share)) ** np.arange(r - lowest, -1, -1.0)
+    counts = np.zeros(r + 1 - lowest, dtype=np.int64)
+    counts[-lowest] = walks  # every walk starts at lead 0
+    # the first step moves the start's lead too; later steps only the band's interior
+    first, interior, stop = min(0, floor + 1) - lowest, floor + 1 - lowest, r - lowest
+    rng = np.random.default_rng(seed)
+    for _ in range(step_cap):
+        moving = counts[first:stop]
+        if not moving.any():
+            break
+        up = rng.binomial(moving, share)
+        down = moving - up
+        moving[:] = 0
+        counts[first + 1:stop + 1] += up
+        counts[first - 1:stop - 1] += down
+        first = interior
+    return 1.0 - float(counts @ close) / walks

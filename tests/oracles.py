@@ -19,8 +19,10 @@ row grid and the per-model edge probabilities and bribes as they were
 built for every model before the topology-only parts were shared, the
 three lockstep Monte Carlo loops that the visit-count kernel replaced, the
 per-event clocked simulator that the lockstep clocked engine replaced, and
-the never-reach walk as the int64 step-at-a-time loop that the int8 walk
-replaced.  The Monte Carlo loops draw the distraction automaton's winners
+the never-reach walk twice: walk by walk, as the int64 step-at-a-time loop
+that the counts walk agrees with in mean, and as a Python loop of one
+scalar binomial draw per lead, which the counts walk equals to the last
+bit.  The Monte Carlo loops draw the distraction automaton's winners
 from its per-state rows, as they did before the rows were folded into one
 cdf, and an exact stationary solve evaluates any automaton without
 sampling.
@@ -280,42 +282,20 @@ def tie_race_advantage_mc(shares, adversary, epsilon=0.0, trials=200_000, seed=0
 # -- Monte Carlo: plain never-reach walk ---------------------------------------------
 
 
-def never_reach_mc(share, r, walks=100_000, horizon=4_000, seed=0):
-    """Crude estimate of P[lead never reaches r] by a long finite horizon.
-
-    Unabsorbed walks at the horizon are counted via the exact tail from their
-    final lead, so the estimate is unbiased; the horizon only bounds runtime.
-    """
-    rng = np.random.default_rng(seed)
-    q = share / (1.0 - share)
-    lead = np.zeros(walks, dtype=np.int64)
-    alive = np.ones(walks, dtype=bool)
-    hit = 0.0
-    for _ in range(horizon):
-        steps = np.where(rng.random(walks) < share, 1, -1)
-        lead[alive] += steps[alive]
-        newly = alive & (lead >= r)
-        hit += float(np.count_nonzero(newly))
-        alive &= ~newly
-        if not alive.any():
-            break
-    if alive.any():
-        tail = np.minimum(1.0, q ** (r - lead[alive]).astype(np.float64))
-        hit += float(tail.sum())
-    return 1.0 - hit / walks
-
-
 def _hit_from(q, gap):
     """Exact probability of ever gaining ``gap`` more, clamped for q >= 1."""
     return np.minimum(1.0, q ** gap.astype(np.float64))
 
 
 def walk_never_reach_mc_per_step(share, r, walks=1_000_000, seed=0, step_cap=100_000, band=30):
-    """powplay.randomwalk.walk_never_reach_mc as one int64 np.where step at a time, before int8 walks.
+    """The never-reach Monte Carlo walked walk by walk: the per-walk root oracle.
 
-    Same chunks, sub-seeds, absorption and analytic close-out; each step
-    adds np.where(u < share, 1, -1) to int64 leads and tests hits and sunk
-    walks with two compares.  Sizes are not validated.
+    Same absorption and analytic close-out as
+    powplay.randomwalk.walk_never_reach_mc, but each of the walks is stepped
+    on its own, in 65,536-walk chunks seeded from SeedSequence(seed).spawn;
+    each step adds np.where(u < share, 1, -1) to int64 leads and tests hits
+    and sunk walks with two compares.  It draws other bits than the counts
+    walk, so the two agree in law, not value.  Sizes are not validated.
     """
     q = share / (1.0 - share)
 
@@ -348,6 +328,49 @@ def walk_never_reach_mc_per_step(share, r, walks=1_000_000, seed=0, step_cap=100
 
     masses = [run_chunk(i) for i in range(len(starts))]
     return 1.0 - sum(masses) / walks
+
+
+def walk_never_reach_counts_loop(share, r, walks=1_000_000, seed=0, step_cap=100_000, band=30):
+    """powplay.randomwalk.walk_never_reach_mc as a Python loop over the walks' leads.
+
+    Keeps a dict of how many walks are alive at each lead and a list of how
+    many stopped at each lead from min(r - band, -1) up to r.  Each step draws
+    one scalar rng.binomial(n, share) per alive lead in ascending order, from
+    the counts before the step, and moves that many walks up and the rest
+    down; a walk that lands outside the band (r - band, r) is tallied where it
+    landed.  The first step moves every walk from lead 0, even when 0 is at
+    or below the floor.  The hit mass is (tallies + survivors) @ close with
+    close the clamped exact hit probability from each lead.  Sizes are not
+    validated.
+    """
+    rng = np.random.default_rng(seed)
+    q = share / (1.0 - share)
+    floor = r - band
+    lowest = min(floor, -1)
+    alive = {0: walks}
+    tallies = [0] * (r + 1 - lowest)
+    for _ in range(step_cap):
+        if not alive:
+            break
+        landed = {}
+        for lead in sorted(alive):
+            n = alive[lead]
+            up = int(rng.binomial(n, share))
+            landed[lead + 1] = landed.get(lead + 1, 0) + up
+            landed[lead - 1] = landed.get(lead - 1, 0) + n - up
+        alive = {}
+        for lead, n in landed.items():
+            if not floor < lead < r:
+                tallies[lead - lowest] += n
+            elif n:  # an empty lead draws nothing, in numpy's vector call too
+                alive[lead] = n
+    survivors = [0] * len(tallies)
+    for lead, n in alive.items():
+        survivors[lead - lowest] = n
+    gap = np.arange(r - lowest, -1, -1).astype(np.float64)
+    close = np.minimum(1.0, q**gap)
+    counts = np.array(tallies, dtype=np.int64) + np.array(survivors, dtype=np.int64)
+    return 1.0 - float(counts @ close) / walks
 
 
 # -- exact rational route through the distraction three-state process -----------------

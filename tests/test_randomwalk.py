@@ -22,6 +22,7 @@ from oracles import (
     g_closed_taylor,
     lattice_counts,
     series_sum_numeric,
+    walk_never_reach_counts_loop,
     walk_never_reach_mc_per_step,
 )
 
@@ -67,7 +68,6 @@ def test_never_reach_matches_monte_carlo(share, r):
 
 
 def test_walk_mc_deterministic():
-    # 100,000 walks fill two 65,536-walk chunks, so two spawned sub-seeds are summed
     one = walk_never_reach_mc(0.3, 2, walks=100_000, seed=5)
     two = walk_never_reach_mc(0.3, 2, walks=100_000, seed=5)
     assert one == two
@@ -77,23 +77,56 @@ def test_walk_mc_deterministic():
 @given(
     share=st.floats(0.02, 0.98),
     r=st.integers(1, 4),
-    walks=st.sampled_from([1, 7, 1_000, 65_536, 65_537, 70_001]),
+    walks=st.integers(1, 10**12),
     seed=st.integers(0, 2**32 - 1),
     step_cap=st.integers(0, 300),
     band=st.integers(1, 12),
 )
-# the defaults, over the 65,536-walk chunk boundary
+# the defaults
 @example(share=0.45, r=3, walks=70_001, seed=1, step_cap=100_000, band=30)
 # most walks are still alive at the cap and closed out analytically
 @example(share=0.3, r=2, walks=65_537, seed=2, step_cap=4, band=12)
 # bands below r start every walk under the floor, so it sinks on its first step
 @example(share=0.4, r=4, walks=1_000, seed=3, step_cap=100, band=2)
-# bands past 128 and starts far below the floor need int16 walks
+# a band past 128 leads, and a start far below the floor
 @example(share=0.45, r=2, walks=1_000, seed=4, step_cap=500, band=200)
 @example(share=0.6, r=300, walks=1_000, seed=5, step_cap=10, band=3)
-def test_walk_mc_equals_the_int64_per_step_loop(share, r, walks, seed, step_cap, band):
+def test_walk_mc_equals_the_counts_loop(share, r, walks, seed, step_cap, band):
     got = walk_never_reach_mc(share, r, walks=walks, seed=seed, step_cap=step_cap, band=band)
-    assert got == walk_never_reach_mc_per_step(share, r, walks=walks, seed=seed, step_cap=step_cap, band=band)
+    assert got == walk_never_reach_counts_loop(share, r, walks=walks, seed=seed, step_cap=step_cap, band=band)
+
+
+@pytest.mark.parametrize("share,r,step_cap,band", [(0.3, 2, 4, 12), (0.4, 4, 100, 2), (0.6, 2, 10, 30)])
+def test_walk_mc_agrees_in_mean_with_the_per_walk_loop(share, r, step_cap, band):
+    # the counts walk and the per-walk oracle draw different bits, so they
+    # are compared over 200 seeds, with each other and with the exact value
+    walks = 2_000
+    sizes = {"walks": walks, "step_cap": step_cap, "band": band}
+    counts = np.array([walk_never_reach_mc(share, r, seed=s, **sizes) for s in range(200)])
+    per_walk = np.array([walk_never_reach_mc_per_step(share, r, seed=s, **sizes) for s in range(200)])
+    exact = prob_never_reach(share, r)
+
+    def sem(est):
+        return est.std(ddof=1) / math.sqrt(est.size)
+
+    for est in (counts, per_walk):
+        assert abs(est.mean() - exact) <= 5 * sem(est) + 1e-12
+    assert abs(counts.mean() - per_walk.mean()) <= 5 * math.hypot(sem(counts), sem(per_walk)) + 1e-12
+
+
+@pytest.mark.parametrize("share,r", [(1 / 3, 1), (0.3, 2), (0.45, 3)])
+def test_walk_mc_at_ten_billion_walks_is_within_five_sigma(share, r):
+    # sigma is 4-5e-6 here; the counts walk's cost does not grow with walks
+    walks = 10**10
+    est = walk_never_reach_mc(share, r, walks=walks, seed=97)
+    exact = prob_never_reach(share, r)
+    assert abs(est - exact) <= 5 * math.sqrt(exact * (1 - exact) / walks)
+
+
+def test_walk_mc_rejects_more_walks_than_int64_holds():
+    # the check runs before any array is sized by walks
+    with pytest.raises(ValidationError, match="walks must fit in int64"):
+        walk_never_reach_mc(0.3, 1, walks=2**63)
 
 
 _BAD_SIZES = [{"band": 0}, {"band": -3}, {"band": 2.5}, {"band": True}, {"step_cap": -1}, {"step_cap": 10.0},
