@@ -16,17 +16,17 @@ dam_update; an event that settles two blocks can straddle an epoch boundary,
 in which case the first block closes the old epoch and the second opens the
 new one.
 
-Two engines share the automata and one path walker, _walk(), which steps
-every replica through the automaton in lockstep.  All states of an automaton
-draw winners from one cdf row (the distraction automaton's state-dependent
-rows are folded into one, _fold_rows), so a block of steps has its winners
-counted at once, and k consecutive winners form one code: a k-step jump
-table (_Jumps, built per run while it fits _JUMP_ENTRIES) then advances a
-chain k steps with one add and one take.  Every engine breaks ties by one rule: a uniform u picks
-the winner whose cdf interval [cdf[w-1], cdf[w]) holds it, as bisect_right
-and rng.choice do, so a winner of probability 0 is never drawn.  A fork-race
-MDP policy becomes an automaton in one place, _policy_automaton(), for the
-mdp_policy strategy and mdp.policy_rollout() alike.
+Two engines share the automata, one winner rule (_Winners) and one path
+walker, _walk(), which steps every replica through the automaton in
+lockstep.  All states of an automaton draw winners from one cdf row (the
+distraction automaton's state-dependent rows are folded into one,
+_fold_rows), so a block of steps has its winners drawn at once, and k
+consecutive winners form one code: a k-step jump table (_Jumps, built per
+run while it fits _JUMP_ENTRIES) then advances a chain k steps with one add
+and one take.  A winner is the one bisect_right picks on the cdf for a
+uniform m * 2**-53, so a winner of probability 0 is never drawn.  A
+fork-race MDP policy becomes an automaton in one place, _policy_automaton(),
+for the mdp_policy strategy and mdp.policy_rollout() alike.
 
 * the clocked engine behind simulate() and simulate_many() walks its
   replicas a chunk of events at a time and then, per chunk, tracks
@@ -48,7 +48,6 @@ order.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 
@@ -56,7 +55,7 @@ import numpy as np
 
 from powplay.bribery import TargetPartition
 from powplay.distraction import DistractionParams, scenario_rates
-from powplay.errors import ValidationError
+from powplay.errors import ValidationError, require_integer
 from powplay.mdp import MdpModel, build_mdp, policy_tables, solve_reward_share
 from powplay.model import AttackParams, EpochModel, PoolSet
 
@@ -71,10 +70,11 @@ STRATEGIES = (
     "distraction",
 )
 
-# the clocked engine draws uniforms and exponentials in fixed-size chunks per
+# the clocked engine draws winners and exponentials in fixed-size chunks per
 # replica; the size is a constant so chunking can never change a seeded run
 _CHUNK = 4096
-_LOCKSTEP_BLOCK = 1 << 16  # lockstep uniforms per block of steps: ~1 MB buffers at any horizon
+_LOCKSTEP_BLOCK = 1 << 16  # lockstep winners per block of steps: ~1 MB buffers at any horizon
+_REST = 37  # bits of a 53-bit uniform below a winner draw's 16-bit piece
 _JUMP_ENTRIES = 4096  # a walk takes k steps per lookup while states * winners**k fits this table
 
 
@@ -88,7 +88,8 @@ class SimStats:
 
     revenue_advantage rows are (time, cumulative advantage in block-reward
     units); empty when the run did not collect a trajectory.  rng_draws
-    counts the random variates generated, over-draw from chunking included.
+    counts one draw per winner, refined or not, and per exponential gap,
+    over-draw from chunking included.
     events counts the events a clocked run walked (one trajectory row
     each), or the (state, winner) transitions a lockstep share route
     counted, burn-in excluded.
@@ -553,6 +554,45 @@ def build_automaton(config: SimConfig) -> _Automaton:
     raise ValidationError(f"unknown strategy {config.strategy!r}")
 
 
+# -- the winner rule ---------------------------------------------------------------
+
+
+class _Winners:
+    """Both engines' winner of a uniform m on [0, 2**53): the count of cdf entries <= m * 2**-53.
+
+    That count is #{T_j <= m}, T_j = ceil(cdf[j] * 2**53) (the product is
+    exact), so the law is rng.random's to the last bit.  A draw takes m's
+    top 16 bits h, a 16-bit piece of a random_raw word, and reads table[h];
+    only in a bucket that some T_j lies strictly inside (at most n_win - 1)
+    is the entry the flag n_win, and there the draw takes m's low _REST
+    bits from the top of a refine word and counts the T_j <= m.
+    """
+
+    def __init__(self, cdf: np.ndarray):
+        n_win = cdf.size
+        self.thresholds = np.ceil(np.ldexp(cdf[:-1], 53)).astype(np.uint64)  # cdf[-1] is 1.0
+        # T_j counts from its own bucket on (2**16, no piece, for T_j = 2**53), which is flagged if T_j is inside it
+        buckets = self.thresholds >> _REST
+        runs = np.diff(np.minimum(buckets, 1 << 16).astype(np.int64), prepend=0, append=1 << 16)
+        self.table = np.repeat(np.arange(n_win, dtype=np.min_scalar_type(n_win)), runs)
+        inside = self.thresholds % (1 << _REST) != 0
+        self.table[buckets[inside]] = n_win
+        self.flag = n_win
+
+    def __call__(self, bits, refine, rows: int, width: int) -> np.ndarray:
+        """Winners of rows steps of width draws, each step's pieces from ceil(width / 4) words of bits.
+
+        Pieces go least significant first; flagged draws take refine's words in row-major order.
+        """
+        pieces = bits.random_raw((rows, -(-width // 4))).view(np.uint16)[:, :width]
+        wins = self.table.take(pieces)
+        at = np.flatnonzero(wins == self.flag)
+        if at.size:
+            m = pieces.flat[at].astype(np.uint64) << _REST | refine.random_raw(at.size) >> 64 - _REST
+            wins.flat[at] = self.thresholds.searchsorted(m, side="right")
+        return wins
+
+
 # -- the path walker ---------------------------------------------------------------
 
 
@@ -607,36 +647,30 @@ def _follow(table, codes, offset, out) -> None:
         table.take(row, out=offset, mode="clip")
 
 
-def _walk(jumps: _Jumps, cdf, u, offset, out) -> None:
-    """Walk every chain len(u) steps, jumps.k per lookup; the one path walker of both engines.
+def _walk(jumps: _Jumps, wins, offset, out) -> None:
+    """Walk every chain len(wins) steps, jumps.k per lookup; the one path walker of both engines.
 
-    Row t of u holds step t's uniform for each chain.  Its winner, counted
-    for all steps at once, is the count of cdf's entries at most u, the one
-    tie rule of every engine: bisect_right's, searchsorted's side="right"
-    and rng.choice's, so a winner of probability 0 is never drawn.  Each k
-    consecutive rows of winners form one k-step code, made with k - 1
-    multiply-adds in the smallest type that holds it.  offset holds state *
-    n_win**k per chain and is advanced in place, k steps per add and take;
-    out[g] receives group g's k-step index.  The len(u) % k rows left over
-    take one step per lookup through jumps.next_offset, by the same loop,
-    their flat (state, winner) indices going to the rows of out after the
-    groups.  With k = 1 every row is a group of one.
+    Row t of wins holds step t's winner for each chain, as _Winners draws
+    it.  Each k consecutive rows of winners form one k-step code, made with
+    k - 1 multiply-adds in the smallest type that holds it.  offset holds
+    state * n_win**k per chain and is advanced in place, k steps per add
+    and take; out[g] receives group g's k-step index.  The len(wins) % k
+    rows left over take one step per lookup through jumps.next_offset, by
+    the same loop, their flat (state, winner) indices going to the rows of
+    out after the groups.  With k = 1 every row is a group of one.
     """
     k, n_win = jumps.k, jumps.n_win
-    wins = np.zeros(u.shape, dtype=np.min_scalar_type(n_win**k))
-    for c in cdf[:-1]:
-        wins += c <= u
-    del u  # callers pass u as a temporary, so the walk runs without it
     g = len(wins) // k
     groups = wins[: g * k].reshape(g, k, wins.shape[1])
     code = groups[:, 0]
     for j in range(1, k):
-        code = code * n_win
+        code = np.multiply(code, n_win, dtype=np.min_scalar_type(n_win**k))
         code += groups[:, j]
-    _follow(jumps.table, code, offset, out[:g])
+    # widened once here, so that no row's add to the int64 offsets casts
+    _follow(jumps.table, code.astype(np.int64), offset, out[:g])
     if len(wins) > g * k:
         offset //= n_win ** (k - 1)
-        _follow(jumps.next_offset, wins[g * k :], offset, out[g:])
+        _follow(jumps.next_offset, wins[g * k :].astype(np.int64), offset, out[g:])
         offset *= n_win ** (k - 1)
 
 
@@ -665,10 +699,11 @@ def _events(jumps: _Jumps, out, n: int) -> np.ndarray:
 
 
 class _Run:
-    """One clocked replica: its generator and everything carried from chunk to chunk."""
+    """One clocked replica: its generators and everything carried from chunk to chunk."""
 
     def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
+        self.refine = self.rng.bit_generator.jumped()  # the low bits of its ambiguous winner draws
         self.draws = 0
         self.events = 0
         self.t = 0.0
@@ -681,10 +716,10 @@ class _Run:
         self.durations: list[float] = []
         self.pieces: list[np.ndarray] = []  # (time, advantage) rows, one slice per chunk
 
-    def draw(self, method: str, out: np.ndarray) -> np.ndarray:
-        getattr(self.rng, method)(out=out)
-        self.draws += out.size
-        return out
+    def exponentials(self) -> np.ndarray:
+        """The replica's next _CHUNK standard exponential gaps."""
+        self.draws += _CHUNK
+        return self.rng.standard_exponential(_CHUNK)
 
     def tick(self, times: np.ndarray, rate: np.ndarray) -> None:
         """Turn one segment's exponential gaps, at one difficulty, into event times in place.
@@ -710,29 +745,29 @@ class _Run:
         )
 
 
-def _uniforms(runs: list[_Run]) -> np.ndarray:
-    """The next _CHUNK uniforms of each replica's generator, one column per replica."""
-    u = np.empty((len(runs), _CHUNK))
+def _winners(rule: _Winners, runs: list[_Run]) -> np.ndarray:
+    """The next _CHUNK winners of each replica, one column per replica."""
+    wins = np.empty((_CHUNK, len(runs)), dtype=rule.table.dtype)
     for j, run in enumerate(runs):
-        run.draw("random", u[j])
-    return u.T
+        wins[:, j] = rule(run.rng.bit_generator, run.refine, 1, _CHUNK)[0]
+        run.draws += _CHUNK
+    return wins
 
 
 def _clocked_runs(config: SimConfig, seeds: list[int]) -> list[SimStats]:
     """One clocked run per seed, all walked in lockstep a chunk of events at a time.
 
-    Each replica draws rng.random(_CHUNK) and then
-    rng.standard_exponential(_CHUNK) from its own generator whenever it has
-    used up its last chunk, as a run one event at a time would.  The clock
-    never feeds back into the path, so a chunk's states and winners come
-    first (_walk, k steps per lookup, then _events spreads each k-step
-    index over its events), then one column-wise pass gathers each
-    event's blocks, orphans and net reward and accumulates them down each
-    replica's column, and then each replica's times follow, one segment
-    between difficulty retargets at a time.  Every float operation of a
-    replica happens in the order of a per-event loop, so the results are
-    bit-identical to one.  A replica leaves the lockstep at the event that
-    reaches its horizon.
+    Each replica draws _CHUNK winners (refined from its own _Run.refine)
+    and then rng.standard_exponential(_CHUNK) whenever it has used up its
+    last chunk, as a run one event at a time would.  The clock never feeds
+    back into the path, so a chunk's states and winners come first (_walk,
+    k steps per lookup, then _events spreads each k-step index over its
+    events), then one column-wise pass gathers each event's blocks, orphans
+    and net reward and accumulates them down each replica's column, and
+    then each replica's times follow, one segment between difficulty
+    retargets at a time.  Every float operation of a replica happens in the
+    order of a per-event loop, so the results are bit-identical to one.  A
+    replica leaves the lockstep at the event that reaches its horizon.
     """
     auto = build_automaton(config)
     ep = config.epoch
@@ -755,8 +790,8 @@ def _clocked_runs(config: SimConfig, seeds: list[int]) -> list[SimStats]:
         end = int(np.searchsorted(canonical, target - run.canonical)) + 1
         done = end <= _CHUNK
         end = min(end, _CHUNK)
-        # the replica's exponentials follow its uniforms in its own stream
-        times = run.draw("standard_exponential", np.empty(_CHUNK))[:end]
+        # the replica's exponentials follow its winners' pieces in its own stream
+        times = run.exponentials()[:end]
         a = 0  # first event whose time is not yet known
         # each epoch end inside the horizon closes at the first event whose
         # blocks reach it; an event that settles two blocks can close an
@@ -788,12 +823,13 @@ def _clocked_runs(config: SimConfig, seeds: list[int]) -> list[SimStats]:
             run.pieces.append(np.column_stack([times, adv]))
         return done
 
+    rule = _Winners(auto.cdf)
     runs = [_Run(seed) for seed in seeds]
     live = list(runs)
     offset = np.zeros(len(live), dtype=np.int64)
     while live:
         out = np.empty((_CHUNK // k + _CHUNK % k, len(live)), dtype=np.int64)
-        _walk(jumps, auto.cdf, _uniforms(live), offset, out)
+        _walk(jumps, _winners(rule, live), offset, out)
         idx = _events(jumps, out, _CHUNK)
         revenue = net.take(idx)
         revenue[0] += [run.revenue for run in live]
@@ -845,22 +881,24 @@ def simulate_many(config: SimConfig, replicas: int) -> list[SimStats]:
 def _lockstep_visits(next_state, cdf, rng, replicas, burn_in, steps):
     """(state, winner) visit counts of replicas chains walked in lockstep from state 0.
 
-    Each step draws rng.random(replicas), gives every chain the winner that
-    np.searchsorted(cdf, u, side="right") picks (cdf, every state's one
-    winner row, ends in 1.0) and moves it to next_state[state, winner];
-    steps from burn_in on are counted.  Uniforms come a block of steps at a
-    time, the burn-in and the counted steps in blocks of their own, which
-    consumes the generator exactly as one draw per step.  The walk takes k
-    steps per lookup (_Jumps; k = 1 when even one step's table is over
-    _JUMP_ENTRIES), so the counted steps are bincounts of k-step indices
-    over the table's entries, plus one-step indices for the rows a block
+    Each step gives every chain a _Winners draw on cdf (every state's one
+    winner row), its refine words from rng.bit_generator.jumped(), and
+    moves it to next_state[state, winner]; steps from burn_in on are
+    counted.  Winners come a block of steps at a time, the burn-in and the
+    counted steps in blocks of their own, which draws exactly what one step
+    at a time does.  The walk takes k steps per lookup (_Jumps; k = 1 when
+    even one step's table is over _JUMP_ENTRIES), so the counted steps are
+    bincounts of k-step indices, plus one-step indices for the rows a block
     leaves over, and each step j of a k-step index adds its count to the
-    (state, winner) pair jumps.steps[j] names: exact integer visits.  With
-    k = 1 the indices are (state, winner) pairs and are counted directly.
+    (state, winner) pair jumps.steps[j] names.  Neither block nor k changes
+    a seeded result.
     """
     n_states, n_win = next_state.shape
     jumps = _jumps(next_state, _jump_steps(n_states, n_win))
     k = jumps.k
+    rule = _Winners(cdf)
+    bits = rng.bit_generator
+    refine = bits.jumped()
     block = max(1, _LOCKSTEP_BLOCK // (replicas * k)) * k
     offset = np.zeros(replicas, dtype=np.int64)  # state * n_win**k per chain
     # n <= block steps fill n // k group rows and n % k single rows, fewer than block // k + k
@@ -871,7 +909,7 @@ def _lockstep_visits(next_state, cdf, rng, replicas, burn_in, steps):
     for first, last in ((0, burn_in), (burn_in, burn_in + steps)):
         for start in range(first, last, block):
             n = min(block, last - start)
-            _walk(jumps, cdf, rng.random((n, replicas)), offset, out)
+            _walk(jumps, rule(bits, refine, n, replicas), offset, out)
             if first == burn_in:
                 grouped += np.bincount(out[: n // k].ravel(), minlength=grouped.size)
                 if n % k:
@@ -886,13 +924,15 @@ def _run_lockstep(auto: _Automaton, count, label: str, replicas, burn_in, seed):
 
     Walks replicas chains for burn_in uncounted and ceil(count / replicas)
     counted steps under default_rng(seed).  Returns the (state, winner)
-    visit counts and the uniforms drawn.  Sizes that would divide by zero,
-    walk nothing or count nothing are rejected, naming count as label.
+    visit counts and the winners drawn.  Sizes that are not integers, or
+    that would divide by zero, walk nothing or count nothing, are rejected,
+    naming count as label.
     """
     for value, name, least in ((count, label, 1), (replicas, "replicas", 1), (burn_in, "burn_in", 0)):
+        require_integer(name, value)
         if not value >= least:
             raise ValidationError(f"{name} must be at least {least}, got {value!r}")
-    steps = math.ceil(count / replicas)
+    steps = -(-count // replicas)
     rng = np.random.default_rng(seed)
     visits = _lockstep_visits(auto.next_state, auto.cdf, rng, replicas, burn_in, steps)
     return visits, replicas * (burn_in + steps)

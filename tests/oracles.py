@@ -22,14 +22,15 @@ per-event clocked simulator that the lockstep clocked engine replaced, and
 the never-reach walk twice: walk by walk, as the int64 step-at-a-time loop
 that the counts walk agrees with in mean, and as a Python loop of one
 scalar binomial draw per lead, which the counts walk equals to the last
-bit.  The Monte Carlo loops draw the distraction automaton's winners
-from its per-state rows, as they did before the rows were folded into one
-cdf, and an exact stationary solve evaluates any automaton without
-sampling.
+bit.  The Monte Carlo loops draw their winners one at a time, each by a
+bisect on its state's integer thresholds, and the distraction
+automaton's from its per-state rows, as they did before the rows were
+folded into one cdf; an exact stationary solve evaluates any automaton
+without sampling.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -1471,6 +1472,63 @@ def exact_automaton(cdf, next_state, settled, reward):
     return float(share), occupancy
 
 
+# -- winner draws, one at a time ----------------------------------------------------
+#
+# A winner draw is a uniform m on [0, 2**53); on a cdf row it picks the
+# count of the row's integer thresholds ceil(c * 2**53) at most m, the
+# winner bisect_right picks for m * 2**-53.  m's top 16 bits h come first,
+# piece i of a random_raw word being the word's bits 16 i to 16 i + 15.
+# Where a threshold of any of the automaton's rows lies strictly inside
+# bucket h, [h * 2**37, (h + 1) * 2**37), m's low 37 bits are the top 37
+# of the next word of a second stream, bit_generator.jumped().  Elsewhere
+# every m of the bucket but its lowest has one winner under either side's
+# rule, so the draw stands for the bucket's highest.
+
+
+def cdf_thresholds(row):
+    """ceil(c * 2**53) of every entry c of a cdf row, exactly, as Python ints."""
+    return [math.ceil(Fraction(float(c)) * 2**53) for c in row]
+
+
+class WinnerDraws:
+    """The winner draws of one generator on an automaton's cdf rows (one row per state)."""
+
+    def __init__(self, rng, rows):
+        self.bits = rng.bit_generator
+        self.refine = self.bits.jumped()
+        self.rows = rows
+        self.thresholds = {}
+        self.split = {t >> 37 for row in np.unique(rows, axis=0) for t in cdf_thresholds(row) if t % 2**37}
+
+    def pieces(self, n):
+        """n pieces of ceil(n / 4) words, least significant first."""
+        words = [int(w) for w in self.bits.random_raw(-(-n // 4))]
+        return [words[i // 4] >> 16 * (i % 4) & 0xFFFF for i in range(n)]
+
+    def m(self, h):
+        """The draw whose top 16 bits are h."""
+        if h in self.split:
+            return h << 37 | int(self.refine.random_raw()) >> 27
+        return h << 37 | (2**37 - 1)
+
+    def row(self, state):
+        """The thresholds of state's row."""
+        row = self.thresholds.get(state)
+        if row is None:
+            row = self.thresholds[state] = cdf_thresholds(self.rows[state])
+        return row
+
+    def step(self, states, side="right"):
+        """One winner per chain in states, from one step's ceil(len(states) / 4) words.
+
+        A winner is bisect_right on its state's thresholds; side="left"
+        counts the thresholds below the draw instead of those at most it.
+        """
+        bisect = bisect_right if side == "right" else bisect_left
+        pieces = self.pieces(len(states))
+        return np.array([bisect(self.row(s), self.m(h)) for s, h in zip(states.tolist(), pieces)], dtype=np.int64)
+
+
 # -- the lockstep Monte Carlo loops ------------------------------------------------
 #
 # One gather of every table per step, as the three engines ran before they
@@ -1480,17 +1538,15 @@ def exact_automaton(cdf, next_state, settled, reward):
 def reward_share_mc_loop(config, transitions=10_000_000, replicas=1024, burn_in=300):
     """Reward share over lockstep replicas, summed one step at a time."""
     auto = per_state_automaton(config)
-    cdf = auto.cdf
     steps = max(1, math.ceil(transitions / replicas))
-    rng = np.random.default_rng(config.seed)
+    draws = WinnerDraws(np.random.default_rng(config.seed), auto.cdf)
     state = np.zeros(replicas, dtype=np.int64)
     settled = 0.0
     attacker = 0.0
     bribes = 0.0
     orphans = 0.0
     for step in range(burn_in + steps):
-        u = rng.random(replicas)
-        w = (cdf[state] < u[:, None]).sum(axis=1)
+        w = draws.step(state)
         if step >= burn_in:
             settled += float(auto.settled[state, w].sum())
             attacker += float(auto.attacker[state, w].sum())
@@ -1517,15 +1573,13 @@ def distraction_occupancy_loop(
     cdf = row_cdfs(winner_p)
     S = len(cdf)
     steps = max(1, math.ceil(events / replicas))
-    rng = np.random.default_rng(seed)
+    draws = WinnerDraws(np.random.default_rng(seed), cdf)
     state = np.zeros(replicas, dtype=np.int64)
     counts = np.zeros(S, dtype=np.int64)
     for step in range(burn_in + steps):
         if step >= burn_in:
             counts += np.bincount(state, minlength=S)
-        u = rng.random(replicas)
-        w = (cdf[state] < u[:, None]).sum(axis=1)
-        state = next_state[state, w]
+        state = next_state[state, draws.step(state)]
     total = counts.sum()
     return np.array(
         [counts[0] / total, counts[1] / total, counts[2:].sum() / total]
@@ -1533,28 +1587,26 @@ def distraction_occupancy_loop(
 
 
 def policy_rollout_loop(model, policy, seed=0, horizon=1_000_000, replicas=1_024, burn_in=300):
-    """Fixed-policy rollout with rng.choice winners, summed one step at a time."""
+    """Fixed-policy rollout, winners drawn by the normalised shares, summed one step at a time."""
     next_tab, settled_tab, reward_tab, bribe_tab, orphan_tab = policy_tables(model, policy)
     reward_tab -= bribe_tab
-    n_win = next_tab.shape[1]
     p = np.append(model.shares, model.alpha_a)
-    p = p / p.sum()
+    cdf = np.cumsum(p / p.sum())
+    cdf[-1] = 1.0
     steps = math.ceil(horizon / replicas)
     rows = burn_in + steps
-    rng = np.random.default_rng(seed)
-    block = max(1, (1 << 16) // replicas)
+    draws = WinnerDraws(np.random.default_rng(seed), np.broadcast_to(cdf, next_tab.shape))
     state = np.zeros(replicas, dtype=np.int64)
     settled = 0.0
     reward = 0.0
     orphans = 0.0
-    for start in range(0, rows, block):
-        winners = rng.choice(n_win, size=(min(block, rows - start), replicas), p=p)
-        for t, w in enumerate(winners, start):
-            if t >= burn_in:
-                settled += float(settled_tab[state, w].sum())
-                reward += float(reward_tab[state, w].sum())
-                orphans += float(orphan_tab[state, w].sum())
-            state = next_tab[state, w]
+    for t in range(rows):
+        w = draws.step(state)
+        if t >= burn_in:
+            settled += float(settled_tab[state, w].sum())
+            reward += float(reward_tab[state, w].sum())
+            orphans += float(orphan_tab[state, w].sum())
+        state = next_tab[state, w]
     if settled <= 0:
         raise ValidationError("rollout settled no blocks; horizon too short")
     return SimStats(
@@ -1567,20 +1619,17 @@ def policy_rollout_loop(model, policy, seed=0, horizon=1_000_000, replicas=1_024
     )
 
 
-def lockstep_visits_loop(next_state, cdf, rng, replicas, burn_in, steps, side="left"):
-    """(state, winner) visit counts with one searchsorted per visited state per step.
+def lockstep_visits_loop(next_state, cdf, rng, replicas, burn_in, steps, side="right"):
+    """(state, winner) visit counts with one bisect per chain per step.
 
-    cdf holds one winner row per state.
+    cdf holds one winner row per state; side as WinnerDraws.step takes it.
     """
     n_states, n_win = next_state.shape
+    draws = WinnerDraws(rng, cdf)
     state = np.zeros(replicas, dtype=np.int64)
     visits = np.zeros((n_states, n_win), dtype=np.int64)
     for step in range(burn_in + steps):
-        u = rng.random(replicas)
-        w = np.empty(replicas, dtype=np.int64)
-        for s in np.unique(state):
-            at = state == s
-            w[at] = np.searchsorted(cdf[s], u[at], side=side)
+        w = draws.step(state, side)
         if step >= burn_in:
             np.add.at(visits, (state, w), 1)
         state = next_state[state, w]
@@ -1608,7 +1657,7 @@ def simulate_sequential(config):
         r = rows.get(s)
         if r is None:
             r = (
-                cdf[s].tolist(),
+                winners.row(s),
                 auto.next_state[s].tolist(),
                 auto.settled[s].tolist(),
                 auto.attacker[s].tolist(),
@@ -1620,7 +1669,8 @@ def simulate_sequential(config):
         return r
 
     rng = np.random.default_rng(config.seed)
-    u = rng.random(_CHUNK)
+    winners = WinnerDraws(rng, cdf)
+    h = winners.pieces(_CHUNK)
     g = rng.standard_exponential(_CHUNK)
     pos = 0
     draws = 2 * _CHUNK
@@ -1645,12 +1695,12 @@ def simulate_sequential(config):
 
     while canonical < target:
         if pos == _CHUNK:
-            u = rng.random(_CHUNK)
+            h = winners.pieces(_CHUNK)
             g = rng.standard_exponential(_CHUNK)
             pos = 0
             draws += 2 * _CHUNK
-        rcdf, rnxt, rset, ratt, rbri, rorp, erate = row(state)
-        w = bisect_right(rcdf, u[pos])
+        rthr, rnxt, rset, ratt, rbri, rorp, erate = row(state)
+        w = bisect_right(rthr, winners.m(h[pos]))
         t += g[pos] * difficulty / erate
         pos += 1
         events += 1

@@ -1,5 +1,6 @@
 """Optimal fork-race withholding: model construction, ratio solver, rollouts."""
 
+import math
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
@@ -923,8 +924,8 @@ def test_rollout_deterministic(two_pool_model, two_pool_solved):
     assert a.adversary_reward_share == b.adversary_reward_share
     assert a.orphan_count == b.orphan_count
     # seeded pin; its last bit depends on the order the rewards are summed in
-    assert a.adversary_reward_share == 0.5388087363594242
-    assert a.orphan_count == 37_678
+    assert a.adversary_reward_share == 0.5475937800577109
+    assert a.orphan_count == 37_877
     assert a.events == 98 * 1_024  # ceil(100,000 / 1,024) steps of every replica
 
 
@@ -965,6 +966,15 @@ def test_rollout_equals_reward_share_mc_under_the_policy(two_pool_model, two_poo
 )
 def test_rollout_rejects_sizes_that_walk_or_count_nothing(two_pool_model, two_pool_solved, sizes):
     with pytest.raises(ValidationError):
+        policy_rollout(two_pool_model, two_pool_solved.policy, seed=1, **{"horizon": 10_000, **sizes})
+
+
+@pytest.mark.parametrize(
+    "sizes", [{"horizon": math.inf}, {"replicas": 1_024.0}, {"burn_in": 2.5}],
+    ids=["horizon=inf", "replicas=1024.0", "burn_in=2.5"],
+)
+def test_rollout_rejects_sizes_that_are_not_integers(two_pool_model, two_pool_solved, sizes):
+    with pytest.raises(ValidationError, match=next(iter(sizes))):
         policy_rollout(two_pool_model, two_pool_solved.policy, seed=1, **{"horizon": 10_000, **sizes})
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from powplay.sim import (
     _lockstep_visits,
     _policy_automaton,
     _walk,
+    _Winners,
     build_automaton,
     dam_update,
     distraction_occupancy_mc,
@@ -269,6 +271,26 @@ def test_occupancy_rejects_sizes_that_walk_or_count_nothing(sizes):
         distraction_occupancy_mc(_DISTRACTION, **{"events": 1000, **sizes})
 
 
+@pytest.mark.parametrize(
+    "sizes", [{"events": math.inf}, {"replicas": 1024.0}, {"burn_in": 2.5}],
+    ids=["events=inf", "replicas=1024.0", "burn_in=2.5"],
+)
+def test_occupancy_rejects_sizes_that_are_not_integers(sizes):
+    with pytest.raises(ValidationError, match=next(iter(sizes))):
+        distraction_occupancy_mc(_DISTRACTION, **{"events": 1000, **sizes})
+
+
+@pytest.mark.parametrize(
+    "sizes", [{"transitions": math.inf}, {"replicas": 1024.0}, {"burn_in": 2.5}],
+    ids=["transitions=inf", "replicas=1024.0", "burn_in=2.5"],
+)
+def test_reward_share_mc_rejects_sizes_that_are_not_integers(three_targets, sizes):
+    pools, targets = three_targets
+    cfg = SimConfig(pools, strategy="undercut", targets=targets)
+    with pytest.raises(ValidationError, match=next(iter(sizes))):
+        reward_share_mc(cfg, **{"transitions": 1000, **sizes})
+
+
 # -- lockstep kernel against the per-step loops it replaced --------------------------
 
 _FIVE_POOLS = PoolSet.from_shares(0.3, [0.25, 0.2, 0.15, 0.1])
@@ -348,10 +370,11 @@ def test_k_step_walk_visits_the_events_of_the_one_step_walk(kernel_case):
     jumps, single = _jumps(auto.next_state, k), _jumps(auto.next_state, 1)
     offset, offset_1 = np.zeros(5, dtype=np.int64), np.zeros(5, dtype=np.int64)
     for rows in (103, 62):
-        u = np.random.default_rng(rows).random((rows, 5))
+        bits = np.random.default_rng(rows).bit_generator
+        wins = _Winners(auto.cdf)(bits, bits.jumped(), rows, 5)
         out, want = np.empty((rows // k + rows % k, 5), dtype=np.int64), np.empty((rows, 5), dtype=np.int64)
-        _walk(jumps, auto.cdf, u.copy(), offset, out)
-        _walk(single, auto.cdf, u, offset_1, want)
+        _walk(jumps, wins, offset, out)
+        _walk(single, wins, offset_1, want)
         np.testing.assert_array_equal(_events(jumps, out, rows), want)
         np.testing.assert_array_equal(offset, offset_1 * W ** (k - 1))
 
@@ -359,20 +382,23 @@ def test_k_step_walk_visits_the_events_of_the_one_step_walk(kernel_case):
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("replicas, burn_in, steps",
                          [(64, 37, 150), (5_000, 20, 30), (1, 41, 997), (3, 13, 409)])
-def test_kernel_visits_equal_the_searchsorted_loop(kernel_case, side, replicas, burn_in, steps):
-    # the kernel breaks ties as side="right"; no uniform of these seeded
-    # walks sits on a cdf entry, so the loop counts the same visits under
-    # either rule, which is why the one rule moved no seeded result
+def test_kernel_visits_equal_the_searchsorted_loop(kernel_case, side, replicas, burn_in, steps, monkeypatch):
+    # the kernel breaks ties as side="right"; no draw of these seeded walks
+    # sits on a threshold, so the loop counts the same visits under either
+    # rule, which is why the one rule moved no seeded result
     # the kernel walks k = 3 to 5 steps per lookup on these automata: 5,000
     # replicas make blocks of 12 or 10 steps, so blocks leave rows over, and
     # the prime sizes end the burn-in and the run inside a k-step group;
-    # the loop walks per-state rows, the kernel the one (folded) cdf
+    # the loop walks per-state rows, the kernel the one (folded) cdf; the
+    # smaller blocks split the walk into more blocks, down to one step each
     cfg, auto = kernel_case
     rows = per_state_automaton(cfg)
-    got = _lockstep_visits(auto.next_state, auto.cdf, np.random.default_rng(3), replicas, burn_in, steps)
     want = lockstep_visits_loop(rows.next_state, rows.cdf, np.random.default_rng(3), replicas, burn_in, steps, side)
-    np.testing.assert_array_equal(unfold_visits(got, auto.cdf, rows.cdf), want)
-    assert got.sum() == replicas * steps
+    for block in (sim._LOCKSTEP_BLOCK, 4_099, 1):
+        monkeypatch.setattr(sim, "_LOCKSTEP_BLOCK", block)
+        got = _lockstep_visits(auto.next_state, auto.cdf, np.random.default_rng(3), replicas, burn_in, steps)
+        np.testing.assert_array_equal(unfold_visits(got, auto.cdf, rows.cdf), want)
+        assert got.sum() == replicas * steps
 
 
 def test_kernel_visits_over_the_table_budget_equal_the_searchsorted_loop(kernel_case, monkeypatch):
@@ -387,28 +413,131 @@ def test_kernel_visits_over_the_table_budget_equal_the_searchsorted_loop(kernel_
     np.testing.assert_array_equal(unfold_visits(got, auto.cdf, rows.cdf), want)
 
 
-class _UniformsOnTheCdf:
-    """Generator stand-in whose uniforms repeat values that sit exactly on cdf entries."""
+class _Words:
+    """bit_generator stand-in whose raw words cycle through a list; i counts the words drawn."""
 
-    values = np.array([0.0, 0.25, 0.5, 0.75])
+    def __init__(self, words):
+        self.words = words
+        self.i = 0
 
-    def random(self, shape):
-        return np.resize(self.values, shape)
+    def random_raw(self, size=None):
+        n = 1 if size is None else math.prod(np.atleast_1d(size))
+        out = np.array([self.words[(self.i + j) % len(self.words)] for j in range(n)], dtype=np.uint64)
+        self.i += n
+        return int(out[0]) if size is None else out.reshape(size)
 
 
-@pytest.mark.parametrize("rows", [[[0.25, 0.5, 1.0]] * 2, [[0.25, 0.5, 1.0], [0.5, 0.75, 1.0]]],
+def _thresholds(cdf) -> list[int]:
+    """ceil(c * 2**53) of every entry c of cdf, exactly."""
+    return [math.ceil(Fraction(float(c)) * 2**53) for c in np.ravel(cdf)]
+
+
+def _winner_words(ms_rows, thresholds):
+    """The words of draws at the 53-bit values ms_rows, one row per step: (piece words, low-bit words).
+
+    A row's pieces, each m's top 16 bits, fill ceil(width / 4) words, least
+    significant first, the unused ones zero.  The low-bit words carry, in
+    row-major order, the low 37 bits of every m in a bucket that one of the
+    thresholds falls strictly inside, in their top bits.
+    """
+    split = {t >> 37 for t in thresholds if t % 2**37}
+    words = []
+    for row in ms_rows:
+        pieces = [m >> 37 for m in row] + [0] * (-len(row) % 4)
+        words += [sum(h << 16 * q for q, h in enumerate(pieces[i : i + 4])) for i in range(0, len(pieces), 4)]
+    return words, [(m % 2**37) << 27 for row in ms_rows for m in row if m >> 37 in split]
+
+
+class _GeneratorAt:
+    """default_rng stand-in: winner draws cycle through 53-bit values ms (4n of them), gaps are 1."""
+
+    def __init__(self, ms, thresholds):
+        words, low = _winner_words([ms], thresholds)
+        self.bit_generator = _Words(words)
+        self.bit_generator.jumped = lambda: _Words(low)
+
+    def standard_exponential(self, size=None):
+        return np.ones(size)
+
+
+def _on_the_thresholds(cdf_rows) -> list[int]:
+    """Draws at every threshold below 2**53 of every row but the last column, one under each, and 0; 4n of them."""
+    ts = [t for t in _thresholds(np.asarray(cdf_rows)[..., :-1]) if t < 2**53]
+    return sorted({0, *ts, *(t - 1 for t in ts if t)}) * 4
+
+
+@pytest.mark.parametrize("rows", [[[0.3, 0.6, 1.0]] * 2, [[0.3, 0.6, 1.0], [0.6, 0.8, 1.0]]],
                          ids=["one-row", "per-state"])
 def test_kernel_breaks_ties_as_bisect_right(rows):
     # the kernel walks the rows folded into one cdf, the loop each state's own row
     next_state = np.array([[0, 1, 0], [1, 0, 1]])
     rows = np.array(rows)
     auto = _fold_rows(np.diff(rows, prepend=0.0), np.ones(2), [next_state, *np.zeros((4, 2, 3))], 0.5)
-    got = unfold_visits(_lockstep_visits(auto.next_state, auto.cdf, _UniformsOnTheCdf(), 8, 3, 40), auto.cdf, rows)
-    want = lockstep_visits_loop(next_state, rows, _UniformsOnTheCdf(), 8, 3, 40, side="right")
+    ms = _on_the_thresholds(rows)
+
+    def rng():
+        return _GeneratorAt(ms, _thresholds(rows))
+
+    got = unfold_visits(_lockstep_visits(auto.next_state, auto.cdf, rng(), 8, 3, 40), auto.cdf, rows)
+    want = lockstep_visits_loop(next_state, rows, rng(), 8, 3, 40, side="right")
     np.testing.assert_array_equal(got, want)
-    # these uniforms do tell the rules apart
-    left = lockstep_visits_loop(next_state, rows, _UniformsOnTheCdf(), 8, 3, 40, side="left")
+    # these draws do tell the rules apart
+    left = lockstep_visits_loop(next_state, rows, rng(), 8, 3, 40, side="left")
     assert not np.array_equal(got, left)
+
+
+# -- the winner rule, pinned draw by draw -----------------------------------------------
+
+
+def _assert_rule_counts_the_cdf(cdf, ms_rows):
+    """_Winners on cdf gives each draw m in ms_rows #{cdf[j] <= m * 2**-53}, drawing every word it is given."""
+    thresholds = _thresholds(cdf[:-1])
+    words, low = _winner_words(ms_rows, thresholds)
+    bits, refine = _Words(words), _Words(low)
+    got = _Winners(cdf)(bits, refine, len(ms_rows), len(ms_rows[0]))
+    want = [[sum(Fraction(float(c)) <= Fraction(m, 2**53) for c in cdf[:-1]) for m in row] for row in ms_rows]
+    np.testing.assert_array_equal(got, want)
+    assert (bits.i, refine.i) == (len(words), len(low))
+
+
+def _edge_draws(cdf) -> list[int]:
+    """0, 2**53 - 1, every threshold below 2**53 and the one under it, and both ends of each split bucket."""
+    ts = [t for t in _thresholds(cdf[:-1]) if t < 2**53]
+    split = {t >> 37 for t in ts if t % 2**37}
+    ends = [e for h in split for e in (h << 37, (h + 1 << 37) - 1)]
+    return sorted({0, 2**53 - 1, *ts, *(t - 1 for t in ts if t), *ends})
+
+
+#: zero-share pools first, in the middle, last (a threshold of 2**53) and in
+#: all three places; entries on bucket edges only; ten pools of 0.1
+_PINNED_CDFS = [
+    [0.0, 1 / 3, 1.0],
+    [1 / 3, 1 / 3, 1.0],
+    [0.3, 1.0, 1.0],
+    [0.0, 0.0, 0.3, 0.3, 0.7, 1.0, 1.0],
+    [0.25, 0.5, 0.75, 1.0],
+    [0.1, 0.2, 0.30000000000000004, 0.4, 0.5, 0.6, 0.7, 0.7999999999999999, 0.8999999999999999, 1.0],
+]
+
+
+@pytest.mark.parametrize("cdf", _PINNED_CDFS, ids=lambda c: "-".join(f"{x:.3g}" for x in c))
+def test_winner_rule_counts_the_cdf_entries_at_most_the_draw(cdf):
+    cdf = np.array(cdf)
+    ms = _edge_draws(cdf)
+    # one step of every draw, then steps of 5, which leave 3 pieces of every second word
+    _assert_rule_counts_the_cdf(cdf, [ms])
+    ms += [0] * (-len(ms) % 5)
+    _assert_rule_counts_the_cdf(cdf, [ms[i : i + 5] for i in range(0, len(ms), 5)])
+
+
+_CDF_ENTRIES = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1 / 3, 0.5, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_CDF_ENTRIES, min_size=0, max_size=9), st.lists(st.integers(0, 2**53 - 1), max_size=20))
+def test_winner_rule_counts_drawn_cdfs(entries, drawn):
+    cdf = np.array(sorted(entries) + [1.0])
+    _assert_rule_counts_the_cdf(cdf, [_edge_draws(cdf) + drawn])
 
 
 @pytest.mark.parametrize("transitions, replicas, burn_in", [(200_000, 1024, 300), (150_000, 5_000, 20)])
@@ -473,12 +602,18 @@ def test_simulate_equals_the_per_event_loop_without_a_trajectory(merged_foundry)
 
 
 def test_horizon_on_an_epoch_end_reached_by_a_two_block_event(merged_foundry):
-    # at seed 0 the event that settles block 1,200 settles blocks 1,199 and 1,200
-    cfg = SimConfig(merged_foundry, strategy="pi_selfish", epoch=EpochModel(blocks_per_epoch=400),
-                    horizon=3, dam_mode="active_power", seed=0)
-    want = simulate_sequential(cfg)
-    one_short = simulate_sequential(replace(cfg, horizon=1_199, horizon_unit="blocks"))
-    assert one_short.events == want.events
+    # the first epoch length from 400 on whose third epoch, at seed 0, ends
+    # on an event that settles blocks 3L - 1 and 3L: one block short of the
+    # horizon, the walk stops at the same event
+    for L in range(400, 500):
+        cfg = SimConfig(merged_foundry, strategy="pi_selfish", epoch=EpochModel(blocks_per_epoch=L),
+                        horizon=3, dam_mode="active_power", seed=0)
+        want = simulate_sequential(cfg)
+        one_short = simulate_sequential(replace(cfg, horizon=3 * L - 1, horizon_unit="blocks"))
+        if one_short.events == want.events:
+            break
+    else:
+        pytest.fail("no epoch length in [400, 500) ends its third epoch on a two-block event")
     _assert_same_stats(simulate(cfg), want)
 
 
@@ -509,34 +644,16 @@ def test_simulate_many_257_wide_equals_the_per_event_loop(merged_foundry):
     assert {math.ceil(r.events / _CHUNK) for r in runs} == {1, 2}
 
 
-class _GeneratorOnTheCdf:
-    """default_rng stand-in: uniforms cycle through the automaton's cdf entries, gaps are 1."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def random(self, size=None, out=None):
-        if out is None:
-            return np.resize(self.values, size)
-        out[:] = np.resize(self.values, out.shape)
-        return out
-
-    def standard_exponential(self, size=None, out=None):
-        if out is None:
-            return np.ones(size)
-        out[:] = 1.0
-        return out
-
-
 @pytest.mark.parametrize("case", [
     SimConfig(PoolSet.from_shares(0.25, [0.25, 0.5]), strategy="pi_selfish", params=_EPS),
     SimConfig(None, strategy="distraction", distraction=_DISTRACTION, puzzle_choice="bitcoin"),
 ], ids=["one-row", "per-state"])
 def test_simulate_breaks_ties_as_bisect_right(monkeypatch, case):
     cfg = replace(case, epoch=EpochModel(blocks_per_epoch=100), horizon=3)
-    # every entry of every state's own row, which the folded cdf must split at
-    values = np.unique(np.append(per_state_automaton(cfg).cdf[:, :-1], 0.0))
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: _GeneratorOnTheCdf(values))
+    # every threshold of every state's own row, which the folded cdf must split at
+    rows = per_state_automaton(cfg).cdf
+    ms = _on_the_thresholds(rows)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _GeneratorAt(ms, _thresholds(rows)))
     _assert_same_stats(simulate(cfg), simulate_sequential(cfg))
 
 
