@@ -792,17 +792,17 @@ def policy_rollout(
     policy: np.ndarray,
     seed: int = 0,
     horizon: int = 1_000_000,
-    replicas: int = 1_024,
+    replicas: int = 100_000,
     burn_in: int = 300,
 ):
     """Monte Carlo execution of a fixed policy over winner draws.
 
     Runs `replicas` chains for ceil(horizon / replicas) steps each (plus
     burn_in discarded ones), so at least horizon transitions are counted,
-    on powplay.sim's lockstep kernel, and reads settled blocks, rewards net
-    of bribes and orphans off its visit counts.  Its automaton and draws are
-    reward_share_mc's under strategy "mdp_policy", so the two agree field
-    by field at one seed.
+    on powplay.sim's lockstep walk, which moves counts of chains per state,
+    and reads settled blocks, rewards net of bribes and orphans off its
+    visit counts.  Its automaton and draws are reward_share_mc's under
+    strategy "mdp_policy", so the two agree field by field at one seed.
     """
     from powplay.sim import _policy_automaton, _share_mc
 

@@ -88,6 +88,7 @@ class PoolSet:
                 f"pool shares sum to {total!r}, expected 1 within {SHARE_SUM_TOL}"
             )
         if self.adversary is not None:
+            require_integer("adversary index", self.adversary)
             if not 0 <= self.adversary < len(self.pools):
                 raise ValidationError(f"adversary index {self.adversary} out of range")
         # Renormalise exactly; this removes up to SHARE_SUM_TOL of drift so
@@ -118,10 +119,11 @@ class PoolSet:
         return PoolSet(self.pools, adversary=self.index_of(who))
 
     def index_of(self, who: int | str) -> int:
-        if isinstance(who, int):
+        if not isinstance(who, str):
+            require_integer("pool index", who)
             if not 0 <= who < len(self.pools):
                 raise ValidationError(f"pool index {who} out of range")
-            return who
+            return int(who)
         for i, p in enumerate(self.pools):
             if p.name == who:
                 return i

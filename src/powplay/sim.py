@@ -16,30 +16,31 @@ dam_update; an event that settles two blocks can straddle an epoch boundary,
 in which case the first block closes the old epoch and the second opens the
 new one.
 
-Two engines share the automata, one winner rule (_Winners) and one path
-walker, _walk(), which steps every replica through the automaton in
-lockstep.  All states of an automaton draw winners from one cdf row (the
-distraction automaton's state-dependent rows are folded into one,
-_fold_rows), so a block of steps has its winners drawn at once, and k
-consecutive winners form one code: a k-step jump table (_Jumps, built per
-run while it fits _JUMP_ENTRIES) then advances a chain k steps with one add
-and one take.  A winner is the one bisect_right picks on the cdf for a
-uniform m * 2**-53, so a winner of probability 0 is never drawn.  A
-fork-race MDP policy becomes an automaton in one place, _policy_automaton(),
-for the mdp_policy strategy and mdp.policy_rollout() alike.
+Two engines walk the automata.  All states of an automaton draw winners
+from one cdf row (the distraction automaton's state-dependent rows are
+folded into one, _fold_rows).  A fork-race MDP policy becomes an automaton
+in one place, _policy_automaton(), for the mdp_policy strategy and
+mdp.policy_rollout() alike.
 
-* the clocked engine behind simulate() and simulate_many() walks its
-  replicas a chunk of events at a time and then, per chunk, tracks
+* the clocked engine behind simulate() and simulate_many() draws each
+  replica's winners a chunk of events at a time by one 16-bit rule
+  (_Winners: the winner bisect_right picks on the cdf for a uniform
+  m * 2**-53, so a winner of probability 0 is never drawn) and walks them
+  with _walk(): k consecutive winners form one code, and a k-step jump
+  table (_Jumps, built per run while it fits _JUMP_ENTRIES) advances a
+  replica k steps with one add and one take.  Per chunk it then tracks
   wall-clock time, epoch durations and the cumulative revenue advantage
   over the expected honest counterfactual alpha_a * block_rate * t
   (expected value rather than a coupled honest run; this removes
   counterfactual noise from the advantage curve).  Its results are
   bit-identical to a per-event loop over the same draws.
-* the clockless kernel, _lockstep_visits(), ignores time, legitimate
-  because the reward share is a ratio per canonical block.  It counts
-  (state, winner) visits; reward_share_mc(), distraction_occupancy_mc() and
-  mdp.policy_rollout() enter it through _run_lockstep() and multiply the
-  counts by automaton tables.
+* the clockless lockstep route, _lockstep_visits(), ignores time,
+  legitimate because the reward share is a ratio per canonical block.  It
+  counts (state, winner) visits of i.i.d. chains, so it walks counts of
+  chains per state, split each step by one multinomial draw;
+  reward_share_mc(), distraction_occupancy_mc() and mdp.policy_rollout()
+  enter it through _run_lockstep() and multiply the counts by automaton
+  tables.
 
 Determinism: every run is a pure function of its seed.  Replicated runs
 spawn child seeds from numpy's SeedSequence and reduce results in list
@@ -73,7 +74,6 @@ STRATEGIES = (
 # the clocked engine draws winners and exponentials in fixed-size chunks per
 # replica; the size is a constant so chunking can never change a seeded run
 _CHUNK = 4096
-_LOCKSTEP_BLOCK = 1 << 16  # lockstep winners per block of steps: ~1 MB buffers at any horizon
 _REST = 37  # bits of a 53-bit uniform below a winner draw's 16-bit piece
 _JUMP_ENTRIES = 4096  # a walk takes k steps per lookup while states * winners**k fits this table
 
@@ -88,8 +88,9 @@ class SimStats:
 
     revenue_advantage rows are (time, cumulative advantage in block-reward
     units); empty when the run did not collect a trajectory.  rng_draws
-    counts one draw per winner, refined or not, and per exponential gap,
-    over-draw from chunking included.
+    counts a clocked run's draws, one per winner, refined or not, and per
+    exponential gap, over-draw from chunking included; for a lockstep share
+    route it counts the transitions walked, burn-in included.
     events counts the events a clocked run walked (one trajectory row
     each), or the (state, winner) transitions a lockstep share route
     counted, burn-in excluded.
@@ -552,7 +553,7 @@ def build_automaton(config: SimConfig) -> _Automaton:
 
 
 class _Winners:
-    """Both engines' winner of a uniform m on [0, 2**53): the count of cdf entries <= m * 2**-53.
+    """The clocked engine's winner of a uniform m on [0, 2**53): the count of cdf entries <= m * 2**-53.
 
     That count is #{T_j <= m}, T_j = ceil(cdf[j] * 2**53) (the product is
     exact), so the law is rng.random's to the last bit.  A draw takes m's
@@ -573,17 +574,17 @@ class _Winners:
         self.table[buckets[inside]] = n_win
         self.flag = n_win
 
-    def __call__(self, bits, refine, rows: int, width: int) -> np.ndarray:
-        """Winners of rows steps of width draws, each step's pieces from ceil(width / 4) words of bits.
+    def __call__(self, bits, refine, width: int) -> np.ndarray:
+        """width winners, their pieces from ceil(width / 4) words of bits.
 
-        Pieces go least significant first; flagged draws take refine's words in row-major order.
+        Pieces go least significant first; flagged draws take refine's words in order.
         """
-        pieces = bits.random_raw((rows, -(-width // 4))).view(np.uint16)[:, :width]
+        pieces = bits.random_raw(-(-width // 4)).view(np.uint16)[:width]
         wins = self.table.take(pieces)
         at = np.flatnonzero(wins == self.flag)
         if at.size:
-            m = pieces.flat[at].astype(np.uint64) << _REST | refine.random_raw(at.size) >> 64 - _REST
-            wins.flat[at] = self.thresholds.searchsorted(m, side="right")
+            m = pieces[at].astype(np.uint64) << _REST | refine.random_raw(at.size) >> 64 - _REST
+            wins[at] = self.thresholds.searchsorted(m, side="right")
         return wins
 
 
@@ -642,7 +643,7 @@ def _follow(table, codes, offset, out) -> None:
 
 
 def _walk(jumps: _Jumps, wins, offset, out) -> None:
-    """Walk every chain len(wins) steps, jumps.k per lookup; the one path walker of both engines.
+    """Walk every replica len(wins) steps, jumps.k per lookup; the clocked engine's path walker.
 
     Row t of wins holds step t's winner for each chain, as _Winners draws
     it.  Each k consecutive rows of winners form one k-step code, made with
@@ -743,7 +744,7 @@ def _winners(rule: _Winners, runs: list[_Run]) -> np.ndarray:
     """The next _CHUNK winners of each replica, one column per replica."""
     wins = np.empty((_CHUNK, len(runs)), dtype=rule.table.dtype)
     for j, run in enumerate(runs):
-        wins[:, j] = rule(run.rng.bit_generator, run.refine, 1, _CHUNK)[0]
+        wins[:, j] = rule(run.rng.bit_generator, run.refine, _CHUNK)
         run.draws += _CHUNK
     return wins
 
@@ -874,42 +875,28 @@ def simulate_many(config: SimConfig, replicas: int) -> list[SimStats]:
 def _lockstep_visits(next_state, cdf, rng, replicas, burn_in, steps):
     """(state, winner) visit counts of replicas chains walked in lockstep from state 0.
 
-    Each step gives every chain a _Winners draw on cdf (every state's one
-    winner row), its refine words from rng.bit_generator.jumped(), and
-    moves it to next_state[state, winner]; steps from burn_in on are
-    counted.  Winners come a block of steps at a time, the burn-in and the
-    counted steps in blocks of their own, which draws exactly what one step
-    at a time does.  The walk takes k steps per lookup (_Jumps; k = 1 when
-    even one step's table is over _JUMP_ENTRIES), so the counted steps are
-    bincounts of k-step indices, plus one-step indices for the rows a block
-    leaves over, and each step j of a k-step index adds its count to the
-    (state, winner) pair jumps.steps[j] names.  Neither block nor k changes
-    a seeded result.
+    The chains are independent and share one winner row, so the counts
+    depend only on how many chains sit in each state: the walk keeps one
+    int64 count per occupied state, in ascending state order.  Each step
+    splits every count over the winners by one rng.multinomial draw on
+    cdf's probabilities, the law of that many independent winner draws;
+    from burn_in on the split is added into the visits, and then the chains
+    move on through next_state.  The work is the occupied (state, winner)
+    cells per step, not the chains.
     """
     n_states, n_win = next_state.shape
-    jumps = _jumps(next_state, _jump_steps(n_states, n_win))
-    k = jumps.k
-    rule = _Winners(cdf)
-    bits = rng.bit_generator
-    refine = bits.jumped()
-    block = max(1, _LOCKSTEP_BLOCK // (replicas * k)) * k
-    offset = np.zeros(replicas, dtype=np.int64)  # state * n_win**k per chain
-    # n <= block steps fill n // k group rows and n % k single rows, fewer than block // k + k
-    out = np.empty((block // k + k - 1, replicas), dtype=np.int64)
-    visits = np.zeros(n_states * n_win, dtype=np.int64)  # counted one-step indices
-    # counted k-step indices; with k = 1 they are one-step indices already
-    grouped = visits if k == 1 else np.zeros(jumps.table.size, dtype=np.int64)
-    for first, last in ((0, burn_in), (burn_in, burn_in + steps)):
-        for start in range(first, last, block):
-            n = min(block, last - start)
-            _walk(jumps, rule(bits, refine, n, replicas), offset, out)
-            if first == burn_in:
-                grouped += np.bincount(out[: n // k].ravel(), minlength=grouped.size)
-                if n % k:
-                    visits += np.bincount(out[n // k : n // k + n % k].ravel(), minlength=visits.size)
-    for step in jumps.steps:
-        np.add.at(visits, step, grouped)
-    return visits.reshape(n_states, n_win)
+    p = np.diff(cdf, prepend=0.0)
+    visits = np.zeros((n_states, n_win), dtype=np.int64)
+    states, counts = np.zeros(1, dtype=np.int64), np.array([replicas], dtype=np.int64)
+    for step in range(burn_in + steps):
+        split = rng.multinomial(counts, p)
+        if step >= burn_in:
+            visits[states] += split
+        landed = np.zeros(n_states, dtype=np.int64)
+        np.add.at(landed, next_state[states], split)
+        states = np.flatnonzero(landed)
+        counts = landed[states]
+    return visits
 
 
 def _run_lockstep(auto: _Automaton, count, label: str, replicas, burn_in, seed):
@@ -917,9 +904,9 @@ def _run_lockstep(auto: _Automaton, count, label: str, replicas, burn_in, seed):
 
     Walks replicas chains for burn_in uncounted and ceil(count / replicas)
     counted steps under default_rng(seed).  Returns the (state, winner)
-    visit counts and the winners drawn.  Sizes that are not integers, or
-    that would divide by zero, walk nothing or count nothing, are rejected,
-    naming count as label.
+    visit counts and the transitions walked.  Sizes that are not integers,
+    or that would divide by zero, walk nothing or count nothing, are
+    rejected, naming count as label.
     """
     require_integer(label, count, least=1)
     require_integer("replicas", replicas, least=1)
@@ -944,16 +931,18 @@ def _share_mc(auto: _Automaton, count, label: str, replicas, burn_in, seed) -> S
 def reward_share_mc(
     config: SimConfig,
     transitions: int = 10_000_000,
-    replicas: int = 1024,
+    replicas: int = 100_000,
     burn_in: int = 300,
 ) -> SimStats:
     """Reward share over many lockstep replicas; time and difficulty ignored.
 
     The share is a ratio per canonical block, so event times cancel out of
-    it; skipping the clock lets ten million transitions run as a few
-    thousand vectorised steps.  burn_in steps are walked but not counted,
-    which removes the bias of always starting in the idle state.  The
-    statistics are the kernel's visit counts times the automaton's tables.
+    it; skipping the clock lets the replicas walk as counts per state, so a
+    replica costs nothing and ten million transitions at the default
+    100,000 replicas are 100 counted steps.  burn_in steps are walked but
+    not counted, which removes the bias of always starting in the idle
+    state.  The statistics are the walk's visit counts times the
+    automaton's tables.
     """
     return _share_mc(build_automaton(config), transitions, "transitions", replicas, burn_in, config.seed)
 
@@ -962,15 +951,16 @@ def distraction_occupancy_mc(
     dparams: DistractionParams,
     choice: str = "mini_pow",
     events: int = 1_000_000,
-    replicas: int = 1024,
+    replicas: int = 100_000,
     burn_in: int = 300,
     seed: int = DEFAULT_SEED,
 ) -> np.ndarray:
     """Per-event state occupancy (quiet, live, racing) from lockstep replicas.
 
-    Race sub-states (one per possible defiant-block owner) are merged, so
-    the result lines up with the three-state occupancy the closed forms
-    report.
+    The replicas walk as counts per state, as reward_share_mc's do, for
+    burn_in uncounted and ceil(events / replicas) counted steps.  Race
+    sub-states (one per possible defiant-block owner) are merged, so the
+    result lines up with the three-state occupancy the closed forms report.
     """
     auto = _fold_rows(*_distraction_rows(dparams, choice))
     visits, _ = _run_lockstep(auto, events, "events", replicas, burn_in, seed)

@@ -17,20 +17,22 @@ the row sweep over every state padded to the widest slot count, in state
 order, that the sweep in single-slot and padded blocks replaced, the
 row grid and the per-model edge probabilities and bribes as they were
 built for every model before the topology-only parts were shared, the
-three lockstep Monte Carlo loops that the visit-count kernel replaced, the
-per-event clocked simulator that the lockstep clocked engine replaced, and
-the never-reach walk twice: walk by walk, as the int64 step-at-a-time loop
-that the counts walk agrees with in mean, and as a Python loop of one
-scalar binomial draw per lead, which the counts walk equals to the last
-bit.  The Monte Carlo loops draw their winners one at a time, each by a
-bisect on its state's integer thresholds, and the distraction
-automaton's from its per-state rows, as they did before the rows were
-folded into one cdf; an exact stationary solve evaluates any automaton
-without sampling.
+three lockstep Monte Carlo loops twice: chain by chain, which the lockstep
+counts walk agrees with in mean, and as Python loops of one scalar
+multinomial draw per occupied state, which the counts walk equals to the
+last bit, the per-event clocked simulator that the lockstep clocked engine
+replaced, and the never-reach walk twice: walk by walk, as the int64
+step-at-a-time loop that the counts walk agrees with in mean, and as a
+Python loop of one scalar binomial draw per lead, which the counts walk
+equals to the last bit.  The chain-by-chain Monte Carlo loops draw their
+winners one at a time, each by a bisect on its state's integer
+thresholds, and the distraction automaton's from its per-state rows, as
+they did before the rows were folded into one cdf; an exact stationary
+solve evaluates any automaton without sampling.
 """
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -63,6 +65,7 @@ from powplay.sim import (
     DEFAULT_SEED,
     SimStats,
     _distraction_rows,
+    _fold_rows,
     build_automaton,
     dam_update,
 )
@@ -1518,21 +1521,20 @@ class WinnerDraws:
             row = self.thresholds[state] = cdf_thresholds(self.rows[state])
         return row
 
-    def step(self, states, side="right"):
+    def step(self, states):
         """One winner per chain in states, from one step's ceil(len(states) / 4) words.
 
-        A winner is bisect_right on its state's thresholds; side="left"
-        counts the thresholds below the draw instead of those at most it.
+        A winner is bisect_right on its state's thresholds.
         """
-        bisect = bisect_right if side == "right" else bisect_left
         pieces = self.pieces(len(states))
-        return np.array([bisect(self.row(s), self.m(h)) for s, h in zip(states.tolist(), pieces)], dtype=np.int64)
+        return np.array([bisect_right(self.row(s), self.m(h)) for s, h in zip(states.tolist(), pieces)], dtype=np.int64)
 
 
-# -- the lockstep Monte Carlo loops ------------------------------------------------
+# -- the lockstep Monte Carlo loops, chain by chain ------------------------------------
 #
 # One gather of every table per step, as the three engines ran before they
-# shared the visit-count kernel in powplay.sim.
+# shared the visit-count kernel in powplay.sim.  They draw other bits than
+# the counts walk, so the two agree in law, not value.
 
 
 def reward_share_mc_loop(config, transitions=10_000_000, replicas=1024, burn_in=300):
@@ -1619,21 +1621,96 @@ def policy_rollout_loop(model, policy, seed=0, horizon=1_000_000, replicas=1_024
     )
 
 
-def lockstep_visits_loop(next_state, cdf, rng, replicas, burn_in, steps, side="right"):
-    """(state, winner) visit counts with one bisect per chain per step.
-
-    cdf holds one winner row per state; side as WinnerDraws.step takes it.
-    """
+def lockstep_visits_loop(next_state, cdf, rng, replicas, burn_in, steps):
+    """(state, winner) visit counts with one bisect per chain per step; cdf holds one winner row per state."""
     n_states, n_win = next_state.shape
     draws = WinnerDraws(rng, cdf)
     state = np.zeros(replicas, dtype=np.int64)
     visits = np.zeros((n_states, n_win), dtype=np.int64)
     for step in range(burn_in + steps):
-        w = draws.step(state, side)
+        w = draws.step(state)
         if step >= burn_in:
             np.add.at(visits, (state, w), 1)
         state = next_state[state, w]
     return visits
+
+
+# -- the lockstep Monte Carlo loops, counts per state -----------------------------------
+
+
+def lockstep_counts_loop(next_state, cdf, rng, replicas, burn_in, steps):
+    """powplay.sim._lockstep_visits as a Python loop over the counts of chains per state.
+
+    Keeps a dict of how many chains sit in each state, all replicas in state
+    0 at first.  Each step draws one scalar rng.multinomial(n, p) per
+    occupied state in ascending order, p the winner probabilities of the one
+    cdf row, from the counts before the step, and moves the chains of each
+    (state, winner) cell to its next state on their own; from burn_in on
+    each cell's chains are added to its visits.
+    """
+    p = np.diff(cdf, prepend=0.0)
+    alive = {0: replicas}
+    visits = np.zeros(next_state.shape, dtype=np.int64)
+    for step in range(burn_in + steps):
+        landed = {}
+        for s in sorted(alive):
+            for w, n in enumerate(rng.multinomial(alive[s], p).tolist()):
+                if step >= burn_in:
+                    visits[s, w] += n
+                t = int(next_state[s, w])
+                landed[t] = landed.get(t, 0) + n
+        # an empty state draws nothing, in numpy's vector call too
+        alive = {s: n for s, n in landed.items() if n}
+    return visits
+
+
+def _share_counts_loop(tables, cdf, count, replicas, burn_in, seed):
+    """A lockstep share route's SimStats on (next, settled, net reward, orphans) tables, summed cell by cell."""
+    next_state, *sums = tables
+    steps = math.ceil(count / replicas)
+    visits = lockstep_counts_loop(next_state, cdf, np.random.default_rng(seed), replicas, burn_in, steps)
+    settled, reward, orphans = (
+        sum(n * float(t[s, w]) for (s, w), n in np.ndenumerate(visits) if n) for t in sums
+    )
+    if settled <= 0:
+        raise ValidationError("no blocks settled; the run is too short")
+    return SimStats(
+        adversary_reward_share=reward / settled,
+        orphan_count=int(orphans),
+        epoch_durations=np.array([]),
+        revenue_advantage=np.empty((0, 2)),
+        rng_draws=replicas * (burn_in + steps),
+        events=replicas * steps,
+    )
+
+
+def reward_share_counts_loop(config, transitions=10_000_000, replicas=100_000, burn_in=300):
+    """powplay.sim.reward_share_mc by lockstep_counts_loop on config's (folded) automaton."""
+    auto = build_automaton(config)
+    tables = auto.next_state, auto.settled, auto.attacker - auto.bribe, auto.orphans
+    return _share_counts_loop(tables, auto.cdf, transitions, replicas, burn_in, config.seed)
+
+
+def distraction_occupancy_counts_loop(
+    dparams, choice="mini_pow", events=1_000_000, replicas=100_000, burn_in=300, seed=DEFAULT_SEED
+):
+    """powplay.sim.distraction_occupancy_mc by lockstep_counts_loop on the folded distraction automaton."""
+    auto = _fold_rows(*_distraction_rows(dparams, choice))
+    steps = math.ceil(events / replicas)
+    visits = lockstep_counts_loop(auto.next_state, auto.cdf, np.random.default_rng(seed), replicas, burn_in, steps)
+    counts = visits.sum(axis=1)
+    total = counts.sum()
+    return np.array([counts[0] / total, counts[1] / total, counts[2:].sum() / total])
+
+
+def policy_rollout_counts_loop(model, policy, seed=0, horizon=1_000_000, replicas=100_000, burn_in=300):
+    """powplay.mdp.policy_rollout by lockstep_counts_loop on the policy's tables, winners by the normalised shares."""
+    next_tab, settled_tab, reward_tab, bribe_tab, orphan_tab = policy_tables(model, policy)
+    p = np.append(model.shares, model.alpha_a)
+    cdf = np.cumsum(p / p.sum())
+    cdf[-1] = 1.0
+    tables = next_tab, settled_tab, reward_tab - bribe_tab, orphan_tab
+    return _share_counts_loop(tables, cdf, horizon, replicas, burn_in, seed)
 
 
 # -- the per-event clocked simulator --------------------------------------------------

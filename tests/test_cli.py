@@ -354,6 +354,14 @@ def test_sim_run_rejects_a_non_finite_epoch_rate(merged_file, tmp_path, capsys):
     assert "error: block_rate must be a positive finite number, got nan" in capsys.readouterr().err
 
 
+def test_sim_run_rejects_a_bool_adversary(merged_file, tmp_path, capsys):
+    # json's true once ran with pool 1 as the adversary and exited 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"pools": merged_file, "adversary": True}))
+    assert main(["sim", "run", "--config", str(cfg)]) == 1
+    assert "error: pool index must be an integer, got True" in capsys.readouterr().err
+
+
 def test_profit_lag_schema_and_svg(merged_file, tmp_path, capsys):
     cfg = SimConfig(load_pool_file(merged_file, adversary="Unknown"), strategy="bribery", horizon=3)
     every = len(revenue_advantage_trajectory(cfg).points)

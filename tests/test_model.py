@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,6 +64,25 @@ def test_duplicate_names_rejected():
 def test_adversary_index_checked():
     with pytest.raises(ValidationError):
         make_set([0.5, 0.5], adversary=7)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.5, 1.0], ids=["True", "False", "1.5", "1.0"])
+def test_adversary_index_must_be_an_integer(index):
+    # a bool once made pool 1 (or 0) the adversary; a float failed later with TypeError
+    ps = make_set([0.5, 0.5])
+    with pytest.raises(ValidationError, match="adversary index must be an integer"):
+        make_set([0.5, 0.5], adversary=index)
+    with pytest.raises(ValidationError, match="pool index must be an integer"):
+        ps.with_adversary(index)
+
+
+def test_numpy_integers_index_pools():
+    ps = make_set([0.3, 0.7])
+    assert ps.index_of(np.int64(1)) == 1 and type(ps.index_of(np.int64(1))) is int
+    assert ps.with_adversary(np.int32(1)).adversary_share == pytest.approx(0.7)
+    assert make_set([0.3, 0.7], adversary=np.int64(1)).adversary_share == pytest.approx(0.7)
+    with pytest.raises(ValidationError, match="out of range"):
+        ps.index_of(np.int64(2))
 
 
 def test_attack_params_validation():

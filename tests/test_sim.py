@@ -11,10 +11,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    distraction_occupancy_counts_loop,
     distraction_occupancy_loop,
     exact_automaton,
+    lockstep_counts_loop,
     lockstep_visits_loop,
     per_state_automaton,
+    reward_share_counts_loop,
     reward_share_mc_loop,
     simulate_sequential,
     unfold_visits,
@@ -41,7 +44,6 @@ from powplay.sim import (
     SimStats,
     _JUMP_ENTRIES,
     _events,
-    _fold_rows,
     _jump_steps,
     _jumps,
     _lockstep_visits,
@@ -242,6 +244,8 @@ def test_mdp_policy_runs_with_a_zero_share_rival():
     auto = build_automaton(cfg)
     visits = _lockstep_visits(auto.next_state, auto.cdf, np.random.default_rng(1), 256, 10, 400)
     assert visits[:, 2].sum() == 0 and visits.sum() == 256 * 400
+    want = lockstep_counts_loop(auto.next_state, auto.cdf, np.random.default_rng(1), 256, 10, 400)
+    np.testing.assert_array_equal(visits, want)
     _assert_same_stats(simulate(cfg), simulate_sequential(cfg))
     solved = solve_reward_share(build_mdp(pools, AttackParams(), fork_cap=4)).reward_share
     stats = reward_share_mc(cfg, transitions=1_000_000)
@@ -388,7 +392,7 @@ def test_k_step_walk_visits_the_events_of_the_one_step_walk(kernel_case):
     offset, offset_1 = np.zeros(5, dtype=np.int64), np.zeros(5, dtype=np.int64)
     for rows in (103, 62):
         bits = np.random.default_rng(rows).bit_generator
-        wins = _Winners(auto.cdf)(bits, bits.jumped(), rows, 5)
+        wins = _Winners(auto.cdf)(bits, bits.jumped(), rows * 5).reshape(rows, 5)
         out, want = np.empty((rows // k + rows % k, 5), dtype=np.int64), np.empty((rows, 5), dtype=np.int64)
         _walk(jumps, wins, offset, out)
         _walk(single, wins, offset_1, want)
@@ -399,35 +403,49 @@ def test_k_step_walk_visits_the_events_of_the_one_step_walk(kernel_case):
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("replicas, burn_in, steps",
                          [(64, 37, 150), (5_000, 20, 30), (1, 41, 997), (3, 13, 409)])
-def test_kernel_visits_equal_the_searchsorted_loop(kernel_case, side, replicas, burn_in, steps, monkeypatch):
-    # the kernel breaks ties as side="right"; no draw of these seeded walks
-    # sits on a threshold, so the loop counts the same visits under either
-    # rule, which is why the one rule moved no seeded result
-    # the kernel walks k = 3 to 5 steps per lookup on these automata: 5,000
-    # replicas make blocks of 12 or 10 steps, so blocks leave rows over, and
-    # the prime sizes end the burn-in and the run inside a k-step group;
-    # the loop walks per-state rows, the kernel the one (folded) cdf; the
-    # smaller blocks split the walk into more blocks, down to one step each
+def test_kernel_visits_equal_the_searchsorted_loop(kernel_case, side, replicas, burn_in, steps):
+    # the counts walk equals the loop of one scalar multinomial per occupied
+    # state to the last bit; side picks how the counted window is taken:
+    # "left" walks burn_in uncounted steps first, as the entries do, "right"
+    # counts the whole walk and takes away the count of its first burn_in
+    # steps, which is the same because counting never moves the walk
+    _, auto = kernel_case
+
+    def visits(burn, count):
+        return _lockstep_visits(auto.next_state, auto.cdf, np.random.default_rng(3), replicas, burn, count)
+
+    got = visits(burn_in, steps) if side == "left" else visits(0, burn_in + steps) - visits(0, burn_in)
+    want = lockstep_counts_loop(auto.next_state, auto.cdf, np.random.default_rng(3), replicas, burn_in, steps)
+    np.testing.assert_array_equal(got, want)
+    assert got.sum() == replicas * steps
+
+
+def _assert_same_mean(a, b):
+    """Each entry of a and b (one row per seed) has the same mean within 5 standard errors."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    sem = np.hypot(a.std(axis=0, ddof=1), b.std(axis=0, ddof=1)) / math.sqrt(len(a))
+    assert (np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 5 * sem + 1e-12).all()
+
+
+def test_kernel_visits_agree_in_mean_with_the_per_chain_loop(kernel_case):
+    # the loop draws a winner per chain by a bisect on its state's own row;
+    # the kernel's visits of the folded cdf are unfolded onto those rows
     cfg, auto = kernel_case
     rows = per_state_automaton(cfg)
-    want = lockstep_visits_loop(rows.next_state, rows.cdf, np.random.default_rng(3), replicas, burn_in, steps, side)
-    for block in (sim._LOCKSTEP_BLOCK, 4_099, 1):
-        monkeypatch.setattr(sim, "_LOCKSTEP_BLOCK", block)
-        got = _lockstep_visits(auto.next_state, auto.cdf, np.random.default_rng(3), replicas, burn_in, steps)
-        np.testing.assert_array_equal(unfold_visits(got, auto.cdf, rows.cdf), want)
-        assert got.sum() == replicas * steps
+    got = [unfold_visits(_lockstep_visits(auto.next_state, auto.cdf, np.random.default_rng(s), 32, 20, 40),
+                         auto.cdf, rows.cdf) for s in range(40)]
+    want = [lockstep_visits_loop(rows.next_state, rows.cdf, np.random.default_rng(s), 32, 20, 40) for s in range(40)]
+    _assert_same_mean(got, want)
 
 
 def test_kernel_visits_over_the_table_budget_equal_the_searchsorted_loop(kernel_case, monkeypatch):
-    # with no room for a two-step table the walk takes one step per lookup
-    # and bincounts its (state, winner) indices straight into the visits
+    # with no room for a two-step table the clocked engine walks one step per
+    # lookup, and still equals the per-event loop
     cfg, auto = kernel_case
     monkeypatch.setattr(sim, "_JUMP_ENTRIES", 0)
     assert _jumps(auto.next_state, _jump_steps(auto.n_states, auto.cdf.size)).steps == ()
-    rows = per_state_automaton(cfg)
-    got = _lockstep_visits(auto.next_state, auto.cdf, np.random.default_rng(4), 3, 13, 409)
-    want = lockstep_visits_loop(rows.next_state, rows.cdf, np.random.default_rng(4), 3, 13, 409, "right")
-    np.testing.assert_array_equal(unfold_visits(got, auto.cdf, rows.cdf), want)
+    cfg = replace(cfg, epoch=EpochModel(blocks_per_epoch=300), horizon=5_000, horizon_unit="blocks")
+    _assert_same_stats(simulate(cfg), simulate_sequential(cfg))
 
 
 class _Words:
@@ -483,35 +501,16 @@ def _on_the_thresholds(cdf_rows) -> list[int]:
     return sorted({0, *ts, *(t - 1 for t in ts if t)}) * 4
 
 
-@pytest.mark.parametrize("rows", [[[0.3, 0.6, 1.0]] * 2, [[0.3, 0.6, 1.0], [0.6, 0.8, 1.0]]],
-                         ids=["one-row", "per-state"])
-def test_kernel_breaks_ties_as_bisect_right(rows):
-    # the kernel walks the rows folded into one cdf, the loop each state's own row
-    next_state = np.array([[0, 1, 0], [1, 0, 1]])
-    rows = np.array(rows)
-    auto = _fold_rows(np.diff(rows, prepend=0.0), np.ones(2), [next_state, *np.zeros((4, 2, 3))], 0.5)
-    ms = _on_the_thresholds(rows)
-
-    def rng():
-        return _GeneratorAt(ms, _thresholds(rows))
-
-    got = unfold_visits(_lockstep_visits(auto.next_state, auto.cdf, rng(), 8, 3, 40), auto.cdf, rows)
-    want = lockstep_visits_loop(next_state, rows, rng(), 8, 3, 40, side="right")
-    np.testing.assert_array_equal(got, want)
-    # these draws do tell the rules apart
-    left = lockstep_visits_loop(next_state, rows, rng(), 8, 3, 40, side="left")
-    assert not np.array_equal(got, left)
-
-
 # -- the winner rule, pinned draw by draw -----------------------------------------------
 
 
 def _assert_rule_counts_the_cdf(cdf, ms_rows):
-    """_Winners on cdf gives each draw m in ms_rows #{cdf[j] <= m * 2**-53}, drawing every word it is given."""
+    """_Winners on cdf, called once per row of ms_rows, gives each m #{cdf[j] <= m * 2**-53}, drawing every word."""
     thresholds = _thresholds(cdf[:-1])
     words, low = _winner_words(ms_rows, thresholds)
     bits, refine = _Words(words), _Words(low)
-    got = _Winners(cdf)(bits, refine, len(ms_rows), len(ms_rows[0]))
+    rule = _Winners(cdf)
+    got = [rule(bits, refine, len(row)) for row in ms_rows]
     want = [[sum(Fraction(float(c)) <= Fraction(m, 2**53) for c in cdf[:-1]) for m in row] for row in ms_rows]
     np.testing.assert_array_equal(got, want)
     assert (bits.i, refine.i) == (len(words), len(low))
@@ -561,7 +560,7 @@ def test_winner_rule_counts_drawn_cdfs(entries, drawn):
 def test_reward_share_mc_matches_the_per_step_loop(kernel_case, transitions, replicas, burn_in):
     cfg, _ = kernel_case
     got = reward_share_mc(cfg, transitions, replicas, burn_in)
-    want = reward_share_mc_loop(cfg, transitions, replicas, burn_in)
+    want = reward_share_counts_loop(cfg, transitions, replicas, burn_in)
     assert got.orphan_count == want.orphan_count
     assert got.rng_draws == want.rng_draws
     assert got.events == want.events == replicas * math.ceil(transitions / replicas)
@@ -569,12 +568,30 @@ def test_reward_share_mc_matches_the_per_step_loop(kernel_case, transitions, rep
     assert got.adversary_reward_share == pytest.approx(want.adversary_reward_share, abs=1e-15)
 
 
+def test_reward_share_mc_agrees_in_mean_with_the_per_chain_loop(kernel_case):
+    cfg, _ = kernel_case
+    got, want = (
+        [[f(replace(cfg, seed=s), 2_000, 50, 20).adversary_reward_share] for s in range(40)]
+        for f in (reward_share_mc, reward_share_mc_loop)
+    )
+    _assert_same_mean(got, want)
+
+
 @pytest.mark.parametrize("choice", ["mini_pow", "bitcoin"])
 @pytest.mark.parametrize("events, replicas, burn_in", [(300_000, 1024, 300), (100_000, 5_000, 20)])
 def test_occupancy_matches_the_per_step_loop(choice, events, replicas, burn_in):
     got = distraction_occupancy_mc(_DISTRACTION, choice, events, replicas, burn_in, seed=11)
-    want = distraction_occupancy_loop(_DISTRACTION, choice, events, replicas, burn_in, seed=11)
+    want = distraction_occupancy_counts_loop(_DISTRACTION, choice, events, replicas, burn_in, seed=11)
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("choice", ["mini_pow", "bitcoin"])
+def test_occupancy_agrees_in_mean_with_the_per_chain_loop(choice):
+    got, want = (
+        [f(_DISTRACTION, choice, 2_000, 50, 20, seed=s) for s in range(40)]
+        for f in (distraction_occupancy_mc, distraction_occupancy_loop)
+    )
+    _assert_same_mean(got, want)
 
 
 # -- clocked engine against the per-event loop it replaced ---------------------------
@@ -724,6 +741,21 @@ def test_reward_share_mc_is_unbiased_against_the_exact_automata():
                       for seed in range(runs)]
             sigma = np.std(shares, ddof=1) / math.sqrt(runs)
             assert 0 < sigma and abs(np.mean(shares) - exact) <= 5 * sigma, (strategy, pools.shares, eps)
+
+
+def test_reward_share_mc_at_a_billion_transitions_is_unbiased_against_the_exact_automata():
+    # ten million replicas walk as counts per state, so 1e9 transitions are
+    # 100 counted steps; the spread of one run must resolve the share to 1e-4
+    runs = 8
+    for pools, eps in itertools.islice(_criterion_06_pool_sets(), 3):
+        for strategy in ("pi_selfish", "bribery", "undercut"):
+            cfg = SimConfig(pools, strategy=strategy, params=AttackParams(epsilon=eps))
+            exact = _exact(build_automaton(cfg))[0]
+            shares = [reward_share_mc(replace(cfg, seed=seed), transitions=10**9, replicas=10**7).adversary_reward_share
+                      for seed in range(runs)]
+            spread = np.std(shares, ddof=1)
+            assert 0 < spread < 1e-4, (strategy, pools.shares, eps)
+            assert abs(np.mean(shares) - exact) <= 5 * spread / math.sqrt(runs), (strategy, pools.shares, eps)
 
 
 def _exact_orphans(auto):
